@@ -18,19 +18,7 @@ Cache::Cache(const CacheConfig& cfg)
   lines_.resize(num_lines);
 }
 
-CacheAccessResult Cache::access(PhysAddr pa, bool is_write) {
-  const u64 block = pa >> line_shift_;
-
-  // Same block as the previous access: that line is valid and MRU, and no
-  // other access has run since, so the way scan below would find exactly it.
-  if (block == last_block_ && last_line_ != nullptr) {
-    ++tick_;
-    last_line_->lru_tick = tick_;
-    last_line_->dirty = last_line_->dirty || is_write;
-    hits_.add();
-    return {true, cfg_.hit_latency};
-  }
-
+CacheAccessResult Cache::access_scan(u64 block, bool is_write) {
   const unsigned set = static_cast<unsigned>(block & (num_sets_ - 1));
   const u64 tag = block >> log2_exact(num_sets_);
   Line* row = &lines_[static_cast<size_t>(set) * cfg_.ways];
@@ -74,14 +62,12 @@ CacheAccessResult Cache::access(PhysAddr pa, bool is_write) {
   return {false, cycles};
 }
 
-Cycles Cache::hierarchy_access(Cache& l1, Cache* l2, PhysAddr pa, bool is_write) {
-  const CacheAccessResult r1 = l1.access(pa, is_write);
-  if (r1.hit || l2 == nullptr) return r1.cycles - l1.config().hit_latency;
+Cycles Cache::l2_fallback(Cache& l1, Cache& l2, PhysAddr pa, bool is_write,
+                          Cycles l1_cycles) {
   // L1 missed: replace its DRAM penalty with the L2 lookup (which itself
   // pays DRAM only on an L2 miss). Writebacks keep their cost.
-  const Cycles l1_extra = r1.cycles - l1.config().hit_latency - l1.config().miss_penalty;
-  const CacheAccessResult r2 = l2->access(pa, is_write);
-  return l1_extra + r2.cycles;
+  const Cycles l1_extra = l1_cycles - l1.cfg_.hit_latency - l1.cfg_.miss_penalty;
+  return l1_extra + l2.access(pa, is_write).cycles;
 }
 
 void Cache::invalidate_all() {

@@ -3,12 +3,14 @@
 // 64 B lines. Used purely for cycle accounting; correctness never depends
 // on it.
 //
-// Host-speed notes: counters are interned telemetry handles bumped with a
-// single indirected increment and synthesized into the StatSet on read, and
-// a one-entry "last block" memo short-cuts the way scan for consecutive
-// accesses to the same line. Both are exact: the memo only replays an
-// access whose outcome (hit, LRU update, dirty bit) is provably identical
-// to what the scan would produce.
+// Host-speed notes. Counters are interned telemetry handles, bumped with a
+// single indirected increment and synthesized into the StatSet on read. A
+// one-entry "last block" memo answers a repeat access to the previous line
+// without the way scan: that line is valid and MRU, so the scan would hit
+// it. The memo branch (tick, LRU stamp, dirty bit, hit count) and the L1-hit
+// case of hierarchy_access() are inline here, because the interpreter pays
+// them on every fetch parcel and data access; the way scan, miss handling
+// and L2 fallback stay out of line in cache.cpp.
 #pragma once
 
 #include <cassert>
@@ -46,11 +48,27 @@ class Cache {
   /// instead of l1's DRAM penalty (l2 == nullptr degrades to l1-only).
   /// Returns the cycles *beyond* l1's hit latency — the "excess" the core
   /// charges on top of its base CPI.
-  static Cycles hierarchy_access(Cache& l1, Cache* l2, PhysAddr pa, bool is_write);
+  static Cycles hierarchy_access(Cache& l1, Cache* l2, PhysAddr pa, bool is_write) {
+    const CacheAccessResult r1 = l1.access(pa, is_write);
+    if (r1.hit || l2 == nullptr) return r1.cycles - l1.cfg_.hit_latency;
+    return l2_fallback(l1, *l2, pa, is_write, r1.cycles);
+  }
 
   /// Simulate an access to physical address `pa`. Write accesses mark the
   /// line dirty (write-allocate, write-back policy).
-  CacheAccessResult access(PhysAddr pa, bool is_write);
+  CacheAccessResult access(PhysAddr pa, bool is_write) {
+    const u64 block = pa >> line_shift_;
+    // Same block as the previous access: that line is valid and MRU, and no
+    // other access has run since, so the way scan would find exactly it.
+    if (block == last_block_ && last_line_ != nullptr) {
+      ++tick_;
+      last_line_->lru_tick = tick_;
+      last_line_->dirty = last_line_->dirty || is_write;
+      hits_.add();
+      return {true, cfg_.hit_latency};
+    }
+    return access_scan(block, is_write);
+  }
 
   /// Drop every line (e.g., fence.i on the I-cache).
   void invalidate_all();
@@ -68,6 +86,12 @@ class Cache {
     u64 tag = 0;
     u64 lru_tick = 0;
   };
+
+  /// access() past the memo: way scan, then LRU fill on a miss.
+  CacheAccessResult access_scan(u64 block, bool is_write);
+  /// hierarchy_access() after an L1 miss with an L2 present.
+  static Cycles l2_fallback(Cache& l1, Cache& l2, PhysAddr pa, bool is_write,
+                            Cycles l1_cycles);
 
   CacheConfig cfg_;
   unsigned num_sets_;

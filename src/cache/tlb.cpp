@@ -9,18 +9,8 @@ u64 Tlb::vpn_mask(unsigned level) {
   return mask_lo(27) & ~mask_lo(9 * level);
 }
 
-const TlbEntry* Tlb::lookup(VirtAddr va, u16 asid) {
-  const u64 vpn = (va >> kPageShift) & mask_lo(27);
+const TlbEntry* Tlb::lookup_scan(u64 vpn, u16 asid) {
   ++tick_;
-
-  // Repeat of the previous hit: no insert/flush ran since (those drop the
-  // memo), so the same entry is still the scan's first match.
-  if (last_entry_ != nullptr && vpn == last_vpn_ && asid == last_asid_) {
-    last_entry_->lru_tick = tick_;
-    hits_.add();
-    return last_entry_;
-  }
-
   for (auto& e : slots_) {
     if (!e.valid) continue;
     if (!e.global && e.asid != asid) continue;
@@ -31,6 +21,7 @@ const TlbEntry* Tlb::lookup(VirtAddr va, u16 asid) {
       last_vpn_ = vpn;
       last_asid_ = asid;
       last_entry_ = &e;
+      ++memo_gen_;
       return &e;
     }
   }
@@ -39,7 +30,7 @@ const TlbEntry* Tlb::lookup(VirtAddr va, u16 asid) {
 }
 
 void Tlb::insert(VirtAddr va, u16 asid, unsigned level, u64 pte, bool global) {
-  const u64 vpn = (va >> kPageShift) & mask_lo(27);
+  const u64 vpn = (va >> kPageShift) & kVpnMask;
   ++tick_;
   TlbEntry* victim = &slots_[0];
   for (auto& e : slots_) {
@@ -56,7 +47,7 @@ void Tlb::insert(VirtAddr va, u16 asid, unsigned level, u64 pte, bool global) {
                      .level = level,
                      .pte = pte,
                      .lru_tick = tick_};
-  last_entry_ = nullptr;
+  drop_memo();
   fills_.add();
 }
 
@@ -75,7 +66,7 @@ void Tlb::flush(std::optional<VirtAddr> va, std::optional<u16> asid) {
     }
     e.valid = false;
   }
-  last_entry_ = nullptr;
+  drop_memo();
   flushes_.add();
 }
 

@@ -8,11 +8,18 @@
 // deliberately reproduces stale-entry behaviour so the attack scenario is
 // faithful.
 //
-// Host-speed notes: stat counters are interned telemetry handles synthesized
-// into the StatSet on read, and a one-entry memo replays the previous successful
-// lookup without rescanning. The memo is set only by a real scan hit and
-// dropped on insert/flush, so it always returns the same entry (with the
-// same LRU update) the scan would.
+// Host-speed notes. Stat counters are interned telemetry handles synthesized
+// into the StatSet on read. A one-entry memo answers a repeat lookup of the
+// previous hit's (vpn, asid) without rescanning. Only a real scan hit sets
+// the memo, and insert/flush drop it, so it always returns the entry the
+// scan would, with the same tick and LRU update. The memo branch is inline
+// below; the scan stays out of line in tlb.cpp.
+//
+// memo_gen() numbers the memo's states: it changes whenever the memo is set
+// or dropped. While it is unchanged, the memo still covers the same (vpn,
+// asid) and the same entry, whose contents only insert() can change. The
+// core's fetch memo keys on it and calls replay_memo_hit() in place of a
+// lookup, with the identical effect.
 #pragma once
 
 #include <optional>
@@ -54,7 +61,28 @@ class Tlb {
 
   /// Look up virtual address `va` under `asid`. Superpage entries match any
   /// VA within their reach.
-  const TlbEntry* lookup(VirtAddr va, u16 asid);
+  const TlbEntry* lookup(VirtAddr va, u16 asid) {
+    const u64 vpn = (va >> kPageShift) & kVpnMask;
+    // Repeat of the previous hit: no insert/flush ran since (those drop the
+    // memo), so the same entry is still the scan's first match.
+    if (last_entry_ != nullptr && vpn == last_vpn_ && asid == last_asid_) {
+      return replay_memo_hit();
+    }
+    return lookup_scan(vpn, asid);
+  }
+
+  /// Exactly what lookup() does on its memo branch. Callers must know the
+  /// memo covers their (vpn, asid): memo_gen() unchanged since a lookup of
+  /// that pair hit.
+  const TlbEntry* replay_memo_hit() {
+    ++tick_;
+    last_entry_->lru_tick = tick_;
+    hits_.add();
+    return last_entry_;
+  }
+
+  /// Changes whenever the lookup memo is set or dropped (see file comment).
+  u64 memo_gen() const { return memo_gen_; }
 
   /// Insert a translation; evicts LRU.
   void insert(VirtAddr va, u16 asid, unsigned level, u64 pte, bool global);
@@ -69,7 +97,15 @@ class Tlb {
   unsigned occupancy() const;
 
  private:
+  static constexpr u64 kVpnMask = (u64{1} << 27) - 1;  ///< Sv39 VPN bits.
   static u64 vpn_mask(unsigned level);
+  /// lookup() past the memo: first-match scan of every slot.
+  const TlbEntry* lookup_scan(u64 vpn, u16 asid);
+  void drop_memo() {
+    last_entry_ = nullptr;
+    ++memo_gen_;
+  }
+
   TlbConfig cfg_;
   std::vector<TlbEntry> slots_;
   u64 tick_ = 0;
@@ -80,6 +116,7 @@ class Tlb {
   VirtAddr last_vpn_ = ~u64{0};
   u16 last_asid_ = 0;
   TlbEntry* last_entry_ = nullptr;
+  u64 memo_gen_ = 0;
 
   telemetry::CounterBank bank_;
   telemetry::Counter hits_;

@@ -3,8 +3,9 @@
 // cycles, TLB/PTW/cache counters, trap behaviour — happens in exactly the
 // order and quantity the classic fetch/decode path (step_fetch_decode)
 // would produce. Only host work with no simulated trace (the PMP way scan
-// when it allows, the physical parcel reads, decode_any) is skipped, and
-// each skip is justified by a generation guard checked *before* the skip.
+// when it allows, the physical parcel reads, decode_any, and the MMU call of
+// a fetch the fetch memo replays) is skipped, and each skip is justified by
+// a generation guard checked *before* the skip.
 #include "common/bits.h"
 #include "cpu/core.h"
 #include "telemetry/trace.h"
@@ -36,17 +37,49 @@ bool ends_block(const Inst& in) {
 }  // namespace
 
 bool Core::bb_fetch_pmp_allowed(PhysAddr pa) const {
-  PmpDecision pd =
+  const PmpDecision pd =
       pmp_.check(pa, 2, AccessType::kExecute, AccessKind::kRegular, priv_);
-  if (!cfg_.ptstore_enabled) {
-    // Mirror of access_with's baseline-core fixup: the S-bit has no meaning.
-    if (pd.reason == PmpDenyReason::kSecureRegular ||
-        pd.reason == PmpDenyReason::kPtInsnOutsideSecure) {
-      pd = pmp_.check(pa, 2, AccessType::kExecute, AccessKind::kRegular, priv_);
-      if (pd.reason == PmpDenyReason::kSecureRegular) pd.allowed = true;
-    }
-  }
+  // access_with's baseline-core fixup: the S-bit has no meaning there. A
+  // fetch is already a regular access, so its re-check would repeat this one.
+  if (!cfg_.ptstore_enabled && pd.reason == PmpDenyReason::kSecureRegular) return true;
   return pd.allowed;
+}
+
+// Inline: step_cached() below is the only caller, and the memo hit is its
+// common case.
+inline TranslateResult Core::fetch_translate(VirtAddr va) {
+  TranslateResult res;
+  const u64 satp = mmu_.satp();
+  if (priv_ == Privilege::kMachine || isa::satp::mode(satp) == isa::satp::kModeBare) {
+    // Identity map; Mmu::translate touches no TLB or counter here.
+    res.ok = true;
+    res.pa = va;
+    return res;
+  }
+  if ((va >> kPageShift) == fetch_vpage_ && priv_ == fetch_priv_ && satp == fetch_satp_ &&
+      mmu_.itlb().memo_gen() == fetch_itlb_gen_) {
+    mmu_.itlb().replay_memo_hit();
+    res.ok = true;
+    res.tlb_hit = true;
+    res.pa = fetch_pa_page_ | (va & kPageMask);
+    return res;
+  }
+  return fetch_translate_mmu(va);
+}
+
+TranslateResult Core::fetch_translate_mmu(VirtAddr va) {
+  const TranslateResult res = mmu_.translate(va, AccessType::kExecute,
+                                             AccessKind::kRegular, ctx_for(priv_));
+  // An ITLB hit leaves the ITLB memo covering this page (a fetch never takes
+  // the D-bit re-walk), so the next fetch in the page can replay it.
+  if (res.ok && res.tlb_hit) {
+    fetch_vpage_ = va >> kPageShift;
+    fetch_priv_ = priv_;
+    fetch_satp_ = mmu_.satp();
+    fetch_itlb_gen_ = mmu_.itlb().memo_gen();
+    fetch_pa_page_ = res.pa & ~kPageMask;
+  }
+  return res;
 }
 
 BBlock* Core::bb_build(PhysAddr pa0) {
@@ -104,11 +137,10 @@ StepResult Core::step_cached() {
 
   if (!is_aligned(pc_, 2)) return step_fetch_decode(nullptr);
 
-  // The real per-step translation. This is what keeps satp writes,
-  // sfence.vma, ASID switches, and remaps hook-free: the physical PC is
-  // re-derived every step with full TLB/PTW stat effects.
-  TranslateResult t0 = mmu_.translate(pc_, AccessType::kExecute,
-                                      AccessKind::kRegular, ctx_for(priv_));
+  // The per-step translation. This is what keeps satp writes, sfence.vma,
+  // ASID switches, and remaps hook-free: the physical PC is re-derived every
+  // step with full TLB/PTW stat effects (replayed, on a fetch-memo hit).
+  TranslateResult t0 = fetch_translate(pc_);
   cycles_ += t0.cycles;
   if (!t0.ok) {
     bb_cur_ = nullptr;
@@ -157,19 +189,19 @@ StepResult Core::step_cached() {
   // Timing of the fetch the classic path would perform. Blocks only cover
   // DRAM (frame_gen != nullptr implies is_dram), so the MMIO branch of
   // access_with is unreachable here.
-  cycles_ += Cache::hierarchy_access(icache_, l2_ ? &*l2_ : nullptr, t0.pa,
-                                     /*is_write=*/false);
+  Cache* l2 = l2_ ? &*l2_ : nullptr;
+  cycles_ += Cache::hierarchy_access(icache_, l2, t0.pa, /*is_write=*/false);
   if (in.len == 4) {
     // The high parcel lies in the same page (builds reject straddlers), so
     // this translation sees the same leaf: it cannot fault, and its TLB/
-    // I-cache effects replay the classic path's second-parcel fetch.
-    TranslateResult t1 = mmu_.translate(pc_ + 2, AccessType::kExecute,
-                                        AccessKind::kRegular, ctx_for(priv_));
+    // I-cache effects replay the classic path's second-parcel fetch. After
+    // t0 the ITLB memo covers the page, so this is a fetch-memo hit unless
+    // t0 walked.
+    const TranslateResult t1 = fetch_translate(pc_ + 2);
     cycles_ += t1.cycles;
     if (!t1.ok) return raise(t1.fault, pc_ + 2);
     assert(t1.pa == t0.pa + 2);
-    cycles_ += Cache::hierarchy_access(icache_, l2_ ? &*l2_ : nullptr, t1.pa,
-                                       /*is_write=*/false);
+    cycles_ += Cache::hierarchy_access(icache_, l2, t1.pa, /*is_write=*/false);
   }
 
   if (trace_hook_) trace_hook_(*this, pc_, in);

@@ -2,25 +2,36 @@
 //
 // Blocks are straight-line runs of pre-decoded instructions keyed by the
 // *physical* address of their first parcel (plus the fetch privilege, since
-// the cached PMP fetch decision depends on it). Dispatch is per step: every
-// step still performs the real MMU translation of the fetch PC — so TLB,
-// page-table-walker, and I-cache counters stay bit-identical to the
-// fetch/decode path — and only the PMP scan, the physical parcel reads, and
-// decode_any() are skipped, guarded by generation counters:
+// the cached PMP fetch decision depends on it). Dispatch is per step, and
+// every step re-derives the physical PC of the fetch, with the TLB,
+// page-table-walker and I-cache effects the classic fetch/decode path has.
+// It does so through Core::fetch_translate(), which keeps a per-page fetch
+// memo keyed on (virtual page, privilege, satp, ITLB memo_gen()): a fetch
+// from the same page as the last ITLB hit replays Tlb::lookup's memo branch
+// (tick, LRU stamp, hit count) inline instead of calling the MMU; M-mode and
+// Bare fetches are the identity map. The second parcel of a 32-bit encoding
+// takes the same memo, and both parcels take Cache's inline memo branch.
+//
+// What a cached block skips are the PMP scan, the physical parcel reads and
+// decode_any(), guarded by generation counters checked before the skip:
 //
 //   * PmpUnit::write_gen()       — any pmpcfg/pmpaddr write drops the block.
 //   * PhysMem frame write gens   — any store into the block's page drops it
 //                                  (self-modifying code, aliased mappings).
 //   * PhysMem::frame_table_gen() — checkpoint restore drops everything.
 //
-// satp writes, sfence.vma, and privilege changes need no hooks: the per-step
-// translation re-derives the physical PC, so a remap simply stops matching
-// the cached block. fence.i conservatively flushes the whole cache (it is
-// the architectural "I just wrote code" signal), although the frame
-// generations already make that a no-op for correctness.
+// satp writes, sfence.vma, and privilege changes need no hooks: the fetch
+// memo keys on satp and privilege, sfence.vma and TLB fills change the ITLB
+// memo_gen(), and a remap then simply stops matching the cached block.
+// fence.i conservatively flushes the whole cache (it is the architectural
+// "I just wrote code" signal), although the frame generations already make
+// that a no-op for correctness.
 //
 // The cache is a pure host-speed structure: simulated cycles and every
-// StatSet counter are unchanged whether it is on or off.
+// StatSet counter are unchanged whether it is on or off. The classic path
+// (CoreConfig::decode_cache = false) is the reference; tests/cpu/
+// lockstep_test.cpp steps one core of each kind side by side and compares
+// architectural state and every counter after each step.
 #pragma once
 
 #include <memory>

@@ -41,14 +41,6 @@ void Core::load_code(PhysAddr base, const std::vector<u32>& words) {
   }
 }
 
-TranslationContext Core::ctx_for(Privilege priv) const {
-  return TranslationContext{
-      .priv = priv,
-      .sum = (mstatus_ & csr::mstatus::kSum) != 0,
-      .mxr = (mstatus_ & csr::mstatus::kMxr) != 0,
-  };
-}
-
 MemAccessResult Core::access(VirtAddr va, unsigned size, AccessType type,
                              AccessKind kind, u64 store_value) {
   return access_as(va, size, type, kind, priv_, store_value);
@@ -385,14 +377,6 @@ void Core::clear_all_stats() {
   bbcache_.stats = {};
 }
 
-void Core::update_timer_pending() {
-  if (cycles_ >= mtimecmp_) {
-    mip_ |= u64{1} << csr::irq::kMti;
-  } else {
-    mip_ &= ~(u64{1} << csr::irq::kMti);
-  }
-}
-
 bool Core::interrupt_pending() const {
   return (mip_ & mie_) != 0;
 }
@@ -407,11 +391,8 @@ void Core::set_ssip(bool pending) {
 
 bool Core::ssip() const { return ((mip_ >> csr::irq::kSsi) & 1) != 0; }
 
-bool Core::maybe_take_interrupt() {
-  update_timer_pending();
+bool Core::take_pending_interrupt() {
   const u64 pending = mip_ & mie_;
-  if (pending == 0) return false;
-
   // Priority order per the privileged spec: MTI > MSI > STI > SSI (subset).
   static constexpr unsigned kOrder[] = {csr::irq::kMti, csr::irq::kMsi,
                                         csr::irq::kSti, csr::irq::kSsi};

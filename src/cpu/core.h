@@ -249,6 +249,12 @@ class Core {
   StepResult step_fetch_decode(const TranslateResult* pre);
   /// Dispatch one instruction through the decoded-block cache.
   StepResult step_cached();
+  /// Instruction-fetch translation of `va` for step_cached(), with exactly
+  /// the simulated effects of mmu_.translate(va, kExecute, kRegular,
+  /// ctx_for(priv_)). See the fetch memo below.
+  TranslateResult fetch_translate(VirtAddr va);
+  /// fetch_translate() past the memo: the MMU call, which may arm the memo.
+  TranslateResult fetch_translate_mmu(VirtAddr va);
   /// Decode a straight-line run starting at physical `pa` into the cache.
   /// Returns nullptr if not even one instruction could be cached.
   BBlock* bb_build(PhysAddr pa);
@@ -257,19 +263,38 @@ class Core {
   bool bb_fetch_pmp_allowed(PhysAddr pa) const;
   StepResult execute(const isa::Inst& in);
   StepResult exec_alu(const isa::Inst& in);
-  StepResult exec_mem(const isa::Inst& in);
+  StepResult exec_mem(const isa::Inst& in, bool store);
   StepResult exec_amo(const isa::Inst& in);
   StepResult exec_system(const isa::Inst& in);
   StepResult raise(isa::TrapCause cause, u64 tval);
   /// Evaluate mip/mie/mideleg/mstatus and take the highest-priority
   /// enabled interrupt, if any. Returns true when one was taken.
-  bool maybe_take_interrupt();
+  bool maybe_take_interrupt() {
+    update_timer_pending();
+    if ((mip_ & mie_) == 0) return false;
+    return take_pending_interrupt();
+  }
+  /// maybe_take_interrupt() once some enabled interrupt is pending.
+  bool take_pending_interrupt();
   void take_interrupt(unsigned code, bool to_supervisor);
-  void update_timer_pending();
+  void update_timer_pending() {
+    constexpr u64 kMtip = u64{1} << isa::csr::irq::kMti;
+    if (cycles_ >= mtimecmp_) {
+      mip_ |= kMtip;
+    } else {
+      mip_ &= ~kMtip;
+    }
+  }
   void do_sret();
   void do_mret();
   bool csr_accessible(u32 num, Privilege as, bool write) const;
-  TranslationContext ctx_for(Privilege priv) const;
+  TranslationContext ctx_for(Privilege priv) const {
+    return TranslationContext{
+        .priv = priv,
+        .sum = (mstatus_ & isa::csr::mstatus::kSum) != 0,
+        .mxr = (mstatus_ & isa::csr::mstatus::kMxr) != 0,
+    };
+  }
 
   PhysMem& mem_;
   CoreConfig cfg_;
@@ -312,6 +337,18 @@ class Core {
   size_t bb_idx_ = 0;              ///< Next entry within bb_cur_.
   bool bb_flush_pending_ = false;  ///< fence.i seen; flush before next fetch.
   u64 bb_table_gen_ = 0;           ///< PhysMem::frame_table_gen() last seen.
+
+  // Fetch memo: the page of the last Sv39 fetch translation that hit the
+  // ITLB. While the key (virtual page, privilege, satp, ITLB memo_gen()) is
+  // unchanged, the ITLB memo still holds that page's entry with the same
+  // PTE, so a translation of any PC in the page would take the memo branch
+  // of Tlb::lookup and pass the same leaf check. fetch_translate() then
+  // replays that branch and reuses the physical page.
+  u64 fetch_vpage_ = ~u64{0};
+  Privilege fetch_priv_ = Privilege::kMachine;
+  u64 fetch_satp_ = 0;
+  u64 fetch_itlb_gen_ = 0;
+  PhysAddr fetch_pa_page_ = 0;
 
   std::optional<PhysAddr> reservation_;  ///< LR/SC reservation.
   STrapHook strap_hook_;

@@ -79,9 +79,17 @@ StepResult Core::step_fetch_decode(const TranslateResult* pre) {
 }
 
 StepResult Core::execute(const Inst& in) {
-  if (in.is_load() || in.is_store()) return exec_mem(in);
-  if (in.is_amo()) return exec_amo(in);
   switch (in.op) {
+    case Op::kLb: case Op::kLh: case Op::kLw: case Op::kLd:
+    case Op::kLbu: case Op::kLhu: case Op::kLwu: case Op::kLdPt:
+      return exec_mem(in, /*store=*/false);
+    case Op::kSb: case Op::kSh: case Op::kSw: case Op::kSd: case Op::kSdPt:
+      return exec_mem(in, /*store=*/true);
+    case Op::kLrW: case Op::kScW: case Op::kAmoSwapW: case Op::kAmoAddW:
+    case Op::kAmoXorW: case Op::kAmoAndW: case Op::kAmoOrW:
+    case Op::kLrD: case Op::kScD: case Op::kAmoSwapD: case Op::kAmoAddD:
+    case Op::kAmoXorD: case Op::kAmoAndD: case Op::kAmoOrD:
+      return exec_amo(in);
     case Op::kEcall:
     case Op::kEbreak:
     case Op::kCsrrw: case Op::kCsrrs: case Op::kCsrrc:
@@ -238,7 +246,7 @@ StepResult Core::exec_alu(const Inst& in) {
   return {};
 }
 
-StepResult Core::exec_mem(const Inst& in) {
+StepResult Core::exec_mem(const Inst& in, bool store) {
   const VirtAddr va = reg(in.rs1) + static_cast<u64>(in.imm);
   unsigned size = 8;
   bool sign = false;
@@ -259,7 +267,7 @@ StepResult Core::exec_mem(const Inst& in) {
     return raise(TrapCause::kIllegalInst, in.raw);
   }
 
-  if (in.is_store()) {
+  if (store) {
     const MemAccessResult r = access(va, size, AccessType::kWrite, kind, reg(in.rs2));
     cycles_ += r.cycles;
     if (!r.ok) return raise(r.fault, va);
@@ -426,7 +434,6 @@ StepResult Core::exec_system(const Inst& in) {
           break;
         case Op::kCsrrs: case Op::kCsrrsi:
           next = *old | operand;
-          do_write = operand != 0 || in.rs1 != 0;
           if (is_imm) do_write = operand != 0;
           else do_write = in.rs1 != 0;
           break;

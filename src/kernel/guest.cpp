@@ -241,13 +241,11 @@ GuestResult GuestRunner::run_slice_timed(Process& proc, VirtAddr entry,
   // the quantum ends whenever the hardware says so, not after a fixed
   // instruction count.
   namespace csr = isa::csr;
-  bool fired = false;
-  core.set_sintr_hook([this, &fired](Core& c, unsigned code) {
+  core.set_sintr_hook([this](Core& c, unsigned code) {
     if (code != csr::irq::kMti) return false;
     c.write_csr(csr::kMtimecmp, ~u64{0}, Privilege::kMachine);  // Disarm.
     kernel_.charge_trap_roundtrip();
     if (result_ != nullptr) result_->preempted = true;
-    fired = true;
     return true;  // sret back; the run loop stops on `preempted`.
   });
   const u64 old_mideleg = *core.read_csr(csr::kMideleg, Privilege::kMachine);
@@ -264,7 +262,6 @@ GuestResult GuestRunner::run_slice_timed(Process& proc, VirtAddr entry,
   core.write_csr(csr::kMideleg, old_mideleg, Privilege::kMachine);
   core.write_csr(csr::kMie, old_mie, Privilege::kMachine);
   core.set_sintr_hook(nullptr);
-  (void)fired;
   save_or_reap_context(proc, res);
   return res;
 }

@@ -22,22 +22,23 @@ const PhysMem::Window* PhysMem::find_device(PhysAddr pa, u64 size) const {
   return nullptr;
 }
 
-u8* PhysMem::frame_for(PhysAddr pa) {
-  const u64 frame = (pa - dram_base_) >> kPageShift;
+PhysMem::Frame* PhysMem::find_frame_slow(u64 frame) {
   auto it = frames_.find(frame);
-  if (it == frames_.end()) {
-    auto buf = std::make_unique<u8[]>(kPageSize);
-    std::memset(buf.get(), 0, kPageSize);
-    it = frames_.emplace(frame, Frame{std::move(buf), 0}).first;
-  }
-  // Every caller is a write path (write_block/fill), so each materialized
-  // pointer handed out corresponds to a mutation of the frame.
-  ++it->second.write_gen;
-  return it->second.data.get();
+  if (it == frames_.end()) return nullptr;
+  memo_frame_ = frame;
+  memo_ = &it->second;
+  return memo_;
 }
 
-u64 PhysMem::read(PhysAddr pa, unsigned size) {
-  assert(size == 1 || size == 2 || size == 4 || size == 8);
+PhysMem::Frame* PhysMem::materialize(u64 frame) {
+  auto buf = std::make_unique<u8[]>(kPageSize);
+  std::memset(buf.get(), 0, kPageSize);
+  memo_frame_ = frame;
+  memo_ = &frames_.emplace(frame, Frame{std::move(buf), 0}).first->second;
+  return memo_;
+}
+
+u64 PhysMem::read_slow(PhysAddr pa, unsigned size) {
   if (const Window* w = find_device(pa, size)) {
     return w->dev->mmio_read(pa - w->base, size);
   }
@@ -47,8 +48,7 @@ u64 PhysMem::read(PhysAddr pa, unsigned size) {
   return v;
 }
 
-void PhysMem::write(PhysAddr pa, unsigned size, u64 value) {
-  assert(size == 1 || size == 2 || size == 4 || size == 8);
+void PhysMem::write_slow(PhysAddr pa, unsigned size, u64 value) {
   if (const Window* w = find_device(pa, size)) {
     w->dev->mmio_write(pa - w->base, size, value);
     return;
@@ -61,15 +61,13 @@ void PhysMem::read_block(PhysAddr pa, void* out, u64 len) {
   assert(is_dram(pa, len));
   u8* dst = static_cast<u8*>(out);
   while (len > 0) {
-    const u64 frame = (pa - dram_base_) >> kPageShift;
     const u64 off = (pa - dram_base_) & kPageMask;
     const u64 chunk = std::min<u64>(len, kPageSize - off);
     // Reads never materialize frames: untouched memory is zero.
-    auto it = frames_.find(frame);
-    if (it == frames_.end()) {
-      std::memset(dst, 0, chunk);
+    if (const Frame* f = find_frame(pa)) {
+      std::memcpy(dst, f->data.get() + off, chunk);
     } else {
-      std::memcpy(dst, it->second.data.get() + off, chunk);
+      std::memset(dst, 0, chunk);
     }
     pa += chunk;
     dst += chunk;
@@ -135,6 +133,8 @@ void PhysMem::restore_frames(
     const std::vector<std::pair<u64, std::vector<u8>>>& frames) {
   frames_.clear();
   ++table_gen_;  // Old frame_write_gen() pointers are now dangling.
+  memo_frame_ = ~u64{0};
+  memo_ = nullptr;
   for (const auto& [frame, bytes] : frames) {
     assert(bytes.size() == kPageSize);
     auto buf = std::make_unique<u8[]>(kPageSize);

@@ -4,6 +4,7 @@
 // in examples/bare_metal_guard).
 #pragma once
 
+#include <cassert>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -31,6 +32,9 @@ class PhysMem {
   /// DRAM occupies [dram_base, dram_base + dram_size).
   PhysMem(PhysAddr dram_base, u64 dram_size)
       : dram_base_(dram_base), dram_size_(dram_size) {}
+  // Cores and MMUs keep references to it, and the frame memo points into it.
+  PhysMem(const PhysMem&) = delete;
+  PhysMem& operator=(const PhysMem&) = delete;
 
   PhysAddr dram_base() const { return dram_base_; }
   u64 dram_size() const { return dram_size_; }
@@ -65,9 +69,27 @@ class PhysMem {
   void write_u64(PhysAddr pa, u64 v) { write(pa, 8, v); }
 
   /// Little-endian read of `size` bytes (1/2/4/8); may cross frame borders
-  /// but not the DRAM/MMIO boundary.
-  u64 read(PhysAddr pa, unsigned size);
-  void write(PhysAddr pa, unsigned size, u64 value);
+  /// but not the DRAM/MMIO boundary. DRAM is tested first (no device
+  /// window overlaps it); an access inside one frame is served inline.
+  u64 read(PhysAddr pa, unsigned size) {
+    assert(size == 1 || size == 2 || size == 4 || size == 8);
+    if (in_one_dram_frame(pa, size)) {
+      u64 v = 0;  // Reads never materialize frames: untouched memory is zero.
+      if (const Frame* f = find_frame(pa)) {
+        std::memcpy(&v, f->data.get() + ((pa - dram_base_) & kPageMask), size);
+      }
+      return v;
+    }
+    return read_slow(pa, size);
+  }
+  void write(PhysAddr pa, unsigned size, u64 value) {
+    assert(size == 1 || size == 2 || size == 4 || size == 8);
+    if (in_one_dram_frame(pa, size)) {
+      std::memcpy(frame_for(pa) + ((pa - dram_base_) & kPageMask), &value, size);
+      return;
+    }
+    write_slow(pa, size, value);
+  }
 
   /// Bulk helpers for loaders and the kernel model.
   void read_block(PhysAddr pa, void* out, u64 len);
@@ -122,13 +144,38 @@ class PhysMem {
     u64 write_gen = 0;
   };
 
-  u8* frame_for(PhysAddr pa);
+  bool in_one_dram_frame(PhysAddr pa, unsigned size) const {
+    return is_dram(pa, size) && ((pa - dram_base_) & kPageMask) + size <= kPageSize;
+  }
+  /// The materialized frame holding DRAM address `pa`, or nullptr.
+  Frame* find_frame(PhysAddr pa) {
+    const u64 frame = (pa - dram_base_) >> kPageShift;
+    if (frame == memo_frame_) return memo_;
+    return find_frame_slow(frame);
+  }
+  Frame* find_frame_slow(u64 frame);
+  /// Data of the frame holding DRAM address `pa`, materialized if needed.
+  /// Every caller is a write path, so this bumps the frame's write_gen.
+  u8* frame_for(PhysAddr pa) {
+    Frame* f = find_frame(pa);
+    if (f == nullptr) f = materialize((pa - dram_base_) >> kPageShift);
+    ++f->write_gen;
+    return f->data.get();
+  }
+  Frame* materialize(u64 frame);
+  u64 read_slow(PhysAddr pa, unsigned size);
+  void write_slow(PhysAddr pa, unsigned size, u64 value);
   const Window* find_device(PhysAddr pa, u64 size) const;
 
   PhysAddr dram_base_;
   u64 dram_size_;
   std::unordered_map<u64, Frame> frames_;
   u64 table_gen_ = 0;
+  // One-entry memo of the last frame found: frame index -> its node in
+  // frames_. Node addresses survive rehashing; only restore_frames() (which
+  // bumps table_gen_) destroys nodes, and it clears the memo.
+  u64 memo_frame_ = ~u64{0};
+  Frame* memo_ = nullptr;
   std::vector<Window> devices_;
 };
 

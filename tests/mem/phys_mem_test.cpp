@@ -117,6 +117,73 @@ TEST_F(PhysMemTest, MmioOverlapRejected) {
   EXPECT_FALSE(mem_.map_device(0x3000'0000, 0, &dev));       // Empty window.
 }
 
+// The one-entry frame memo must not outlive the frame table it points into.
+TEST_F(PhysMemTest, AccessAfterRestoreFramesSeesRestoredImage) {
+  const PhysAddr a = kDramBase + 3 * kPageSize + 16;
+  const PhysAddr b = kDramBase + 7 * kPageSize;
+  mem_.write_u64(a, 0x1111);
+  const auto frames = mem_.snapshot_frames();  // Frame 3 only.
+  mem_.write_u64(a, 0x2222);
+  mem_.write_u64(b, 0x7777);  // The memo now holds frame 7.
+  mem_.restore_frames(frames);
+  // Frame 7 is gone, so this write materializes it afresh.
+  mem_.write_u64(b + 8, 0x8888);
+  EXPECT_EQ(mem_.resident_frames(), 2u);
+  EXPECT_EQ(mem_.read_u64(b), 0u);
+  EXPECT_EQ(mem_.read_u64(b + 8), 0x8888u);
+  EXPECT_EQ(mem_.read_u64(a), 0x1111u);
+  // Restoring an empty image drops every frame; reads see zero again.
+  mem_.restore_frames({});
+  EXPECT_EQ(mem_.read_u64(a), 0u);
+  EXPECT_EQ(mem_.resident_frames(), 0u);
+}
+
+TEST_F(PhysMemTest, EveryWriteBumpsFrameWriteGen) {
+  const PhysAddr a = kDramBase + 5 * kPageSize;
+  mem_.write_u32(a, 1);
+  const u64* gen = mem_.frame_write_gen(a);
+  ASSERT_NE(gen, nullptr);
+  const u64 g0 = *gen;
+  // Repeat writes to the memoized frame, scalar and bulk.
+  mem_.write_u32(a + 4, 2);
+  EXPECT_EQ(*gen, g0 + 1);
+  mem_.write_u8(a + 100, 3);
+  EXPECT_EQ(*gen, g0 + 2);
+  mem_.fill(a + 200, 0xEE, 8);
+  EXPECT_EQ(*gen, g0 + 3);
+  // Reads leave it alone.
+  EXPECT_EQ(mem_.read_u32(a + 4), 2u);
+  EXPECT_EQ(*gen, g0 + 3);
+  // A write elsewhere moves the memo; coming back still bumps.
+  mem_.write_u64(kDramBase + 9 * kPageSize, 4);
+  mem_.write_u64(a + 8, 5);
+  EXPECT_EQ(*gen, g0 + 4);
+}
+
+TEST_F(PhysMemTest, MemoKeepsMmioAndFrameCrossingRoutes) {
+  CountingDevice dev;
+  ASSERT_TRUE(mem_.map_device(0x1000'0000, kPageSize, &dev));
+  const PhysAddr a = kDramBase + 2 * kPageSize - 4;  // Last word of frame 1.
+  mem_.write_u32(a, 0xAABBCCDD);  // Memo: frame 1.
+  EXPECT_EQ(mem_.read(0x1000'0008, 8), 0x10u);
+  mem_.write(0x1000'0010, 4, 0x99);
+  EXPECT_EQ(dev.reads, 1);
+  EXPECT_EQ(dev.writes, 1);
+  EXPECT_EQ(dev.last, 0x99u);
+  // A crossing write lands half in frame 1 and half in frame 2, and bumps
+  // both frames' generations.
+  const u64 g1 = *mem_.frame_write_gen(a);
+  mem_.write_u64(a + 2, 0x8877665544332211);
+  EXPECT_EQ(*mem_.frame_write_gen(a), g1 + 1);
+  ASSERT_NE(mem_.frame_write_gen(a + 4), nullptr);
+  EXPECT_EQ(mem_.read_u16(a), 0xCCDDu);
+  EXPECT_EQ(mem_.read_u16(a + 2), 0x2211u);
+  EXPECT_EQ(mem_.read_u32(a + 4), 0x66554433u);
+  EXPECT_EQ(mem_.read_u64(a + 2), 0x8877665544332211u);
+  EXPECT_EQ(dev.reads, 1);
+  EXPECT_EQ(dev.writes, 1);
+}
+
 TEST_F(PhysMemTest, RandomizedReadbackProperty) {
   Rng rng(123);
   std::vector<std::pair<PhysAddr, u64>> writes;

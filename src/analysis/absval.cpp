@@ -18,6 +18,25 @@ std::string AbsVal::describe() const {
   return os.str();
 }
 
+RegIntervals entry_intervals() {
+  RegIntervals regs;
+  regs.fill(AbsVal::top());
+  regs[0] = AbsVal::exact(0);
+  return regs;
+}
+
+bool join_intervals(RegIntervals& dst, const RegIntervals& src) {
+  bool changed = false;
+  for (unsigned r = 1; r < 32; ++r) {
+    const AbsVal j = dst[r].join(src[r]);
+    if (j != dst[r]) {
+      dst[r] = j;
+      changed = true;
+    }
+  }
+  return changed;
+}
+
 void interval_step(u64 pc, const isa::Inst& in, RegIntervals& regs) {
   using isa::Op;
   const auto set = [&regs](u8 rd, AbsVal v) {
@@ -31,6 +50,10 @@ void interval_step(u64 pc, const isa::Inst& in, RegIntervals& regs) {
       return;
     case Op::kAuipc:
       set(in.rd, AbsVal::exact(pc + static_cast<u64>(in.imm)));
+      return;
+    case Op::kJal:
+    case Op::kJalr:
+      set(in.rd, AbsVal::exact(pc + 4));  // The link register.
       return;
     case Op::kAddi:
       set(in.rd, AbsVal::add_imm(a, in.imm));

@@ -1,4 +1,4 @@
-// Abstract value domain for ptlint's forward address analysis: an unsigned
+// Abstract value domain for the forward address analyses: an unsigned
 // 64-bit interval [lo, hi] with Top = [0, 2^64-1]. The domain is tuned to
 // the address-formation idioms the assembler emits — lui/auipc/addi/li
 // constant chains stay exact, masked indices stay bounded, and everything
@@ -113,12 +113,17 @@ struct AbsVal {
 /// One interval per architectural register (x0 pinned to exact 0).
 using RegIntervals = std::array<AbsVal, 32>;
 
-/// Shared forward transfer for one instruction's register effect: constants
-/// and address arithmetic stay precise, everything unmodelled (loads, CSR
-/// reads, mul/div, compares) degrades soundly to Top. Terminator link
-/// writes (jal/jalr rd) are the caller's job — it knows the edge kind.
-/// Used by both the intra-procedural linter and the interprocedural ptflow
-/// pass so the two analyses can never disagree on address formation.
+/// Function-entry register file: every register Top, x0 exact 0.
+RegIntervals entry_intervals();
+
+/// Per-register interval hull of `src` into `dst`; true when any grew.
+bool join_intervals(RegIntervals& dst, const RegIntervals& src);
+
+/// Shared forward transfer for one instruction's register effect: constants,
+/// address arithmetic and the jal/jalr link write (rd = pc + 4) stay
+/// precise, everything unmodelled (loads, CSR reads, mul/div, compares)
+/// degrades soundly to Top. Used by ptlint, ptflow and the call-graph
+/// resolver so the analyses can never disagree on address formation.
 void interval_step(u64 pc, const isa::Inst& in, RegIntervals& regs);
 
 }  // namespace ptstore::analysis

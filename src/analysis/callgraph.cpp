@@ -4,7 +4,8 @@
 #include <deque>
 #include <sstream>
 
-#include "analysis/absval.h"
+#include "analysis/dataflow.h"
+#include "analysis/effects.h"
 
 namespace ptstore::analysis {
 namespace {
@@ -12,91 +13,52 @@ namespace {
 using isa::Inst;
 using isa::Op;
 
-constexpr u8 kRegRa = 1;
-constexpr int kWidenAfter = 4;
+/// The resolver's lattice: register intervals only.
+struct IntervalState {
+  RegIntervals regs;
+  bool reached = false;
 
-/// Global interval fixpoint (registers only) used to resolve indirect call
-/// targets. A trimmed-down ptlint solver: same transfer, same widening,
-/// caller-saved clobber across call-return edges — precision is only needed
-/// for the li/auipc-materialised function-pointer idiom.
-class TargetResolver {
- public:
-  TargetResolver(const Image& img, const Cfg& cfg) : img_(img), cfg_(cfg) {}
-
-  /// Interval of the jalr target (rs1 + imm) for every indirect exit, by pc.
-  std::map<u64, AbsVal> solve(const std::set<u64>& roots) {
-    std::deque<u64> work;
-    for (const u64 r : roots) {
-      if (cfg_.block_at(r) == nullptr) continue;
-      if (join(r, entry_state())) work.push_back(r);
-    }
-    while (!work.empty()) {
-      const u64 at = work.front();
-      work.pop_front();
-      const BasicBlock* bb = cfg_.block_at(at);
-      if (bb == nullptr) continue;
-      RegIntervals st = states_[at].first;
-      for (u64 pc = bb->start; pc < bb->end; pc += 4) {
-        const Inst in = img_.inst_at(pc);
-        if (in.op == Op::kJalr) {
-          const AbsVal t = AbsVal::add_imm(st[in.rs1], in.imm);
-          auto it = targets_.find(pc);
-          if (it == targets_.end()) {
-            targets_.emplace(pc, t);
-          } else {
-            it->second = it->second.join(t);
-          }
-        }
-        interval_step(pc, in, st);
-        if (in.is_jump() && in.rd != 0) st[in.rd] = AbsVal::exact(pc + 4);
-      }
-      for (const Edge& e : bb->succs) {
-        RegIntervals next = st;
-        if (e.kind == EdgeKind::kCallReturn) clobber_caller_saved(next);
-        if (join(e.to, next)) work.push_back(e.to);
-      }
-    }
-    return targets_;
-  }
-
- private:
-  static RegIntervals entry_state() {
-    RegIntervals st;
-    for (AbsVal& v : st) v = AbsVal::top();
-    st[0] = AbsVal::exact(0);
-    return st;
-  }
-
-  static void clobber_caller_saved(RegIntervals& st) {
-    static constexpr u8 kCallerSaved[] = {1,  5,  6,  7,  10, 11, 12, 13, 14,
-                                          15, 16, 17, 28, 29, 30, 31};
-    for (const u8 r : kCallerSaved) st[r] = AbsVal::top();
-  }
-
-  bool join(u64 at, const RegIntervals& st) {
-    auto it = states_.find(at);
-    if (it == states_.end()) {
-      states_.emplace(at, std::make_pair(st, 0));
+  bool join_from(const IntervalState& o) {
+    if (!o.reached) return false;
+    if (!reached) {
+      *this = o;
       return true;
     }
-    RegIntervals& dst = it->second.first;
-    bool changed = false;
-    const bool widen = ++it->second.second > kWidenAfter;
-    for (unsigned r = 1; r < 32; ++r) {
-      const AbsVal j = dst[r].join(st[r]);
-      if (j != dst[r]) {
-        dst[r] = widen ? AbsVal::top() : j;
-        changed = true;
-      }
-    }
-    return changed;
+    return join_intervals(regs, o.regs);
   }
-
-  const Image& img_;
-  const Cfg& cfg_;
-  std::map<u64, std::pair<RegIntervals, int>> states_;
-  std::map<u64, AbsVal> targets_;
 };
+
+/// Interval of the jalr target (rs1 + imm) at every indirect exit, by pc:
+/// one whole-image engine run seeded at every known function entry, with
+/// caller-saved registers clobbered across call-return edges. Precision is
+/// only needed for the li/auipc-materialised function-pointer idiom.
+std::map<u64, AbsVal> resolve_jalr_targets(const Image& img, const Cfg& cfg,
+                                           const std::set<u64>& roots) {
+  std::map<u64, AbsVal> targets;
+  Dataflow<IntervalState> df;
+  IntervalState entry;
+  entry.regs = entry_intervals();
+  entry.reached = true;
+  for (const u64 r : roots) {
+    if (cfg.block_at(r) != nullptr) df.seed(r, entry);
+  }
+  const auto step = [&](u64 pc, const Inst& in, IntervalState& st) {
+    if (in.op == Op::kJalr) {
+      const AbsVal t = AbsVal::add_imm(st.regs[in.rs1], in.imm);
+      auto [it, fresh] = targets.emplace(pc, t);
+      if (!fresh) it->second = it->second.join(t);
+    }
+    interval_step(pc, in, st.regs);
+  };
+  df.solve(img, cfg, step, [&](const BasicBlock& bb, const IntervalState& out) {
+    for (const Edge& e : bb.succs) {
+      IntervalState next = out;
+      if (e.kind == EdgeKind::kCallReturn) clobber_caller_saved(next.regs);
+      df.propagate(e.to, next);
+    }
+  });
+  return targets;
+}
 
 std::string function_name(const Image& img, u64 entry) {
   const Symbol* sym = img.symbol_at(entry);
@@ -126,16 +88,16 @@ CallGraph CallGraph::build(const Image& img, const std::vector<u64>& extra_roots
   if (entries.empty()) return cg;
 
   // Discovery loop: entries grow as direct targets and resolved indirect
-  // targets surface; the CFG is rebuilt so new entries become leaders. The
-  // entry set only grows and the image is finite, so this terminates; the
-  // iteration cap is belt-and-braces for pathological images.
-  for (int iter = 0; iter < 16; ++iter) {
+  // targets surface; the CFG is rebuilt so new entries become leaders. It
+  // runs until the entry set is stable, which it must become: the set only
+  // grows and is bounded by the image's instruction words.
+  for (bool grew = true; grew;) {
     cg.fns_.clear();
     cg.by_entry_.clear();
     const std::vector<u64> roots(entries.begin(), entries.end());
     cg.cfg_ = Cfg::build(img, roots);
 
-    bool grew = false;
+    grew = false;
     for (const BasicBlock& bb : cg.cfg_.blocks()) {
       for (const Edge& e : bb.succs) {
         if (e.kind == EdgeKind::kCall && add_entry(e.to)) grew = true;
@@ -144,7 +106,7 @@ CallGraph CallGraph::build(const Image& img, const std::vector<u64>& extra_roots
     if (grew) continue;  // New direct-call entries: rebuild once more.
 
     const std::map<u64, AbsVal> jalr_targets =
-        TargetResolver(img, cg.cfg_).solve(entries);
+        resolve_jalr_targets(img, cg.cfg_, entries);
 
     // Partition blocks into functions and classify every call site.
     for (const u64 entry : entries) {
@@ -203,8 +165,7 @@ CallGraph CallGraph::build(const Image& img, const std::vector<u64>& extra_roots
           const AbsVal tgt =
               it == jalr_targets.end() ? AbsVal::top() : it->second;
           const u64 exact = tgt.lo & ~u64{1};
-          const bool is_ret = term.rd == 0 && term.rs1 == kRegRa;
-          if (is_ret) continue;  // Conventional return: no successors.
+          if (is_return(term)) continue;  // No successors.
           CallSite cs;
           cs.pc = term_pc;
           const bool tail = term.rd == 0;
@@ -230,8 +191,7 @@ CallGraph CallGraph::build(const Image& img, const std::vector<u64>& extra_roots
       cg.by_entry_[entry] = cg.fns_.size();
       cg.fns_.push_back(std::move(fn));
     }
-    if (!grew) break;  // Entry set stable: the partition above is final.
-  }
+  }  // Entry set stable: the last partition is final.
 
   cg.compute_sccs();
   return cg;

@@ -1,11 +1,13 @@
 // Whole-image call graph on top of CFG recovery.
 //
 // Functions are discovered from call targets: the image entry, any extra
-// roots, every direct `jal ra` target, and every indirect `jalr` target a
-// local constant-propagation pass can resolve to an exact address. Each
-// function owns the blocks reachable from its entry along intra-procedural
-// edges; a `j`/`jalr x0` whose resolved target is another function's entry
-// is recorded as a tail call instead of being followed.
+// roots, every direct `jal ra` target, and every indirect `jalr` target the
+// resolver — a whole-image run of the shared dataflow engine
+// (analysis/dataflow.h) in the interval domain, seeded at every known
+// entry — can pin to an exact address. Each function owns the blocks
+// reachable from its entry along intra-procedural edges; a `j`/`jalr x0`
+// whose resolved target is another function's entry is recorded as a tail
+// call instead of being followed.
 //
 // Indirect calls whose target interval is not exact degrade to a sound
 // over-approximation: the site is marked unresolved, the interprocedural
@@ -14,7 +16,9 @@
 //
 // Discovery iterates: resolving an indirect target can expose a new
 // function, whose blocks may contain further calls, so the CFG is rebuilt
-// with the grown root set until the entry set is stable.
+// with the grown root set until the entry set is stable. There is no round
+// cap: the set only grows and is bounded by the image's words, so a chain
+// of function pointers of any length is followed to its end.
 #pragma once
 
 #include <map>

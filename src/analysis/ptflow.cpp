@@ -1,42 +1,15 @@
 #include "analysis/ptflow.h"
 
-#include <deque>
 #include <sstream>
 
+#include "analysis/dataflow.h"
+#include "analysis/effects.h"
 #include "isa/csr.h"
 
 namespace ptstore::analysis {
 namespace {
 
 using isa::Inst;
-using isa::Op;
-
-constexpr int kWidenAfter = 4;
-constexpr u8 kRegRa = 1;
-
-bool writes_csr(const Inst& in) {
-  switch (in.op) {
-    case Op::kCsrrw:
-    case Op::kCsrrwi:
-      return true;
-    case Op::kCsrrs:
-    case Op::kCsrrc:
-    case Op::kCsrrsi:  // rs1 field holds the uimm for the immediate forms.
-    case Op::kCsrrci:
-      return in.rs1 != 0;
-    default:
-      return false;
-  }
-}
-
-void clobber_caller_saved(FlowState& st) {
-  static constexpr u8 kCallerSaved[] = {1,  5,  6,  7,  10, 11, 12, 13, 14,
-                                        15, 16, 17, 28, 29, 30, 31};
-  for (const u8 r : kCallerSaved) {
-    st.regs[r] = AbsVal::top();
-    st.taint[r] = 0;
-  }
-}
 
 /// Substitute a summary's symbolic argument bits with the caller's actual
 /// taint at the call site.
@@ -57,6 +30,8 @@ struct FnSummary {
   bool is_sink = false;            ///< The function IS a T3 sink.
   bool under_m2 = false;           ///< bind_root/rebind_root obligation.
 
+  /// Accumulate: summaries only ever gain bits, so the SCC iteration over
+  /// them is monotone over a finite lattice and converges.
   bool join_effects(const FnSummary& o) {
     bool changed = false;
     for (int i = 0; i < 2; ++i) {
@@ -77,39 +52,6 @@ struct FnSummary {
     return changed;
   }
 };
-
-struct AccessInfo {
-  bool is_load = false;
-  bool is_store = false;
-  bool pt = false;
-  AbsVal addr;
-  TaintSet value_taint = 0;  ///< Taint of the stored value (stores only).
-};
-
-AccessInfo classify_access(const Inst& in, const FlowState& st) {
-  AccessInfo info;
-  if (in.is_amo()) {
-    info.is_load = true;
-    info.is_store = true;
-    info.addr = st.regs[in.rs1];
-    info.value_taint = st.taint[in.rs2];
-    return info;
-  }
-  if (in.is_load() || in.op == Op::kLdPt) {
-    info.is_load = true;
-    info.pt = in.op == Op::kLdPt;
-    info.addr = AbsVal::add_imm(st.regs[in.rs1], in.imm);
-    return info;
-  }
-  if (in.is_store() || in.op == Op::kSdPt) {
-    info.is_store = true;
-    info.pt = in.op == Op::kSdPt;
-    info.addr = AbsVal::add_imm(st.regs[in.rs1], in.imm);
-    info.value_taint = st.taint[in.rs2];
-    return info;
-  }
-  return info;
-}
 
 /// Exit-state accumulator for one function analysis: AND over must-flags,
 /// OR over return taints, across every return/tail-call path.
@@ -161,90 +103,64 @@ class FlowVerifier {
     return false;
   }
 
-  // ---- the shared intra-procedural engine ----
-
-  /// Analyze one function from `entry_state`. In check mode diags are
-  /// emitted; context propagations to callees are recorded in `ctx_out`
-  /// when non-null. Returns the function's exit accumulator.
+  /// One engine run over `fn`'s owned blocks from `entry_state`. In check
+  /// mode diags are emitted; calling contexts of callees are recorded in
+  /// `ctx_out` when non-null. Returns the function's exit accumulator.
   ExitAcc analyze(const Function& fn, const FlowState& entry_state,
-                  bool check_mode,
-                  std::map<u64, FlowState>* ctx_out) {
-    std::map<u64, std::pair<FlowState, int>> states;
-    std::set<u64> owned(fn.blocks.begin(), fn.blocks.end());
+                  bool check_mode, std::map<u64, FlowState>* ctx_out) {
+    const std::set<u64> owned(fn.blocks.begin(), fn.blocks.end());
+    const FnSummary& self = summaries_[fn.entry];
     ExitAcc exits;
-
-    std::deque<u64> work;
+    Dataflow<FlowState> df;
     FlowState seed = entry_state;
-    if (summaries_[fn.entry].is_mediation) seed.mediated = true;
-    states[fn.entry] = {seed, 0};
-    work.push_back(fn.entry);
+    if (self.is_mediation) seed.mediated = true;
+    df.seed(fn.entry, seed);
 
-    while (!work.empty()) {
-      const u64 at = work.front();
-      work.pop_front();
-      const BasicBlock* bb = cg_.cfg().block_at(at);
-      if (bb == nullptr || owned.count(at) == 0) continue;
-      FlowState st = states[at].first;
-
-      for (u64 pc = bb->start; pc < bb->end; pc += 4) {
-        const Inst in = img_.inst_at(pc);
-        const AccessInfo acc = classify_access(in, st);
-
-        if (acc.is_store) {
-          if (check_mode) check_store(pc, acc, st);
-          // M2 bookkeeping: a store provably confined to the credential
-          // home commits the credential.
-          if (spec_.cred_end > spec_.cred_base &&
-              acc.addr.inside(spec_.cred_base, spec_.cred_end)) {
-            st.cred_written = true;
-          }
-        }
-        if (check_mode && writes_csr(in) &&
-            (static_cast<u32>(in.imm) & 0xFFF) == isa::csr::kSatp) {
-          if (spec_.m2 && summaries_[fn.entry].under_m2 && !st.cred_written) {
-            diag(FlowDiagKind::kCredAfterWalkable, Severity::kViolation, pc,
-                 "root becomes walkable before the credential is written "
-                 "(bind path writes satp first)");
-          }
-        }
-
-        st.step(pc, in);
-        if (acc.is_load && in.rd != 0) {
-          // Re-taint the loaded value from the spec's secret sources.
-          st.taint[in.rd] = spec_.secret_taint(acc.addr);
-        }
-        if (in.is_jump() && in.rd != 0) {
-          st.regs[in.rd] = AbsVal::exact(pc + 4);
-          st.taint[in.rd] = 0;
+    const auto step = [&](u64 pc, const Inst& in, FlowState& st) {
+      const Access acc = classify_access(in, st.regs);
+      if (acc.store) {
+        if (check_mode) check_store(pc, acc, st);
+        // M2 bookkeeping: a store provably confined to the credential home
+        // commits the credential.
+        if (spec_.cred_end > spec_.cred_base &&
+            acc.addr.inside(spec_.cred_base, spec_.cred_end)) {
+          st.cred_written = true;
         }
       }
-
-      const u64 term_pc = bb->end - 4;
-      const Inst term = img_.inst_at(term_pc);
-      const CallSite* cs = fn.call_at(term_pc);
-
-      if (cs != nullptr) {
-        handle_call(fn, *cs, term_pc, st, check_mode, ctx_out, &exits,
-                    [&](u64 to, const FlowState& next) {
-                      propagate(states, owned, to, next, work);
-                    });
-        continue;
+      if (check_mode && spec_.m2 && self.under_m2 && !st.cred_written &&
+          writes_csr(in) && csr_of(in) == isa::csr::kSatp) {
+        diag(FlowDiagKind::kCredAfterWalkable, Severity::kViolation, pc,
+             "root becomes walkable before the credential is written "
+             "(bind path writes satp first)");
       }
-      if (term.op == Op::kJalr && term.rd == 0 && term.rs1 == kRegRa) {
-        exits.add(st.mediated, st.cred_written, st.taint[10], st.taint[11]);
-        continue;
+      st.step(pc, in);
+      // Re-taint a loaded value from the spec's secret sources.
+      if (acc.load && in.rd != 0) st.taint[in.rd] = spec_.secret_taint(acc.addr);
+    };
+    const auto propagate = [&](u64 to, const FlowState& st) {
+      if (owned.count(to) != 0) df.propagate(to, st);
+    };
+    df.solve(img_, cg_.cfg(), step, [&](const BasicBlock& bb, const FlowState& out) {
+      const u64 term_pc = bb.end - 4;
+      if (const CallSite* cs = fn.call_at(term_pc)) {
+        call_edge(bb, *cs, out, check_mode, ctx_out, exits, propagate);
+      } else if (is_return(img_.inst_at(term_pc))) {
+        exits.add(out.mediated, out.cred_written, out.taint[10], out.taint[11]);
+      } else {
+        for (const Edge& e : bb.succs) propagate(e.to, out);
       }
-      for (const Edge& e : bb->succs) propagate(states, owned, e.to, st, work);
-    }
+    });
     return exits;
   }
 
+  /// The edge hook at a call site: T3 sink arguments, calling contexts,
+  /// then the callee summaries applied either as this function's exit (tail
+  /// call) or along the call-return edge.
   template <typename Propagate>
-  void handle_call(const Function& fn, const CallSite& cs, u64 pc,
-                   const FlowState& at_call, bool check_mode,
-                   std::map<u64, FlowState>* ctx_out, ExitAcc* exits,
-                   Propagate&& propagate_next) {
-    (void)fn;
+  void call_edge(const BasicBlock& bb, const CallSite& cs,
+                 const FlowState& at_call, bool check_mode,
+                 std::map<u64, FlowState>* ctx_out, ExitAcc& exits,
+                 Propagate&& propagate) {
     // T3: a secret reaching a sink's argument registers (a0..a2).
     if (check_mode && spec_.t3) {
       for (const u64 t : cs.targets) {
@@ -254,23 +170,15 @@ class FlowVerifier {
             (at_call.taint[10] | at_call.taint[11] | at_call.taint[12]) &
             kTaintSecretMask);
         if (args != 0) {
-          diag(FlowDiagKind::kSecretToSink, Severity::kViolation, pc,
+          diag(FlowDiagKind::kSecretToSink, Severity::kViolation, cs.pc,
                "secret " + describe_taint(args) +
                    " reaches trace/telemetry sink '" + callee_name(t) + "'");
         }
       }
     }
 
-    // Record the calling context for every resolved callee.
     if (ctx_out != nullptr) {
-      for (const u64 t : cs.targets) {
-        auto it = ctx_out->find(t);
-        if (it == ctx_out->end()) {
-          (*ctx_out)[t] = at_call;
-        } else {
-          it->second.join_from(at_call);
-        }
-      }
+      for (const u64 t : cs.targets) (*ctx_out)[t].join_from(at_call);
     }
 
     // Summary effects of the callee set: must-flags AND over all possible
@@ -285,59 +193,37 @@ class FlowVerifier {
       ret0 |= instantiate(sum.ret_taint[0], at_call.taint);
       ret1 |= instantiate(sum.ret_taint[1], at_call.taint);
     }
-    if (!cs.resolved) {
-      if (check_mode) {
-        diag(FlowDiagKind::kUnresolvedCall, Severity::kNote, pc,
-             "indirect call target is not statically resolvable; callee "
-             "effects over-approximated (havoc)");
-        ++report_.unresolved_calls;
-      }
+    if (!cs.resolved && check_mode) {
+      diag(FlowDiagKind::kUnresolvedCall, Severity::kNote, cs.pc,
+           "indirect call target is not statically resolvable; callee "
+           "effects over-approximated (havoc)");
+      ++report_.unresolved_calls;
     }
 
     if (cs.tail) {
       // The callee's returns are this function's returns. Must-facts that
       // held at the transfer survive; the callee may add its own.
-      exits->add(at_call.mediated || callee_mediates,
-                 at_call.cred_written || callee_writes_cred, ret0, ret1);
+      exits.add(at_call.mediated || callee_mediates,
+                at_call.cred_written || callee_writes_cred, ret0, ret1);
       return;
     }
 
     FlowState next = at_call;
-    clobber_caller_saved(next);
+    next.clobber_caller_saved();
     next.taint[10] = ret0;
     next.taint[11] = ret1;
     if (callee_mediates) next.mediated = true;
     if (callee_writes_cred) next.cred_written = true;
-    const BasicBlock* bb = cg_.cfg().block_containing(pc);
-    if (bb != nullptr) {
-      for (const Edge& e : bb->succs) {
-        if (e.kind == EdgeKind::kCallReturn) propagate_next(e.to, next);
-      }
+    for (const Edge& e : bb.succs) {
+      if (e.kind == EdgeKind::kCallReturn) propagate(e.to, next);
     }
-  }
-
-  void propagate(std::map<u64, std::pair<FlowState, int>>& states,
-                 const std::set<u64>& owned, u64 to, const FlowState& st,
-                 std::deque<u64>& work) {
-    if (owned.count(to) == 0) return;
-    auto& slot = states[to];
-    const FlowState before = slot.first;
-    if (!slot.first.join_from(st)) return;
-    if (++slot.second > kWidenAfter && before.reached) {
-      for (unsigned r = 1; r < 32; ++r) {
-        if (slot.first.regs[r] != before.regs[r]) {
-          slot.first.regs[r] = AbsVal::top();
-        }
-      }
-    }
-    work.push_back(to);
   }
 
   // ---- rule checks ----
 
-  void check_store(u64 pc, const AccessInfo& acc, const FlowState& st) {
+  void check_store(u64 pc, const Access& acc, const FlowState& st) {
     const TaintSet secret =
-        static_cast<TaintSet>(acc.value_taint & kTaintSecretMask);
+        static_cast<TaintSet>(st.taint[acc.value_reg] & kTaintSecretMask);
     if (secret != 0) {
       if (spec_.t2 && acc.addr.may_overlap(spec_.user_base, spec_.user_end)) {
         diag(FlowDiagKind::kSecretToUser, Severity::kViolation, pc,
@@ -376,16 +262,16 @@ class FlowVerifier {
 
   void compute_summaries() {
     // bottom_up() keeps SCC members adjacent: iterate each group until its
-    // summaries stop changing (recursion converges; taint only grows and
-    // must-flags only flip pessimistic->established).
+    // summaries stop changing. join_effects only adds bits, so this
+    // converges without a round cap.
     const std::vector<u64>& order = cg_.bottom_up();
     size_t i = 0;
     while (i < order.size()) {
       size_t j = i;
       const size_t scc = cg_.scc_id(order[i]);
       while (j < order.size() && cg_.scc_id(order[j]) == scc) ++j;
-      for (int round = 0; round < 10; ++round) {
-        bool changed = false;
+      for (bool changed = true; changed;) {
+        changed = false;
         for (size_t k = i; k < j; ++k) {
           const Function* fn = cg_.function_at(order[k]);
           if (fn == nullptr) continue;
@@ -401,49 +287,36 @@ class FlowVerifier {
           }
           changed = summaries_[fn->entry].join_effects(next) || changed;
         }
-        if (!changed) break;
       }
       i = j;
     }
   }
 
+  /// Calling contexts: the engine over function entries, each visit one
+  /// analyze() of the function whose call-site states join (and widen) into
+  /// its callees' contexts.
   void solve_contexts() {
-    std::deque<u64> work;
     const auto seed = [&](u64 e) {
-      if (cg_.function_at(e) == nullptr) return;
-      if (ctx_[e].join_from(FlowState::entry(/*symbolic_args=*/false))) {
-        work.push_back(e);
+      if (cg_.function_at(e) != nullptr) {
+        ctx_.seed(e, FlowState::entry(/*symbolic_args=*/false));
       }
     };
     seed(img_.base);
     for (const u64 r : spec_.extra_roots) seed(r);
 
-    while (!work.empty()) {
-      const u64 at = work.front();
-      work.pop_front();
+    ctx_.solve([&](u64 at, const FlowState& ctx) {
       const Function* fn = cg_.function_at(at);
-      if (fn == nullptr) continue;
+      if (fn == nullptr) return;
       std::map<u64, FlowState> calls;
-      analyze(*fn, ctx_[at], /*check_mode=*/false, &calls);
-      for (auto& [callee, st] : calls) {
-        FlowState& dst = ctx_[callee];
-        const FlowState before = dst;
-        if (!dst.join_from(st)) continue;
-        if (++ctx_joins_[callee] > kWidenAfter && before.reached) {
-          for (unsigned r = 1; r < 32; ++r) {
-            if (dst.regs[r] != before.regs[r]) dst.regs[r] = AbsVal::top();
-          }
-        }
-        work.push_back(callee);
-      }
-    }
+      analyze(*fn, ctx, /*check_mode=*/false, &calls);
+      for (const auto& [callee, st] : calls) ctx_.propagate(callee, st);
+    });
   }
 
   void check() {
     for (const Function& fn : cg_.functions()) {
-      auto it = ctx_.find(fn.entry);
-      if (it == ctx_.end() || !it->second.reached) continue;
-      analyze(fn, it->second, /*check_mode=*/true, nullptr);
+      const FlowState* ctx = ctx_.state_at(fn.entry);
+      if (ctx != nullptr) analyze(fn, *ctx, /*check_mode=*/true, nullptr);
     }
   }
 
@@ -452,31 +325,16 @@ class FlowVerifier {
     return fn != nullptr ? fn->name : "?";
   }
 
-  void diag(FlowDiagKind kind, Severity sev, u64 pc, std::string message) {
+  void diag(FlowDiagKind kind, Severity sev, u64 pc, const std::string& message) {
     if (!seen_.insert({static_cast<u8>(kind), pc}).second) return;
-    FlowDiag d;
-    d.kind = kind;
-    d.sev = sev;
-    d.pc = pc;
-    d.message = img_.locate(pc) + ": " + std::move(message);
-    const u64 lo = (pc >= img_.base + 8) ? pc - 8 : img_.base;
-    const u64 hi = (pc + 12 <= img_.end()) ? pc + 12 : img_.end();
-    for (u64 p = lo; p < hi; p += 4) {
-      if (!img_.contains(p)) continue;
-      std::ostringstream os;
-      os << (p == pc ? " => " : "    ") << "0x" << std::hex << p << "  "
-         << isa::disassemble(img_.inst_at(p));
-      d.context.push_back(os.str());
-    }
-    report_.diags.push_back(std::move(d));
+    report_.diags.push_back(make_diag(img_, kind, sev, pc, message));
   }
 
   const Image& img_;
   const FlowSpec& spec_;
   CallGraph cg_;
   std::map<u64, FnSummary> summaries_;
-  std::map<u64, FlowState> ctx_;
-  std::map<u64, int> ctx_joins_;
+  Dataflow<FlowState> ctx_;
   std::set<std::pair<u8, u64>> seen_;
   FlowReport report_;
 };
@@ -580,30 +438,9 @@ const char* flow_diag_kind_name(FlowDiagKind k) {
   return "?";
 }
 
-size_t FlowReport::violation_count() const {
-  size_t n = 0;
-  for (const FlowDiag& d : diags) n += d.sev == Severity::kViolation ? 1 : 0;
-  return n;
-}
-
-std::vector<const FlowDiag*> FlowReport::violations() const {
-  std::vector<const FlowDiag*> out;
-  for (const FlowDiag& d : diags) {
-    if (d.sev == Severity::kViolation) out.push_back(&d);
-  }
-  return out;
-}
-
 std::string FlowReport::format() const {
   std::ostringstream os;
-  for (const FlowDiag& d : diags) {
-    os << (d.sev == Severity::kViolation ? "violation" : "note") << " ["
-       << flow_diag_kind_name(d.kind) << "] at 0x" << std::hex << d.pc
-       << std::dec << ": " << d.message << "\n";
-    for (const std::string& line : d.context) os << line << "\n";
-  }
-  os << diags.size() << " diagnostic(s), " << violation_count()
-     << " violation(s), " << function_count << " function(s), "
+  os << format_diags() << ", " << function_count << " function(s), "
      << callsite_count << " call site(s)\n";
   return os.str();
 }

@@ -17,9 +17,13 @@
 //
 // Machinery: call-graph construction (analysis/callgraph.h), bottom-up
 // function summaries over the taint lattice (analysis/taint.h) computed
-// against symbolic arguments with an SCC worklist fixpoint, then a
-// top-down context-join pass that re-analyzes each function once in the
-// join of its calling contexts and reports violations. Which rules apply,
+// against symbolic arguments and iterated per recursion SCC until they stop
+// changing, then a top-down context pass and a reporting pass that analyze
+// each function in the join of its calling contexts. Every per-function
+// analysis and the context pass are runs of the shared engine
+// (analysis/dataflow.h): FlowState over the function's owned blocks, with
+// an edge hook that applies callee summaries at call sites and collects
+// exit states at returns. No pass has a round cap. Which rules apply,
 // which values are secret, and which symbols mediate comes from the
 // per-backend declarative sheet in kernel/isolation.h (FlowAnnotation);
 // FlowSpec adds the concrete address geometry.
@@ -30,7 +34,7 @@
 #include <vector>
 
 #include "analysis/callgraph.h"
-#include "analysis/ptlint.h"
+#include "analysis/diag.h"
 #include "analysis/taint.h"
 #include "kernel/isolation.h"
 
@@ -88,23 +92,13 @@ enum class FlowDiagKind : u8 {
 
 const char* flow_diag_kind_name(FlowDiagKind k);
 
-struct FlowDiag {
-  FlowDiagKind kind = FlowDiagKind::kSecretEscapes;
-  Severity sev = Severity::kViolation;
-  u64 pc = 0;
-  std::string message;
-  std::vector<std::string> context;  ///< Disassembly neighbourhood.
-};
+using FlowDiag = BasicDiag<FlowDiagKind>;
 
-struct FlowReport {
-  std::vector<FlowDiag> diags;
+struct FlowReport : DiagReport<FlowDiagKind> {
   size_t function_count = 0;
   size_t callsite_count = 0;
   size_t unresolved_calls = 0;
 
-  size_t violation_count() const;
-  bool clean() const { return violation_count() == 0; }
-  std::vector<const FlowDiag*> violations() const;
   std::string format() const;
 };
 

@@ -1,47 +1,29 @@
 #include "analysis/ptlint.h"
 
-#include <array>
-#include <deque>
-#include <sstream>
-
+#include "analysis/dataflow.h"
+#include "analysis/effects.h"
 #include "isa/csr.h"
 
 namespace ptstore::analysis {
 namespace {
 
 using isa::Inst;
-using isa::Op;
 
 /// Abstract machine state at one program point: one interval per register
 /// plus the R3 must-flag ("a token-validation call dominates this point").
-struct RegState {
-  std::array<AbsVal, 32> regs;
+struct LintState {
+  RegIntervals regs;
   bool validated = false;
   bool reached = false;
 
-  static RegState entry() {
-    RegState st;
-    st.reached = true;
-    for (AbsVal& v : st.regs) v = AbsVal::top();
-    st.regs[0] = AbsVal::exact(0);
-    return st;
-  }
-
-  /// Join: interval lub per register, AND on the must-flag.
-  bool join_from(const RegState& o) {
+  /// Join: interval hull per register, AND on the must-flag.
+  bool join_from(const LintState& o) {
     if (!o.reached) return false;
     if (!reached) {
       *this = o;
       return true;
     }
-    bool changed = false;
-    for (unsigned r = 1; r < 32; ++r) {
-      const AbsVal j = regs[r].join(o.regs[r]);
-      if (j != regs[r]) {
-        regs[r] = j;
-        changed = true;
-      }
-    }
+    bool changed = join_intervals(regs, o.regs);
     if (validated && !o.validated) {
       validated = false;
       changed = true;
@@ -50,53 +32,7 @@ struct RegState {
   }
 };
 
-/// Joins tolerated at one block entry before changing registers are widened
-/// straight to Top (guarantees fixpoint termination on loops).
-constexpr int kWidenAfter = 4;
-
-bool writes_csr(const Inst& in) {
-  switch (in.op) {
-    case Op::kCsrrw:
-    case Op::kCsrrwi:
-      return true;
-    case Op::kCsrrs:
-    case Op::kCsrrc:
-    case Op::kCsrrsi:  // rs1 field holds the uimm for the immediate forms.
-    case Op::kCsrrci:
-      return in.rs1 != 0;
-    default:
-      return false;
-  }
-}
-
-bool is_pmp_csr(u32 csr) {
-  return (csr >= isa::csr::kPmpcfg0 && csr <= isa::csr::kPmpcfg0 + 3) ||
-         (csr >= isa::csr::kPmpaddr0 && csr <= isa::csr::kPmpaddr0 + 15);
-}
-
-/// Transfer function for one non-terminator effect (terminator link writes
-/// are applied by the caller, which knows the edge kind). The interval part
-/// is the shared analysis/absval.h transfer, so ptlint and ptflow agree.
-void step(u64 pc, const Inst& in, RegState& st) { interval_step(pc, in, st.regs); }
-
-struct AccessInfo {
-  bool is_access = false;
-  AbsVal addr;
-  bool pt = false;
-  bool store = false;
-};
-
-AccessInfo classify_access(const Inst& in, const RegState& st) {
-  AccessInfo info;
-  if (!(in.is_load() || in.is_store() || in.is_amo() || in.is_pt_access()))
-    return info;
-  info.is_access = true;
-  info.pt = in.is_pt_access();
-  info.store = in.is_store() || in.is_amo() || in.op == Op::kSdPt;
-  info.addr = in.is_amo() ? st.regs[in.rs1]
-                          : AbsVal::add_imm(st.regs[in.rs1], in.imm);
-  return info;
-}
+void step(u64 pc, const Inst& in, LintState& st) { interval_step(pc, in, st.regs); }
 
 AccessClass classify(const AbsVal& addr, const LintConfig& cfg) {
   if (addr.inside(cfg.sr_base, cfg.sr_end)) return AccessClass::kSecure;
@@ -109,8 +45,7 @@ class Linter {
   Linter(const Image& img, const LintConfig& cfg) : img_(img), cfg_(cfg) {}
 
   LintReport run() {
-    std::vector<u64> roots = cfg_.extra_roots;
-    cfg_graph_ = Cfg::build(img_, roots);
+    cfg_graph_ = Cfg::build(img_, cfg_.extra_roots);
     report_.reachable = cfg_graph_.reachable_pcs();
     solve();
     for (const BasicBlock& bb : cfg_graph_.blocks()) report_block(bb);
@@ -118,34 +53,6 @@ class Linter {
   }
 
  private:
-  /// Interpret a block from its fixpoint entry state. `visit` sees the
-  /// state *before* each instruction executes. Returns the state after the
-  /// last instruction's register effects (terminator link write included).
-  template <typename Visit>
-  RegState interpret(const BasicBlock& bb, RegState st, Visit&& visit) {
-    for (u64 pc = bb.start; pc < bb.end; pc += 4) {
-      const Inst in = img_.inst_at(pc);
-      visit(pc, in, st);
-      step(pc, in, st);
-      if (in.is_jump() && in.rd != 0) {
-        st.regs[in.rd] = AbsVal::exact(pc + 4);
-      }
-    }
-    return st;
-  }
-
-  /// Post-call continuation state: caller-saved registers are clobbered
-  /// (any callee may write them); callee-saved and sp/gp/tp survive per the
-  /// ABI the assembler-built images follow.
-  static RegState call_return_state(const RegState& at_call, bool validates) {
-    RegState st = at_call;
-    static constexpr u8 kCallerSaved[] = {1,  5,  6,  7,  10, 11, 12, 13, 14,
-                                          15, 16, 17, 28, 29, 30, 31};
-    for (const u8 r : kCallerSaved) st.regs[r] = AbsVal::top();
-    if (validates) st.validated = true;
-    return st;
-  }
-
   bool call_target_validates(u64 target) const {
     const Symbol* sym = img_.symbol_at(target);
     if (sym == nullptr) return false;
@@ -155,59 +62,39 @@ class Linter {
     return false;
   }
 
+  /// Whole-image fixpoint. Call edges carry the caller's state into the
+  /// callee; the call-return edge clobbers the caller-saved registers (any
+  /// callee may write them) and sets the must-flag when the direct callee
+  /// is a token-validation routine (an indirect call validates nothing).
   void solve() {
-    std::deque<u64> work;
-    const auto seed = [&](u64 pc) {
-      if (cfg_graph_.block_at(pc) != nullptr &&
-          entry_[pc].join_from(RegState::entry())) {
-        work.push_back(pc);
-      }
-    };
-    seed(img_.base);
-    for (const u64 r : cfg_.extra_roots) seed(r);
-
-    while (!work.empty()) {
-      const u64 at = work.front();
-      work.pop_front();
-      const BasicBlock* bb = cfg_graph_.block_at(at);
-      if (bb == nullptr) continue;
-      const RegState out =
-          interpret(*bb, entry_[at], [](u64, const Inst&, RegState&) {});
-      for (const Edge& e : bb->succs) {
-        RegState next = out;
-        if (e.kind == EdgeKind::kCallReturn) {
-          // For a direct call the callee address is the paired kCall edge's
-          // target; an indirect call (no kCall edge) validates nothing.
-          u64 callee = 0;
-          bool direct = false;
-          for (const Edge& c : bb->succs) {
-            if (c.kind == EdgeKind::kCall) {
-              callee = c.to;
-              direct = true;
-            }
-          }
-          next = call_return_state(out, direct && call_target_validates(callee));
+    LintState root;
+    root.regs = entry_intervals();
+    root.reached = true;
+    if (cfg_graph_.block_at(img_.base) != nullptr) df_.seed(img_.base, root);
+    for (const u64 r : cfg_.extra_roots) {
+      if (cfg_graph_.block_at(r) != nullptr) df_.seed(r, root);
+    }
+    df_.solve(img_, cfg_graph_, step, [&](const BasicBlock& bb, const LintState& out) {
+      for (const Edge& e : bb.succs) {
+        if (e.kind != EdgeKind::kCallReturn) {
+          df_.propagate(e.to, out);
+          continue;
         }
-        propagate(e.to, next, work);
+        LintState next = out;
+        clobber_caller_saved(next.regs);
+        for (const Edge& c : bb.succs) {
+          if (c.kind == EdgeKind::kCall && call_target_validates(c.to)) {
+            next.validated = true;
+          }
+        }
+        df_.propagate(e.to, next);
       }
-    }
-  }
-
-  void propagate(u64 to, const RegState& st, std::deque<u64>& work) {
-    RegState& dst = entry_[to];
-    const RegState before = dst;
-    if (!dst.join_from(st)) return;
-    if (++join_count_[to] > kWidenAfter && before.reached) {
-      for (unsigned r = 1; r < 32; ++r) {
-        if (dst.regs[r] != before.regs[r]) dst.regs[r] = AbsVal::top();
-      }
-    }
-    work.push_back(to);
+    });
   }
 
   void report_block(const BasicBlock& bb) {
-    auto it = entry_.find(bb.start);
-    if (it == entry_.end() || !it->second.reached) return;
+    const LintState* entry = df_.state_at(bb.start);
+    if (entry == nullptr) return;
 
     if (bb.start < cfg_.sr_end && bb.end > cfg_.sr_base) {
       diag(DiagKind::kFetchFromSecure, Severity::kViolation,
@@ -215,9 +102,11 @@ class Linter {
            "reachable code lies inside the secure region");
     }
 
-    interpret(bb, it->second, [&](u64 pc, const Inst& in, RegState& st) {
-      check_inst(pc, in, st);
-    });
+    Dataflow<LintState>::interpret(img_, bb, *entry,
+                                   [&](u64 pc, const Inst& in, LintState& st) {
+                                     check_inst(pc, in, st);
+                                     step(pc, in, st);
+                                   });
 
     // Resolved control targets that leave the image: a note in general, a
     // violation when the target would fetch from the secure region.
@@ -237,14 +126,14 @@ class Linter {
     }
   }
 
-  void check_inst(u64 pc, const Inst& in, const RegState& st) {
-    if (in.op == Op::kIllegal) {
+  void check_inst(u64 pc, const Inst& in, const LintState& st) {
+    if (in.op == isa::Op::kIllegal) {
       diag(DiagKind::kIllegalInstruction, Severity::kNote, pc,
            "reachable word does not decode");
       return;
     }
-    const AccessInfo acc = classify_access(in, st);
-    if (acc.is_access) {
+    const Access acc = classify_access(in, st.regs);
+    if (acc.any()) {
       const AccessClass cls = classify(acc.addr, cfg_);
       report_.access_class[pc] = cls;
       const std::string what =
@@ -271,7 +160,7 @@ class Linter {
       }
     }
     if (writes_csr(in)) {
-      const u32 csr = static_cast<u32>(in.imm) & 0xFFF;
+      const u32 csr = csr_of(in);
       if (csr == isa::csr::kSatp && !st.validated) {
         diag(DiagKind::kSatpWriteUnvalidated, Severity::kViolation, pc,
              "satp write is not dominated by a token-validation call");
@@ -283,29 +172,14 @@ class Linter {
     }
   }
 
-  void diag(DiagKind kind, Severity sev, u64 pc, std::string message) {
-    Diag d;
-    d.kind = kind;
-    d.sev = sev;
-    d.pc = pc;
-    d.message = img_.locate(pc) + ": " + std::move(message);
-    const u64 lo = (pc >= img_.base + 8) ? pc - 8 : img_.base;
-    const u64 hi = (pc + 12 <= img_.end()) ? pc + 12 : img_.end();
-    for (u64 p = lo; p < hi; p += 4) {
-      if (!img_.contains(p)) continue;
-      std::ostringstream os;
-      os << (p == pc ? " => " : "    ") << "0x" << std::hex << p << "  "
-         << isa::disassemble(img_.inst_at(p));
-      d.context.push_back(os.str());
-    }
-    report_.diags.push_back(std::move(d));
+  void diag(DiagKind kind, Severity sev, u64 pc, const std::string& message) {
+    report_.diags.push_back(make_diag(img_, kind, sev, pc, message));
   }
 
   const Image& img_;
   const LintConfig& cfg_;
   Cfg cfg_graph_;
-  std::map<u64, RegState> entry_;
-  std::map<u64, int> join_count_;
+  Dataflow<LintState> df_;
   LintReport report_;
 };
 
@@ -331,33 +205,6 @@ const char* diag_kind_name(DiagKind k) {
     case DiagKind::kIllegalInstruction: return "illegal-instruction";
   }
   return "?";
-}
-
-size_t LintReport::violation_count() const {
-  size_t n = 0;
-  for (const Diag& d : diags) n += d.sev == Severity::kViolation ? 1 : 0;
-  return n;
-}
-
-std::vector<const Diag*> LintReport::violations() const {
-  std::vector<const Diag*> out;
-  for (const Diag& d : diags) {
-    if (d.sev == Severity::kViolation) out.push_back(&d);
-  }
-  return out;
-}
-
-std::string LintReport::format() const {
-  std::ostringstream os;
-  for (const Diag& d : diags) {
-    os << (d.sev == Severity::kViolation ? "violation" : "note") << " ["
-       << diag_kind_name(d.kind) << "] at 0x" << std::hex << d.pc << std::dec
-       << ": " << d.message << "\n";
-    for (const std::string& line : d.context) os << line << "\n";
-  }
-  os << diags.size() << " diagnostic(s), " << violation_count()
-     << " violation(s)\n";
-  return os.str();
 }
 
 LintReport lint_image(const Image& img, const LintConfig& cfg) {

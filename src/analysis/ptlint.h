@@ -1,7 +1,9 @@
 // ptlint: static verifier for PTStore's isolation invariants over guest
-// machine code. A forward abstract interpretation (interval domain,
-// analysis/absval.h) over the recovered CFG classifies every memory access
-// against the secure region and checks the paper's software-side rules:
+// machine code. One whole-image run of the shared forward-dataflow engine
+// (analysis/dataflow.h) over the recovered CFG, in the interval domain
+// (analysis/absval.h) × R3's must-validated flag, following call edges into
+// callees; it classifies every memory access against the secure region and
+// checks the paper's software-side rules:
 //
 //   R1  Regular loads/stores/AMOs and instruction fetch must never target
 //       the secure region — only ld.pt/sd.pt may (paper §III-C1).
@@ -20,8 +22,8 @@
 #include <string>
 #include <vector>
 
-#include "analysis/absval.h"
 #include "analysis/cfg.h"
+#include "analysis/diag.h"
 
 namespace ptstore::analysis {
 
@@ -55,29 +57,15 @@ enum class DiagKind : u8 {
 
 const char* diag_kind_name(DiagKind k);
 
-enum class Severity : u8 { kViolation, kNote };
+using Diag = BasicDiag<DiagKind>;
 
-struct Diag {
-  DiagKind kind = DiagKind::kRegularTouchesSecure;
-  Severity sev = Severity::kViolation;
-  u64 pc = 0;
-  std::string message;
-  /// Disassembly context: the offending instruction plus neighbours,
-  /// "      0x80100008  sd zero, 0(t0)   <== here" style.
-  std::vector<std::string> context;
-};
-
-struct LintReport {
-  std::vector<Diag> diags;
+struct LintReport : DiagReport<DiagKind> {
   /// Static classification of every reachable memory access, by pc. The
   /// trace cross-check replays dynamic effective addresses against this.
   std::map<u64, AccessClass> access_class;
   std::set<u64> reachable;
 
-  size_t violation_count() const;
-  bool clean() const { return violation_count() == 0; }
-  std::vector<const Diag*> violations() const;
-  std::string format() const;
+  std::string format() const { return format_diags() + "\n"; }
 };
 
 /// Run the verifier over one image.

@@ -15,8 +15,10 @@ namespace {
 constexpr unsigned kNumLintKinds = 7;
 constexpr unsigned kNumFlowKinds = 7;
 
-unsigned kind_index(DiagKind k) { return static_cast<unsigned>(k); }
-unsigned kind_index(FlowDiagKind k) { return static_cast<unsigned>(k); }
+template <typename Kind>
+unsigned kind_index(Kind k) {
+  return static_cast<unsigned>(k);
+}
 
 const char* rule_description(DiagKind k) {
   switch (k) {
@@ -173,6 +175,30 @@ std::string render(const char* driver_name, const std::vector<SarifRule>& rules,
   return os.str();
 }
 
+/// One SARIF run for either report type: every kind as a rule, every
+/// diagnostic (with its ptsym verdict, if any) as a result.
+template <typename Kind>
+std::string export_report(const char* driver, unsigned num_kinds,
+                          const char* (*kind_name)(Kind),
+                          const DiagReport<Kind>& rep,
+                          const std::string& artifact_uri,
+                          const std::vector<symexec::SymVerdict>* verdicts) {
+  std::vector<SarifRule> rules;
+  for (unsigned i = 0; i < num_kinds; ++i) {
+    const auto k = static_cast<Kind>(i);
+    rules.push_back({sarif_rule_id(k), kind_name(k), rule_description(k)});
+  }
+  const auto vmap = verdict_map(rep, verdicts);
+  std::vector<SarifResult> results;
+  for (const BasicDiag<Kind>& d : rep.diags) {
+    const auto it = vmap.find(&d);
+    results.push_back({sarif_rule_id(d.kind), kind_index(d.kind),
+                       d.sev == Severity::kViolation, &d.message, d.pc,
+                       it == vmap.end() ? nullptr : it->second});
+  }
+  return render(driver, rules, results, artifact_uri);
+}
+
 }  // namespace
 
 const char* sarif_rule_id(DiagKind k) {
@@ -193,39 +219,14 @@ const char* sarif_rule_id(FlowDiagKind k) {
 
 std::string to_sarif(const LintReport& rep, const std::string& artifact_uri,
                      const std::vector<symexec::SymVerdict>* verdicts) {
-  std::vector<SarifRule> rules;
-  for (unsigned i = 0; i < kNumLintKinds; ++i) {
-    const auto k = static_cast<DiagKind>(i);
-    rules.push_back({sarif_rule_id(k), diag_kind_name(k), rule_description(k)});
-  }
-  const auto vmap = verdict_map(rep, verdicts);
-  std::vector<SarifResult> results;
-  for (const Diag& d : rep.diags) {
-    const auto it = vmap.find(&d);
-    results.push_back({sarif_rule_id(d.kind), kind_index(d.kind),
-                       d.sev == Severity::kViolation, &d.message, d.pc,
-                       it == vmap.end() ? nullptr : it->second});
-  }
-  return render("ptlint", rules, results, artifact_uri);
+  return export_report("ptlint", kNumLintKinds, diag_kind_name, rep,
+                       artifact_uri, verdicts);
 }
 
 std::string to_sarif(const FlowReport& rep, const std::string& artifact_uri,
                      const std::vector<symexec::SymVerdict>* verdicts) {
-  std::vector<SarifRule> rules;
-  for (unsigned i = 0; i < kNumFlowKinds; ++i) {
-    const auto k = static_cast<FlowDiagKind>(i);
-    rules.push_back(
-        {sarif_rule_id(k), flow_diag_kind_name(k), rule_description(k)});
-  }
-  const auto vmap = verdict_map(rep, verdicts);
-  std::vector<SarifResult> results;
-  for (const FlowDiag& d : rep.diags) {
-    const auto it = vmap.find(&d);
-    results.push_back({sarif_rule_id(d.kind), kind_index(d.kind),
-                       d.sev == Severity::kViolation, &d.message, d.pc,
-                       it == vmap.end() ? nullptr : it->second});
-  }
-  return render("ptflow", rules, results, artifact_uri);
+  return export_report("ptflow", kNumFlowKinds, flow_diag_kind_name, rep,
+                       artifact_uri, verdicts);
 }
 
 }  // namespace ptstore::analysis

@@ -2,7 +2,7 @@
 
 #include <sstream>
 
-#include "isa/inst.h"
+#include "analysis/effects.h"
 
 namespace ptstore::analysis {
 
@@ -38,8 +38,7 @@ std::string describe_taint(TaintSet t) {
 FlowState FlowState::entry(bool symbolic_args) {
   FlowState st;
   st.reached = true;
-  for (AbsVal& v : st.regs) v = AbsVal::top();
-  st.regs[0] = AbsVal::exact(0);
+  st.regs = entry_intervals();
   if (symbolic_args) {
     for (unsigned i = 0; i < 8; ++i) st.taint[10 + i] = taint_arg(i);
   }
@@ -52,13 +51,8 @@ bool FlowState::join_from(const FlowState& o) {
     *this = o;
     return true;
   }
-  bool changed = false;
+  bool changed = join_intervals(regs, o.regs);
   for (unsigned r = 1; r < 32; ++r) {
-    const AbsVal j = regs[r].join(o.regs[r]);
-    if (j != regs[r]) {
-      regs[r] = j;
-      changed = true;
-    }
     const TaintSet t = static_cast<TaintSet>(taint[r] | o.taint[r]);
     if (t != taint[r]) {
       taint[r] = t;
@@ -74,6 +68,11 @@ bool FlowState::join_from(const FlowState& o) {
     changed = true;
   }
   return changed;
+}
+
+void FlowState::clobber_caller_saved() {
+  analysis::clobber_caller_saved(regs);
+  for (const u8 r : kCallerSaved) taint[r] = 0;
 }
 
 TaintSet taint_after(const isa::Inst& in, const std::array<TaintSet, 32>& taint) {

@@ -64,10 +64,13 @@ struct FlowState {
   /// Join: interval hull + taint union per register, AND on must-flags.
   bool join_from(const FlowState& o);
 
-  /// Apply one instruction's register effects (interval + taint).
-  /// Loads/AMO results are left Top/untainted here — the verifier
-  /// re-taints rd from the spec's secret ranges, which this layer cannot
-  /// know. Terminator link writes are the caller's job.
+  /// Havoc the caller-saved registers (Top, untainted) across a call.
+  void clobber_caller_saved();
+
+  /// Apply one instruction's register effects (interval + taint; a jal/jalr
+  /// link register becomes the exact, clean return address). Loads/AMO
+  /// results are left Top/untainted here — the verifier re-taints rd from
+  /// the spec's secret ranges, which this layer cannot know.
   void step(u64 pc, const isa::Inst& in);
 };
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 
 #include "analysis/flow_corpus.h"
 #include "analysis/ptflow.h"
@@ -373,6 +374,81 @@ TEST(Flow, ReportFormatNamesRuleAndFunction) {
   EXPECT_NE(text.find("entry"), std::string::npos);  // locate() context.
   ASSERT_FALSE(rep.violations().empty());
   EXPECT_FALSE(rep.violations()[0]->context.empty());
+}
+
+// ---- convergence: no round caps --------------------------------------------
+
+TEST(Flow, RecursionSummariesIterateToAFixpoint) {
+  // One 17-function recursion SCC: r calls c16..c1, each ci calls r and then
+  // c(i+1), and c16 returns the token. The token reaches c1's return value
+  // only after the summary has climbed all 16 levels of the ring, so a
+  // summary pass that stops after a fixed number of rounds misses the leak.
+  constexpr int kDepth = 16;
+  const FlowReport rep =
+      verify(BackendKind::kPtstore, [](Assembler& a, std::vector<Symbol>& sy) {
+        auto r = a.make_label();
+        std::vector<Assembler::Label> c;
+        for (int i = 0; i <= kDepth; ++i) c.push_back(a.make_label());
+        a.jal(Reg::kRa, c[1]);
+        a.li(Reg::kT1, kScratch);
+        a.sd(Reg::kA0, Reg::kT1, 0);
+        a.ebreak();
+        a.bind(r);
+        for (int i = kDepth; i >= 1; --i) a.jal(Reg::kRa, c[i]);
+        a.ret();
+        sy.push_back({"r", *a.label_address(r)});
+        for (int i = 1; i <= kDepth; ++i) {
+          a.bind(c[i]);
+          a.jal(Reg::kRa, r);
+          if (i < kDepth) {
+            a.jal(Reg::kRa, c[i + 1]);
+          } else {
+            a.li(Reg::kT0, kToken);
+            a.ld_pt(Reg::kA0, Reg::kT0, 0);
+          }
+          a.ret();
+          sy.push_back({"c" + std::to_string(i), *a.label_address(c[i])});
+        }
+      });
+  EXPECT_EQ(rep.violation_count(), 1u) << rep.format();
+  EXPECT_TRUE(has_kind(rep, FlowDiagKind::kSecretEscapes)) << rep.format();
+}
+
+TEST(Flow, CallGraphDiscoveryFollowsLongPointerChains) {
+  // entry -> f1 -> ... -> f20 through li-materialised pointers: each jalr
+  // target only becomes resolvable once its caller is a known function, so
+  // discovery needs one round per link. f20 leaks the token to scratch.
+  constexpr int kDepth = 20;
+  constexpr u64 kSlot = 0x40;  // Function i lives at kBase + i * kSlot.
+  const Image img = image_of([](Assembler& a, std::vector<Symbol>& sy) {
+    for (int i = 0; i <= kDepth; ++i) {
+      while (a.pc() < kBase + i * kSlot) a.nop();
+      if (i > 0) sy.push_back({"f" + std::to_string(i), a.pc()});
+      if (i < kDepth) {
+        a.li(Reg::kT0, kBase + (i + 1) * kSlot);
+        a.jalr(Reg::kRa, Reg::kT0, 0);
+      } else {
+        a.li(Reg::kT0, kToken);
+        a.ld_pt(Reg::kA0, Reg::kT0, 0);
+        a.li(Reg::kT1, kScratch);
+        a.sd(Reg::kA0, Reg::kT1, 0);
+      }
+      if (i == 0) {
+        a.ebreak();
+      } else {
+        a.ret();
+      }
+    }
+  });
+  const CallGraph cg = CallGraph::build(img);
+  EXPECT_EQ(cg.functions().size(), static_cast<size_t>(kDepth + 1));
+  EXPECT_NE(cg.function_at(kBase + kDepth * kSlot), nullptr);
+
+  const FlowReport rep =
+      flow_verify(img, FlowSpec::for_backend(BackendKind::kPtstore, kSr, kSrEnd));
+  EXPECT_EQ(rep.function_count, static_cast<size_t>(kDepth + 1));
+  EXPECT_EQ(rep.violation_count(), 1u) << rep.format();
+  EXPECT_TRUE(has_kind(rep, FlowDiagKind::kSecretEscapes)) << rep.format();
 }
 
 }  // namespace

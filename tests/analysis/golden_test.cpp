@@ -4,6 +4,10 @@
 // access-class map), the ptflow report under the image's backend, the call
 // graph (functions, owned blocks, call sites, bottom-up/SCC order) and the
 // SARIF of both drivers must match tests/golden/analysis_*.txt exactly.
+// Ptmc.Golden pins the model checker the same way: the summary and JSON of
+// every closure the CLI runs by default (defaults, mutation matrix and
+// backends at 1 and 2 harts, gadget) plus depth- and state-truncated runs
+// must match tests/golden/ptmc.txt.
 //
 // On a mismatch the actual dump is written to
 // <build>/tests/analysis_golden.actual/<same file name>, so drift reads as a
@@ -22,6 +26,7 @@
 #include "analysis/flow_corpus.h"
 #include "analysis/ptflow.h"
 #include "analysis/ptlint.h"
+#include "analysis/ptmc.h"
 #include "analysis/sarif.h"
 
 namespace ptstore::analysis {
@@ -159,6 +164,81 @@ TEST(AnalysisGolden, ExamplePrograms) {
                        BackendKind::kPtstore);
   }
   expect_golden("analysis_programs.txt", dump);
+}
+
+namespace mc = ptmc;
+
+/// The configuration `ptmc --backend NAME --harts N` checks: the
+/// ModelConfig defaults bound the single-hart PTStore-like closures, and a
+/// second hart or PTAuth's unrestricted placement get 20 / 8,000,000.
+mc::ModelConfig cli_config(const std::string& backend, unsigned harts) {
+  mc::ModelConfig cfg;
+  cfg.nharts = harts;
+  if (backend == "stock") {
+    cfg.s_bit = cfg.ptw_check = cfg.token_check = cfg.zero_check = false;
+    cfg.stop_after_violated = mc::kAllProps;
+  } else if (backend == "dpti") {
+    cfg.ptw_check = false;
+    cfg.cred_unforgeable = true;
+  } else if (backend == "ptauth") {
+    cfg.s_bit = false;
+    cfg.ptw_check = false;
+    cfg.verify_on_walk = true;
+    cfg.cred_unforgeable = true;
+  }
+  if (harts >= 2 || backend == "ptauth") {
+    cfg.max_depth = 20;
+    cfg.max_states = 8'000'000;
+  }
+  return cfg;
+}
+
+std::string dump_check(const std::string& label, const mc::ModelConfig& cfg) {
+  const mc::CheckResult res = mc::check(cfg);
+  return "=== " + label + " ===\n" + res.format() + mc::to_json(res) + "\n";
+}
+
+TEST(Ptmc, Golden) {
+  std::string dump = dump_check("defaults", mc::ModelConfig{});
+  for (const unsigned harts : {1u, 2u}) {
+    // `ptmc --matrix --harts N`: each entry stops once its targets fall.
+    for (const mc::MutationEntry& e : mc::mutation_matrix(cli_config("ptstore", harts))) {
+      mc::ModelConfig cfg = e.cfg;
+      cfg.stop_after_violated = e.must_break;
+      dump += dump_check("mutate " + std::string(e.name) + " harts " +
+                             std::to_string(harts), cfg);
+    }
+  }
+  for (const char* backend : {"stock", "ptstore", "dpti", "ptauth"}) {
+    dump += dump_check(std::string("backend ") + backend + " harts 1",
+                       cli_config(backend, 1));
+  }
+  // PTAuth's 2-hart closure (6.7M states) is left to CI's ptmc job.
+  for (const char* backend : {"stock", "ptstore", "dpti"}) {
+    dump += dump_check(std::string("backend ") + backend + " harts 2",
+                       cli_config(backend, 2));
+  }
+  mc::ModelConfig gadget;
+  gadget.csr_gadget = true;
+  dump += dump_check("csr_gadget", gadget);
+  mc::ModelConfig shallow;
+  shallow.max_depth = 6;
+  dump += dump_check("max_depth 6", shallow);
+  // State budgets: 50,000, plus one state either side of every point where
+  // ptmc's visited table grows inside the defaults' 253,570-state closure.
+  // The table starts at 4096 slots and doubles when an insert leaves it
+  // more than 3/4 full, so it grows on inserting state slots * 3/4 + 1.
+  std::vector<u64> budgets{50'000};
+  for (u64 slots = 4096; slots * 3 / 4 < 253'570; slots *= 2) {
+    budgets.push_back(slots * 3 / 4);
+    budgets.push_back(slots * 3 / 4 + 2);
+  }
+  for (const u64 budget : budgets) {
+    mc::ModelConfig capped;
+    capped.max_states = budget;
+    dump += dump_check("max_states " + std::to_string(budget), capped);
+  }
+  expect_golden("ptmc.txt", dump);
 }
 
 }  // namespace

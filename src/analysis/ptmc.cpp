@@ -1,9 +1,8 @@
 #include "analysis/ptmc.h"
 
-#include <deque>
+#include <bit>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
+#include <stdexcept>
 
 #include "telemetry/json.h"
 
@@ -256,7 +255,8 @@ u8 alias_violation(const State& s) {
 /// is valid (the corrupt free-list entry was consumed) but no page was
 /// placed.
 std::optional<Successor> alloc_pt_page(const State& s, const ModelConfig& cfg,
-                                       u8& pg, bool& detected) {
+                                       u8& pg, bool& detected,
+                                       std::string* note) {
   detected = false;
   const bool forced = s.forced_alloc != kNoPage;
   pg = forced ? s.forced_alloc : lowest_free_secure(s);
@@ -273,22 +273,24 @@ std::optional<Successor> alloc_pt_page(const State& s, const ModelConfig& cfg,
       // §V-E3: a PT page must arrive all-zero; a dirty page means the
       // free list double-issued (or the attacker primed it) — reject.
       detected = true;
-      suc.note = "zero-check rejected non-zero " + page_name(pg);
+      if (note) *note = "zero-check rejected non-zero " + page_name(pg);
       return suc;
     }
     suc.violations |= kP4;
-    suc.note = "P4: " + page_name(pg) + " placed as PT with non-zero content";
+    if (note)
+      *note = "P4: " + page_name(pg) + " placed as PT with non-zero content";
   }
   suc.next.pages[pg] = {PageStatus::kPt, PageContent::kPtData};
   return suc;
 }
 
 std::optional<Successor> apply_spawn(const State& s, u8 p,
-                                     const ModelConfig& cfg) {
+                                     const ModelConfig& cfg,
+                                     std::string* note) {
   if (s.procs[p].live) return std::nullopt;
   u8 pg = kNoPage;
   bool detected = false;
-  auto suc = alloc_pt_page(s, cfg, pg, detected);
+  auto suc = alloc_pt_page(s, cfg, pg, detected, note);
   if (!suc) return std::nullopt;
   if (detected) return suc;  // Allocation refused; no process created.
   suc->next.procs[p] = {true, pg,
@@ -296,28 +298,32 @@ std::optional<Successor> apply_spawn(const State& s, u8 p,
                         kNoPage};
   suc->next.tokens[p] = {true, pg};
   suc->violations |= alias_violation(suc->next);
-  if (suc->note.empty())
-    suc->note = "p" + std::to_string(p) + " root = " + page_name(pg);
-  if (suc->violations & kP3) suc->note += "; P3: token tables alias";
+  if (note) {
+    if (note->empty())
+      *note = "p" + std::to_string(p) + " root = " + page_name(pg);
+    if (suc->violations & kP3) *note += "; P3: token tables alias";
+  }
   return suc;
 }
 
 std::optional<Successor> apply_alloc_pt(const State& s, u8 p,
-                                        const ModelConfig& cfg) {
+                                        const ModelConfig& cfg,
+                                        std::string* note) {
   if (!s.procs[p].live || s.procs[p].extra_pt != kNoPage) return std::nullopt;
   u8 pg = kNoPage;
   bool detected = false;
-  auto suc = alloc_pt_page(s, cfg, pg, detected);
+  auto suc = alloc_pt_page(s, cfg, pg, detected, note);
   if (!suc) return std::nullopt;
   if (detected) return suc;
   suc->next.procs[p].extra_pt = pg;
-  if (suc->note.empty())
-    suc->note = "p" + std::to_string(p) + " grew " + page_name(pg);
+  if (note && note->empty())
+    *note = "p" + std::to_string(p) + " grew " + page_name(pg);
   return suc;
 }
 
 std::optional<Successor> apply_switch(const State& s, u8 p,
-                                      const ModelConfig& cfg, u8 hart) {
+                                      const ModelConfig& cfg, u8 hart,
+                                      std::string* note) {
   if (!s.procs[p].live) return std::nullopt;
   const u8 pgd = s.procs[p].pgd;
   if (pgd == kNoPage) return std::nullopt;
@@ -350,17 +356,18 @@ std::optional<Successor> apply_switch(const State& s, u8 p,
   const bool bound =
       s.procs[p].ghost_root != kNoPage && pgd == s.procs[p].ghost_root;
   suc.next.satp_of(hart) = {pgd, cfg.ptw_check, bound};
-  suc.note = "satp <- " + page_name(pgd);
-  if (hart != 0) suc.note += " on hart " + std::to_string(hart);
-  if (!bound) {
-    suc.violations |= kP2;
-    suc.note += "; P2: root was never issued to p" + std::to_string(p);
+  if (!bound) suc.violations |= kP2;
+  if (note) {
+    *note = "satp <- " + page_name(pgd);
+    if (hart != 0) *note += " on hart " + std::to_string(hart);
+    if (!bound) *note += "; P2: root was never issued to p" + std::to_string(p);
   }
   return suc;
 }
 
 std::optional<Successor> apply_user_access(const State& s,
-                                           const ModelConfig& cfg, u8 hart) {
+                                           const ModelConfig& cfg, u8 hart,
+                                           std::string* note) {
   const SatpState& sp = s.satp_of(hart);
   const u8 root = sp.root;
   if (root == kNoPage) return std::nullopt;  // Kernel address space.
@@ -374,8 +381,9 @@ std::optional<Successor> apply_user_access(const State& s,
   if (cfg.nharts >= 2 && !sp.bound &&
       s.pages[root].status == PageStatus::kPt) {
     suc.violations = kP2;
-    suc.note = "P2: hart " + std::to_string(hart) + " walked stale root " +
-               page_name(root) + ", recycled to another process";
+    if (note)
+      *note = "P2: hart " + std::to_string(hart) + " walked stale root " +
+              page_name(root) + ", recycled to another process";
     return suc;
   }
   if (!is_secure(s, root)) {
@@ -388,7 +396,7 @@ std::optional<Successor> apply_user_access(const State& s,
     if (s.pages[root].content != PageContent::kAttacker) return std::nullopt;
     if (cfg.verify_on_walk) return std::nullopt;
     suc.violations = kP1;
-    suc.note = "P1: walker consumed attacker PTE from " + page_name(root);
+    if (note) *note = "P1: walker consumed attacker PTE from " + page_name(root);
     return suc;
   }
   // Root inside the region: the level-0 fetch is in-region, but if the
@@ -397,7 +405,7 @@ std::optional<Successor> apply_user_access(const State& s,
   if (s.pages[root].content == PageContent::kAttacker && !sp.s &&
       !cfg.verify_on_walk && s.pages[0].content == PageContent::kAttacker) {
     suc.violations = kP1;
-    suc.note = "P1: in-region root chained to attacker tables in page0";
+    if (note) *note = "P1: in-region root chained to attacker tables in page0";
     return suc;
   }
   return std::nullopt;
@@ -406,10 +414,11 @@ std::optional<Successor> apply_user_access(const State& s,
 }  // namespace
 
 std::optional<Successor> apply(const State& s, const Op& op,
-                               const ModelConfig& cfg) {
+                               const ModelConfig& cfg, std::string* note) {
+  if (note) note->clear();
   switch (op.kind) {
     case OpKind::kSpawn:
-      return apply_spawn(s, op.a, cfg);
+      return apply_spawn(s, op.a, cfg, note);
     case OpKind::kExitMm: {
       if (!s.procs[op.a].live) return std::nullopt;
       Successor suc;
@@ -425,7 +434,7 @@ std::optional<Successor> apply(const State& s, const Op& op,
         suc.next.pages[extra] = {PageStatus::kFree, PageContent::kZero};
       suc.next.procs[op.a] = ProcState{};
       suc.next.tokens[op.a] = TokenState{};
-      suc.note = "p" + std::to_string(op.a) + " reaped";
+      if (note) *note = "p" + std::to_string(op.a) + " reaped";
       // SMP: the teardown's cross-hart shootdown (retire_mm). A remote hart
       // parked on one of the dying roots is repointed at the kernel address
       // space (leave_mm) once its IPI lands; with the sabotage knob the IPI
@@ -436,19 +445,19 @@ std::optional<Successor> apply(const State& s, const Op& op,
         if (h1.root != kNoPage && (h1.root == ghost || h1.root == extra)) {
           if (cfg.ipi) {
             h1 = {kNoPage, h1.s, true};
-            suc.note += "; hart 1 shot down";
+            if (note) *note += "; hart 1 shot down";
           } else {
             h1.bound = false;
-            suc.note += "; hart 1 satp stale (no IPI)";
+            if (note) *note += "; hart 1 satp stale (no IPI)";
           }
         }
       }
       return suc;
     }
     case OpKind::kSwitchMm:
-      return apply_switch(s, op.a, cfg, op.hart);
+      return apply_switch(s, op.a, cfg, op.hart, note);
     case OpKind::kAllocPt:
-      return apply_alloc_pt(s, op.a, cfg);
+      return apply_alloc_pt(s, op.a, cfg, note);
     case OpKind::kFreePt: {
       if (!s.procs[op.a].live || s.procs[op.a].extra_pt == kNoPage)
         return std::nullopt;
@@ -457,7 +466,7 @@ std::optional<Successor> apply(const State& s, const Op& op,
       suc.next.pages[s.procs[op.a].extra_pt] = {PageStatus::kFree,
                                                 PageContent::kZero};
       suc.next.procs[op.a].extra_pt = kNoPage;
-      suc.note = "freed and zeroed";
+      if (note) *note = "freed and zeroed";
       return suc;
     }
     case OpKind::kGrow: {
@@ -467,11 +476,11 @@ std::optional<Successor> apply(const State& s, const Op& op,
       suc.next.boundary = static_cast<u8>(s.boundary - 1);
       // The donated page keeps its content — the dirty-donation channel the
       // zero check exists to close.
-      suc.note = "secure region grew over " + page_name(suc.next.boundary);
+      if (note) *note = "secure region grew over " + page_name(suc.next.boundary);
       return suc;
     }
     case OpKind::kUserAccess:
-      return apply_user_access(s, cfg, op.hart);
+      return apply_user_access(s, cfg, op.hart, note);
     case OpKind::kAtkWritePage: {
       if (cfg.s_bit && is_secure(s, op.a)) return std::nullopt;  // PMP fault.
       Successor suc;
@@ -485,7 +494,7 @@ std::optional<Successor> apply(const State& s, const Op& op,
       suc.next.pages[op.a].content =
           cfg.verify_on_walk && cfg.cred_unforgeable ? PageContent::kPtData
                                                      : PageContent::kAttacker;
-      suc.note = page_name(op.a) + " now attacker-controlled";
+      if (note) *note = page_name(op.a) + " now attacker-controlled";
       return suc;
     }
     case OpKind::kAtkRedirectPgd: {
@@ -494,7 +503,7 @@ std::optional<Successor> apply(const State& s, const Op& op,
       Successor suc;
       suc.next = s;
       suc.next.procs[op.a].pgd = op.b;  // PCB lives in normal memory.
-      suc.note = "pcb pointer hijacked";
+      if (note) *note = "pcb pointer hijacked";
       return suc;
     }
     case OpKind::kAtkRedirectToken: {
@@ -504,7 +513,7 @@ std::optional<Successor> apply(const State& s, const Op& op,
       Successor suc;
       suc.next = s;
       suc.next.procs[op.a].token = ref;
-      suc.note = "pcb token pointer redirected";
+      if (note) *note = "pcb token pointer redirected";
       return suc;
     }
     case OpKind::kAtkForgeToken: {
@@ -518,9 +527,11 @@ std::optional<Successor> apply(const State& s, const Op& op,
       suc.next = s;
       suc.next.tokens[op.a] = {true, op.b};
       suc.violations |= alias_violation(suc.next);
-      suc.note = "token slot " + std::to_string(op.a) + " forged -> " +
-                 page_name(op.b);
-      if (suc.violations & kP3) suc.note += "; P3: token tables alias";
+      if (note) {
+        *note = "token slot " + std::to_string(op.a) + " forged -> " +
+                page_name(op.b);
+        if (suc.violations & kP3) *note += "; P3: token tables alias";
+      }
       return suc;
     }
     case OpKind::kAtkCorruptAllocator: {
@@ -528,7 +539,7 @@ std::optional<Successor> apply(const State& s, const Op& op,
       Successor suc;
       suc.next = s;
       suc.next.forced_alloc = op.a;  // Free lists live in normal memory.
-      suc.note = "buddy free list corrupted";
+      if (note) *note = "buddy free list corrupted";
       return suc;
     }
     case OpKind::kAtkSatpWrite: {
@@ -537,7 +548,7 @@ std::optional<Successor> apply(const State& s, const Op& op,
       suc.next = s;
       suc.next.satp = {op.a, false, false};
       suc.violations = kP2;
-      suc.note = "P2: gadget wrote satp directly";
+      if (note) *note = "P2: gadget wrote satp directly";
       return suc;
     }
   }
@@ -549,104 +560,178 @@ std::optional<Successor> apply(const State& s, const Op& op,
 
 namespace {
 
-struct Edge {
-  u64 parent;
-  Op op;
+/// Parent edges pack the parent's 58-bit key with the op ID above it.
+constexpr unsigned kKeyBits = 58;
+constexpr u64 kKeyMask = (u64{1} << kKeyBits) - 1;
+
+/// The visited set and the BFS tree in one open-addressed, linearly probed
+/// table: each slot holds a packed state and the edge it was first reached
+/// by. It starts at 4096 slots and doubles whenever an insert leaves it
+/// more than 3/4 full (Ptmc.Golden pins truncation around every doubling).
+class VisitedTable {
+ public:
+  struct Slot {
+    u64 key;
+    u64 edge;
+  };
+
+  VisitedTable() : slots_(kInitialSlots, Slot{kEmpty, 0}) {}
+
+  u64 size() const { return size_; }
+
+  void prefetch(u64 key) const { __builtin_prefetch(&slots_[home(key)]); }
+
+  /// The slot holding `key`, or else the empty slot an insert of `key`
+  /// fills.
+  Slot& probe(u64 key) { return slots_[index_of(key)]; }
+
+  /// Fills the empty slot `probe(key)` returned. Invalidates every slot
+  /// reference when the table grows.
+  void fill(Slot& slot, u64 key, u64 edge) {
+    slot = {key, edge};
+    if (++size_ * 4 > slots_.size() * 3) grow();
+  }
+
+  /// The edge `key` was first reached by; `key` must be present.
+  u64 edge(u64 key) const { return slots_[index_of(key)].edge; }
+
+ private:
+  static constexpr size_t kInitialSlots = 4096;
+  /// Packed keys are 58 bits, so no state packs to all-ones.
+  static constexpr u64 kEmpty = ~u64{0};
+
+  /// Fibonacci hashing: the top log2(slots) bits of key * 2^64/phi.
+  size_t home(u64 key) const {
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  size_t index_of(u64 key) const {
+    const size_t mask = slots_.size() - 1;
+    size_t i = home(key);
+    while (slots_[i].key != key && slots_[i].key != kEmpty) i = (i + 1) & mask;
+    return i;
+  }
+
+  void grow() {
+    std::vector<Slot> old(slots_.size() * 2, Slot{kEmpty, 0});
+    old.swap(slots_);
+    --shift_;
+    for (const Slot& s : old) {
+      if (s.key != kEmpty) probe(s.key) = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  unsigned shift_ = 64 - std::countr_zero(kInitialSlots);
+  u64 size_ = 0;
 };
 
-Counterexample rebuild_counterexample(
-    unsigned prop_idx, const ModelConfig& cfg, u64 src_key, const Op& final_op,
-    const std::unordered_map<u64, Edge>& parents) {
-  // Walk the parent chain back to the initial state, then replay forward —
-  // apply() is deterministic, so the replay regenerates every note.
-  std::vector<Op> ops;
-  u64 key = src_key;
+Counterexample rebuild_counterexample(unsigned prop_idx, const ModelConfig& cfg,
+                                      const std::vector<Op>& alphabet,
+                                      const VisitedTable& visited, u64 src_key,
+                                      const Op& final_op) {
+  // Collect the trace newest-first (the violating op, then the parent chain
+  // back to the initial state), then replay it forward — apply() is
+  // deterministic, so the replay regenerates every note.
+  std::vector<Op> ops{final_op};
   const u64 init_key = State::initial().pack();
-  while (key != init_key) {
-    const Edge& e = parents.at(key);
-    ops.push_back(e.op);
-    key = e.parent;
+  for (u64 key = src_key; key != init_key;) {
+    const u64 edge = visited.edge(key);
+    ops.push_back(alphabet[edge >> kKeyBits]);
+    key = edge & kKeyMask;
   }
   Counterexample ce;
   ce.prop = prop_idx;
   ce.cfg = cfg;
   State cur = State::initial();
   for (auto it = ops.rbegin(); it != ops.rend(); ++it) {
-    auto suc = apply(cur, *it, cfg);
     Step step;
     step.op = *it;
+    const auto suc = apply(cur, *it, cfg, &step.note);
     step.after = suc ? suc->next : cur;
-    step.note = suc ? suc->note : "";
     step.violations = suc ? suc->violations : 0;
     ce.steps.push_back(std::move(step));
     if (suc) cur = suc->next;
   }
-  auto fin = apply(cur, final_op, cfg);
-  Step last;
-  last.op = final_op;
-  last.after = fin ? fin->next : cur;
-  last.note = fin ? fin->note : "";
-  last.violations = fin ? fin->violations : 0;
-  ce.steps.push_back(std::move(last));
   return ce;
 }
 
 }  // namespace
 
 CheckResult check(const ModelConfig& cfg) {
+  if (cfg.nharts != 1 && cfg.nharts != 2)
+    throw std::invalid_argument("ptmc: nharts must be 1 or 2, got " +
+                                std::to_string(cfg.nharts));
   CheckResult res;
-  const std::vector<Op>& alphabet =
-      cfg.nharts >= 2 ? all_ops_smp() : all_ops();
+  const std::vector<Op>& alphabet = cfg.nharts == 2 ? all_ops_smp() : all_ops();
   const State init = State::initial();
   const u64 init_key = init.pack();
 
-  std::unordered_set<u64> visited{init_key};
-  std::unordered_map<u64, Edge> parents;
-  std::unordered_map<u64, State> frontier_states{{init_key, init}};
-  std::deque<std::pair<u64, u32>> queue{{init_key, 0}};
+  VisitedTable visited;
+  visited.fill(visited.probe(init_key), init_key, 0);
+  // One BFS level at a time, in expansion order: the same order a FIFO
+  // queue would pop, so counts and counterexamples are shortest-first.
+  std::vector<std::pair<u64, State>> level{{init_key, init}};
+  std::vector<std::pair<u64, State>> next_level;
 
-  while (!queue.empty()) {
-    const auto [key, depth] = queue.front();
-    queue.pop_front();
-    const State s = frontier_states.at(key);
-    frontier_states.erase(key);
-    if (depth > res.depth) res.depth = depth;
+  struct Candidate {
+    u64 key;
+    State next;
+    u8 op_id;
+    u8 violations;
+  };
+  std::vector<Candidate> cands(alphabet.size());
+
+  for (u32 depth = 0; !level.empty(); ++depth) {
+    res.depth = depth;
     if (depth >= cfg.max_depth) {
       res.depth_capped = true;
-      continue;
+      break;
     }
-    for (const Op& op : alphabet) {
-      auto suc = apply(s, op, cfg);
-      if (!suc) continue;
-      ++res.transitions;
-      if (suc->violations != 0) {
-        for (unsigned i = 0; i < kNumProps; ++i) {
-          const u8 bit = static_cast<u8>(1u << i);
-          if ((suc->violations & bit) != 0 && (res.props_violated & bit) == 0) {
-            res.props_violated |= bit;
-            res.counterexamples.push_back(
-                rebuild_counterexample(i, cfg, key, op, parents));
+    next_level.clear();
+    for (const auto& [key, s] : level) {
+      // Generate every successor and prefetch its slot before the first
+      // probe, so the table's cache misses overlap.
+      size_t n = 0;
+      for (size_t id = 0; id < alphabet.size(); ++id) {
+        const auto suc = apply(s, alphabet[id], cfg);
+        if (!suc) continue;
+        cands[n++] = {suc->next.pack(), suc->next, static_cast<u8>(id),
+                      suc->violations};
+      }
+      for (size_t i = 0; i < n; ++i) visited.prefetch(cands[i].key);
+
+      for (size_t i = 0; i < n; ++i) {
+        const Candidate& c = cands[i];
+        ++res.transitions;
+        if (c.violations != 0) {
+          for (unsigned p = 0; p < kNumProps; ++p) {
+            const u8 bit = static_cast<u8>(1u << p);
+            if ((c.violations & bit) != 0 && (res.props_violated & bit) == 0) {
+              res.props_violated |= bit;
+              res.counterexamples.push_back(rebuild_counterexample(
+                  p, cfg, alphabet, visited, key, alphabet[c.op_id]));
+            }
+          }
+          if (cfg.stop_after_violated != 0 &&
+              (res.props_violated & cfg.stop_after_violated) ==
+                  cfg.stop_after_violated) {
+            res.early_stopped = true;
+            res.states = visited.size();
+            return res;
           }
         }
-        if (cfg.stop_after_violated != 0 &&
-            (res.props_violated & cfg.stop_after_violated) ==
-                cfg.stop_after_violated) {
-          res.early_stopped = true;
-          res.states = visited.size();
-          return res;
+        VisitedTable::Slot& slot = visited.probe(c.key);
+        if (slot.key == c.key) continue;
+        if (visited.size() >= cfg.max_states) {
+          res.state_capped = true;
+          continue;
         }
+        visited.fill(slot, c.key, key | u64{c.op_id} << kKeyBits);
+        next_level.emplace_back(c.key, c.next);
       }
-      const u64 nkey = suc->next.pack();
-      if (visited.count(nkey) != 0) continue;
-      if (visited.size() >= cfg.max_states) {
-        res.state_capped = true;
-        continue;
-      }
-      visited.insert(nkey);
-      parents.emplace(nkey, Edge{key, op});
-      frontier_states.emplace(nkey, suc->next);
-      queue.emplace_back(nkey, depth + 1);
     }
+    level.swap(next_level);
   }
   res.states = visited.size();
   res.complete = !res.depth_capped && !res.state_capped;

@@ -40,10 +40,12 @@
 // breach the shootdown exists to prevent. nharts == 1 reproduces the
 // historical model bit-for-bit.
 //
-// The checker is a BFS over packed 58-bit states with hash dedup, so every
-// counterexample is shortest-first. Each ModelConfig defence flag mirrors
-// one concrete kernel/PMP knob, which is what lets ptmc's counterexamples
-// be replayed op-for-op against the real System (src/attacks/ptmc_replay.h).
+// The checker is a level-by-level BFS over packed 58-bit states; one
+// open-addressed table keyed by the packed state is both the visited set and
+// the BFS tree (each state's parent edge), so every counterexample is
+// shortest-first. Each ModelConfig defence flag mirrors one concrete
+// kernel/PMP knob, which is what lets ptmc's counterexamples be replayed
+// op-for-op against the real System (src/attacks/ptmc_replay.h).
 //
 // Soundness caveat: this is a *bounded* result. "No violation" means no
 // violation within max_depth/max_states over this abstraction — see
@@ -196,7 +198,7 @@ struct ModelConfig {
 
   // ---- SMP extension. nharts == 1 reproduces the historical single-hart
   // transition system bit-for-bit (alphabet, packing, counts). ----
-  unsigned nharts = 1;  ///< Model harts (1 or 2).
+  unsigned nharts = 1;  ///< Model harts: 1 or 2 (check() rejects others).
   bool ipi = true;      ///< retire_mm sends shootdown IPIs; off = the
                         ///< skip_shootdown_ipi sabotage knob, leaving remote
                         ///< harts parked on stale roots.
@@ -215,11 +217,13 @@ struct ModelConfig {
 struct Successor {
   State next;
   u8 violations = 0;  ///< Props this transition violates (kP1..kP4 mask).
-  std::string note;   ///< What happened, for traces.
 };
 
+/// With `note`, also says what happened, for traces (empty when the op has
+/// no successor). The BFS passes none: it never reads them.
 std::optional<Successor> apply(const State& s, const Op& op,
-                               const ModelConfig& cfg);
+                               const ModelConfig& cfg,
+                               std::string* note = nullptr);
 
 // ---------------------------------------------------------------------------
 // Checking.
@@ -255,7 +259,8 @@ struct CheckResult {
   std::string format() const;
 };
 
-/// BFS over the reachable states of `cfg`'s transition system.
+/// BFS over the reachable states of `cfg`'s transition system. Throws
+/// std::invalid_argument unless cfg.nharts is 1 or 2.
 CheckResult check(const ModelConfig& cfg);
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 // Model-checker tests: the defences-on system proves P1-P4 over its entire
 // reachable closure; each mutation-matrix entry breaks exactly its targeted
 // properties with a shallow counterexample; exports are well-formed.
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "analysis/ptmc.h"
@@ -262,6 +264,16 @@ TEST(Ptmc, SmpIpiMutationBreaksP2WithStaleRootWitness) {
   // the IPI is unobservable and would poison the matrix with a vacuous row.
   for (const MutationEntry& m : mutation_matrix(ModelConfig{})) {
     EXPECT_NE(std::string(m.name), "ipi");
+  }
+}
+
+// The model exists for one or two harts only; any other count is a caller
+// error, not a request for the nearest model.
+TEST(Ptmc, RejectsUnsupportedHartCounts) {
+  for (const unsigned harts : {0u, 3u}) {
+    ModelConfig cfg;
+    cfg.nharts = harts;
+    EXPECT_THROW(check(cfg), std::invalid_argument) << "nharts=" << harts;
   }
 }
 

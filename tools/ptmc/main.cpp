@@ -30,19 +30,27 @@ namespace {
 using namespace ptstore;
 namespace mc = analysis::ptmc;
 
+// Default bounds under --harts 2 or --backend ptauth, whose closures are
+// far larger than the ModelConfig defaults cover (see main()).
+constexpr u32 kWideDepth = 20;
+constexpr u64 kWideStates = 8'000'000;
+
 int usage() {
+  const mc::ModelConfig defaults;
   std::fprintf(stderr,
                "usage: ptmc [--all | --mutate NAME | --matrix] [options]\n"
                "  --all            prove P1..P4 under full defences (default)\n"
                "  --prop N         restrict the verdict to property N (1..4)\n"
                "  --mutate NAME    disable a defence set: ptw | token | sbit |\n"
-               "                   zero | ptw-alone\n"
+               "                   zero | ptw-alone | ipi (--harts 2)\n"
                "  --matrix         run every mutation entry and check its\n"
                "                   expected violations\n"
                "  --replay         replay each counterexample on the concrete\n"
                "                   simulator (mutated + stock)\n"
-               "  --depth N        BFS depth bound (default 12)\n"
-               "  --states N       visited-state budget (default 400000)\n"
+               "  --depth N        BFS depth bound (default %u; %u with\n"
+               "                   --harts 2 or --backend ptauth)\n"
+               "  --states N       visited-state budget (default %llu; %llu\n"
+               "                   with --harts 2 or --backend ptauth)\n"
                "  --gadget         grant the attacker a satp-write gadget\n"
                "  --harts N        model harts (1 or 2; default 1)\n"
                "  --skip-ipi       sabotage: exit_mm skips shootdown IPIs\n"
@@ -51,7 +59,10 @@ int usage() {
                "  --no-grow        disable secure-region growth\n"
                "  --dot FILE       write first counterexample as GraphViz\n"
                "  --json [FILE]    emit result JSON (stdout without FILE)\n"
-               "  -v               verbose (print traces)\n");
+               "  -v               verbose (print traces)\n",
+               defaults.max_depth, kWideDepth,
+               static_cast<unsigned long long>(defaults.max_states),
+               static_cast<unsigned long long>(kWideStates));
   return 2;
 }
 
@@ -219,14 +230,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The second hart multiplies the closure (~10x), and PTAuth's
+  // The second hart multiplies the closure (~4x), and PTAuth's
   // unrestricted PT-page placement multiplies it again (its closure needs
-  // ~2.3M states / depth 17 single-hart, ~6.7M / depth 17 at two harts).
+  // ~2.3M states / depth 16 single-hart, ~6.7M / depth 17 at two harts).
   // Give the default bounds the same headroom so "--harts 2" and
   // "--backend ptauth" still close exhaustively without hand-tuning.
   if (cfg.nharts >= 2 || unrestricted_placement) {
-    if (!states_set) cfg.max_states = 8'000'000;
-    if (!depth_set) cfg.max_depth = 20;
+    if (!states_set) cfg.max_states = kWideStates;
+    if (!depth_set) cfg.max_depth = kWideDepth;
   }
   // An undefended kernel violates everything; stop as soon as each checked
   // property has its counterexample instead of sweeping the huge closure.

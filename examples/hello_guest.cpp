@@ -67,7 +67,6 @@ int main() {
     std::printf("  %s\n", line.c_str());
   }
   std::printf("\nkernel handled %llu page faults for this guest\n",
-              (unsigned long long)sys.kernel().processes().stats().get(
-                  "process.faults"));
+              (unsigned long long)sys.report().get("process.faults"));
   return r.exited && r.exit_code == proc->pid ? 0 : 1;
 }

@@ -45,8 +45,6 @@ int main() {
               .value;
     }
     core.clear_stats();
-    const u64 hits0 = core.merged_stats().get("L1D.hits");
-    const u64 miss0 = core.merged_stats().get("L1D.misses");
     Cycles cycles = 0;
     const u64 accesses = 4 * slots;
     for (u64 i = 0; i < accesses; ++i) {
@@ -56,8 +54,9 @@ int main() {
       cycles += r.cycles + 1;  // +1: the load itself.
       p = r.value;
     }
-    const u64 hits = core.merged_stats().get("L1D.hits") - hits0;
-    const u64 miss = core.merged_stats().get("L1D.misses") - miss0;
+    const StatSet stats = core.merged_stats();
+    const u64 hits = stats.get("L1D.hits");
+    const u64 miss = stats.get("L1D.misses");
     std::printf("%11llu KB %16.2f %12.1f\n",
                 (unsigned long long)(size >> 10),
                 static_cast<double>(cycles) / static_cast<double>(accesses),

@@ -115,9 +115,9 @@ int main() {
     std::printf("task %c progress reports: %s\n", t.tag, t.console.c_str());
   }
   std::printf("\ncontext switches: %llu (each a token-validated satp write)\n",
-              (unsigned long long)k.processes().stats().get("process.switches"));
+              (unsigned long long)k.counters().value_of("process.switches"));
   std::printf("token rejects: %llu (all switches legitimate)\n",
-              (unsigned long long)k.processes().stats().get("process.token_rejects"));
+              (unsigned long long)k.counters().value_of("process.token_rejects"));
   for (Task& t : tasks) k.processes().exit(*t.proc);
   return 0;
 }

@@ -2,12 +2,12 @@
 
 namespace ptstore {
 
-Cache::Cache(const CacheConfig& cfg)
+Cache::Cache(const CacheConfig& cfg, telemetry::CounterBank& bank)
     : cfg_(cfg),
-      hits_(bank_.counter(cfg.name + ".hits", "cache hits")),
-      misses_(bank_.counter(cfg.name + ".misses", "cache misses")),
-      writebacks_(bank_.counter(cfg.name + ".writebacks", "dirty-line writebacks")),
-      flushes_(bank_.counter(cfg.name + ".flushes", "full invalidations")) {
+      hits_(bank.counter(cfg.name + ".hits", "cache hits")),
+      misses_(bank.counter(cfg.name + ".misses", "cache misses")),
+      writebacks_(bank.counter(cfg.name + ".writebacks", "dirty-line writebacks")),
+      flushes_(bank.counter(cfg.name + ".flushes", "full invalidations")) {
   assert(is_pow2(cfg.size_bytes) && is_pow2(cfg.line_bytes));
   assert(cfg.ways >= 1);
   const u64 num_lines = cfg.size_bytes / cfg.line_bytes;
@@ -75,18 +75,6 @@ void Cache::invalidate_all() {
   last_block_ = ~u64{0};
   last_line_ = nullptr;
   flushes_.add();
-}
-
-const StatSet& Cache::stats() const {
-  // Materialize map entries only for events that happened, matching the
-  // old behaviour where a key existed iff its counter had been bumped.
-  bank_.snapshot_into(stats_);
-  return stats_;
-}
-
-void Cache::clear_stats() {
-  bank_.clear();
-  stats_.clear();
 }
 
 }  // namespace ptstore

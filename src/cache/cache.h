@@ -3,8 +3,8 @@
 // 64 B lines. Used purely for cycle accounting; correctness never depends
 // on it.
 //
-// Host-speed notes. Counters are interned telemetry handles, bumped with a
-// single indirected increment and synthesized into the StatSet on read. A
+// Host-speed notes. Counters are handles into the owning core's
+// telemetry::CounterBank, bumped with a single indirected increment. A
 // one-entry "last block" memo answers a repeat access to the previous line
 // without the way scan: that line is valid and MRU, so the scan would hit
 // it. The memo branch (tick, LRU stamp, dirty bit, hit count) and the L1-hit
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/bits.h"
-#include "common/stats.h"
 #include "common/types.h"
 #include "telemetry/metrics.h"
 
@@ -42,7 +41,8 @@ struct CacheAccessResult {
 
 class Cache {
  public:
-  explicit Cache(const CacheConfig& cfg);
+  /// Registers <name>.{hits,misses,writebacks,flushes} in `bank`.
+  Cache(const CacheConfig& cfg, telemetry::CounterBank& bank);
 
   /// Two-level helper: access `l1`, and on a miss charge the `l2` lookup
   /// instead of l1's DRAM penalty (l2 == nullptr degrades to l1-only).
@@ -74,8 +74,6 @@ class Cache {
   void invalidate_all();
 
   const CacheConfig& config() const { return cfg_; }
-  const StatSet& stats() const;
-  void clear_stats();
 
   unsigned num_sets() const { return num_sets_; }
 
@@ -104,12 +102,10 @@ class Cache {
   u64 last_block_ = ~u64{0};
   Line* last_line_ = nullptr;
 
-  telemetry::CounterBank bank_;
   telemetry::Counter hits_;
   telemetry::Counter misses_;
   telemetry::Counter writebacks_;
   telemetry::Counter flushes_;
-  mutable StatSet stats_;
 };
 
 }  // namespace ptstore

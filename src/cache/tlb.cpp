@@ -76,14 +76,4 @@ unsigned Tlb::occupancy() const {
   return n;
 }
 
-const StatSet& Tlb::stats() const {
-  bank_.snapshot_into(stats_);
-  return stats_;
-}
-
-void Tlb::clear_stats() {
-  bank_.clear();
-  stats_.clear();
-}
-
 }  // namespace ptstore

@@ -8,8 +8,8 @@
 // deliberately reproduces stale-entry behaviour so the attack scenario is
 // faithful.
 //
-// Host-speed notes. Stat counters are interned telemetry handles synthesized
-// into the StatSet on read. A one-entry memo answers a repeat lookup of the
+// Host-speed notes. Counters are handles into the owning core's
+// telemetry::CounterBank. A one-entry memo answers a repeat lookup of the
 // previous hit's (vpn, asid) without rescanning. Only a real scan hit sets
 // the memo, and insert/flush drop it, so it always returns the entry the
 // scan would, with the same tick and LRU update. The memo branch is inline
@@ -25,7 +25,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/stats.h"
 #include "common/types.h"
 #include "telemetry/metrics.h"
 
@@ -51,13 +50,14 @@ struct TlbConfig {
 
 class Tlb {
  public:
-  explicit Tlb(const TlbConfig& cfg)
+  /// Registers <name>.{hits,misses,fills,flushes} in `bank`.
+  Tlb(const TlbConfig& cfg, telemetry::CounterBank& bank)
       : cfg_(cfg),
         slots_(cfg.entries),
-        hits_(bank_.counter(cfg.name + ".hits", "TLB hits")),
-        misses_(bank_.counter(cfg.name + ".misses", "TLB misses")),
-        fills_(bank_.counter(cfg.name + ".fills", "TLB fills")),
-        flushes_(bank_.counter(cfg.name + ".flushes", "sfence.vma flushes")) {}
+        hits_(bank.counter(cfg.name + ".hits", "TLB hits")),
+        misses_(bank.counter(cfg.name + ".misses", "TLB misses")),
+        fills_(bank.counter(cfg.name + ".fills", "TLB fills")),
+        flushes_(bank.counter(cfg.name + ".flushes", "sfence.vma flushes")) {}
 
   /// Look up virtual address `va` under `asid`. Superpage entries match any
   /// VA within their reach.
@@ -91,8 +91,6 @@ class Tlb {
   void flush(std::optional<VirtAddr> va, std::optional<u16> asid);
 
   const TlbConfig& config() const { return cfg_; }
-  const StatSet& stats() const;
-  void clear_stats();
 
   unsigned occupancy() const;
 
@@ -118,12 +116,10 @@ class Tlb {
   TlbEntry* last_entry_ = nullptr;
   u64 memo_gen_ = 0;
 
-  telemetry::CounterBank bank_;
   telemetry::Counter hits_;
   telemetry::Counter misses_;
   telemetry::Counter fills_;
   telemetry::Counter flushes_;
-  mutable StatSet stats_;
 };
 
 }  // namespace ptstore

@@ -174,13 +174,13 @@ StepResult Core::step_cached() {
     idx = 0;
   }
   if (blk == nullptr) {
-    ++bbcache_.stats.misses;
+    bbcache_.note_miss();
     blk = bb_build(t0.pa);
     if (blk == nullptr) return step_fetch_decode(&t0);
     idx = 0;
     from_cache = false;
   }
-  if (from_cache) ++bbcache_.stats.hits;
+  if (from_cache) bbcache_.note_hit();
 
   // By value: a hook inside execute() may restore a checkpoint and flush the
   // cache, which would dangle a reference into blk->entries.
@@ -209,16 +209,15 @@ StepResult Core::step_cached() {
   // path's post-decode checks are compile-time-true here.
 
   const u64 prev_pc = pc_;
-  const u64 inv_before = bbcache_.stats.invalidations;
+  const u64 drops_before = bbcache_.drops();
   const StepResult r = execute(in);
   if (r.stop != StopReason::kTrapped) ++instret_;
 
   // Arm the cursor when execution fell through to the next entry. The
-  // invalidation-counter check proves no block was destroyed during
+  // drop-count check proves no block was destroyed during
   // execute() (e.g. a checkpoint restore inside a trap hook), so blk is
   // still safe to dereference.
-  if (r.stop == StopReason::kNone &&
-      bbcache_.stats.invalidations == inv_before &&
+  if (r.stop == StopReason::kNone && bbcache_.drops() == drops_before &&
       idx + 1 < blk->entries.size() && pc_ == prev_pc + in.len &&
       priv_ == blk->priv) {
     bb_cur_ = blk;

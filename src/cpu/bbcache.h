@@ -28,18 +28,22 @@
 // that a no-op for correctness.
 //
 // The cache is a pure host-speed structure: simulated cycles and every
-// StatSet counter are unchanged whether it is on or off. The classic path
+// other counter are unchanged whether it is on or off. Its own bbcache.*
+// counters live in the core's bank, and Core::merged_stats() publishes them
+// (zeros included) exactly when the cache is on. The classic path
 // (CoreConfig::decode_cache = false) is the reference; tests/cpu/
 // lockstep_test.cpp steps one core of each kind side by side and compares
 // architectural state and every counter after each step.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
 #include "isa/inst.h"
+#include "telemetry/metrics.h"
 
 namespace ptstore {
 
@@ -66,11 +70,20 @@ class BlockCache {
   static constexpr size_t kMaxBlocks = 4096;
   static constexpr size_t kMaxEntries = 64;
 
-  struct Stats {
-    u64 hits = 0;           ///< Instructions dispatched from a cached block.
-    u64 misses = 0;         ///< Block builds (including ones that found nothing).
-    u64 invalidations = 0;  ///< Blocks dropped by a generation guard or flush.
-  };
+  static constexpr std::array<const char*, 3> kCounterNames = {
+      "bbcache.hits", "bbcache.misses", "bbcache.invalidations"};
+
+  explicit BlockCache(telemetry::CounterBank& bank)
+      : hits_(bank.counter(kCounterNames[0], "decoded-block cache hits (host-side)")),
+        misses_(bank.counter(kCounterNames[1],
+                             "decoded-block cache misses (host-side)")),
+        invalidations_(bank.counter(kCounterNames[2],
+                                    "decoded blocks invalidated (host-side)")) {}
+
+  /// An instruction dispatched from a cached block.
+  void note_hit() { hits_.add(); }
+  /// A block build (including one that found nothing to cache).
+  void note_miss() { misses_.add(); }
 
   BBlock* find(PhysAddr pa, Privilege priv) {
     auto it = blocks_.find(key(pa, priv));
@@ -89,17 +102,21 @@ class BlockCache {
   /// Drop one block whose generation guard failed.
   void invalidate(const BBlock* blk) {
     blocks_.erase(key(blk->start_pa, blk->priv));
-    ++stats.invalidations;
+    ++drops_;
+    invalidations_.add();
   }
 
   void flush_all() {
-    stats.invalidations += blocks_.size();
+    drops_ += blocks_.size();
+    invalidations_.add(blocks_.size());
     blocks_.clear();
   }
 
   size_t size() const { return blocks_.size(); }
 
-  Stats stats;
+  /// Blocks dropped since construction. Unlike bbcache.invalidations it is
+  /// never cleared, so a step can prove its block survived execute().
+  u64 drops() const { return drops_; }
 
  private:
   // PAs are < 2^56, so the privilege tags the top bits.
@@ -108,6 +125,10 @@ class BlockCache {
   }
 
   std::unordered_map<u64, std::unique_ptr<BBlock>> blocks_;
+  u64 drops_ = 0;
+  telemetry::Counter hits_;
+  telemetry::Counter misses_;
+  telemetry::Counter invalidations_;
 };
 
 }  // namespace ptstore

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/bits.h"
-#include "common/stats.h"
 #include "common/types.h"
 #include "telemetry/metrics.h"
 
@@ -26,14 +25,15 @@ struct BranchPredictorConfig {
 
 class BranchPredictor {
  public:
-  explicit BranchPredictor(const BranchPredictorConfig& cfg)
+  /// Registers bp.{hits,misses,btb_hits,btb_misses} in `bank`.
+  BranchPredictor(const BranchPredictorConfig& cfg, telemetry::CounterBank& bank)
       : cfg_(cfg),
         counters_(size_t{1} << cfg.table_bits, 1),  // Weakly not-taken.
         btb_(size_t{1} << cfg.btb_bits),
-        hits_(bank_.counter("bp.hits", "correct branch predictions")),
-        misses_(bank_.counter("bp.misses", "branch mispredictions")),
-        btb_hits_(bank_.counter("bp.btb_hits", "BTB target hits")),
-        btb_misses_(bank_.counter("bp.btb_misses", "BTB target misses")) {}
+        hits_(bank.counter("bp.hits", "correct branch predictions")),
+        misses_(bank.counter("bp.misses", "branch mispredictions")),
+        btb_hits_(bank.counter("bp.btb_hits", "BTB target hits")),
+        btb_misses_(bank.counter("bp.btb_misses", "BTB target misses")) {}
 
   /// Predict the direction of a conditional branch at `pc`.
   bool predict_taken(u64 pc) const {
@@ -70,14 +70,6 @@ class BranchPredictor {
     return cfg_.mispredict_penalty;
   }
 
-  const StatSet& stats() const {
-    bank_.snapshot_into(stats_);
-    return stats_;
-  }
-  void clear_stats() {
-    bank_.clear();
-    stats_.clear();
-  }
   const BranchPredictorConfig& config() const { return cfg_; }
 
   /// Prediction accuracy over everything resolved so far.
@@ -105,12 +97,10 @@ class BranchPredictor {
   std::vector<u8> counters_;
   std::vector<BtbEntry> btb_;
   u64 history_ = 0;
-  telemetry::CounterBank bank_;
   telemetry::Counter hits_;
   telemetry::Counter misses_;
   telemetry::Counter btb_hits_;
   telemetry::Counter btb_misses_;
-  mutable StatSet stats_;
 };
 
 }  // namespace ptstore

@@ -11,13 +11,15 @@ namespace csr = isa::csr;
 Core::Core(PhysMem& mem, const CoreConfig& cfg)
     : mem_(mem),
       cfg_(cfg),
-      icache_(cfg.icache),
-      dcache_(cfg.dcache),
-      l2_(cfg.l2_enabled ? std::optional<Cache>(cfg.l2) : std::nullopt),
-      mmu_(mem, pmp_, cfg.itlb, cfg.dtlb, &dcache_,
+      icache_(cfg.icache, bank_),
+      dcache_(cfg.dcache, bank_),
+      l2_(cfg.l2_enabled ? std::optional<Cache>(std::in_place, cfg.l2, bank_)
+                         : std::nullopt),
+      mmu_(mem, pmp_, cfg.itlb, cfg.dtlb, bank_, &dcache_,
            cfg.l2_enabled ? &*l2_ : nullptr),
-      bpred_(cfg.bpred),
+      bpred_(cfg.bpred, bank_),
       pc_(cfg.reset_pc),
+      bbcache_(bank_),
       pmp_faults_(bank_.counter("core.pmp_faults", "accesses denied by PMP")),
       interrupts_(bank_.counter("core.interrupts", "interrupts taken")),
       traps_(bank_.counter("core.traps", "synchronous traps taken")),
@@ -30,9 +32,6 @@ Core::Core(PhysMem& mem, const CoreConfig& cfg)
   auto& reg = telemetry::MetricsRegistry::instance();
   reg.intern("core.cycles", "simulated cycles elapsed", "cycles");
   reg.intern("core.instret", "instructions retired", "instructions");
-  reg.intern("bbcache.hits", "decoded-block cache hits (host-side)");
-  reg.intern("bbcache.misses", "decoded-block cache misses (host-side)");
-  reg.intern("bbcache.invalidations", "decoded blocks invalidated (host-side)");
 }
 
 void Core::load_code(PhysAddr base, const std::vector<u32>& words) {
@@ -344,37 +343,16 @@ void Core::restore_arch_state(const CoreArchState& st) {
 }
 
 StatSet Core::merged_stats() const {
-  StatSet out;
-  out.merge(stats());
-  out.merge(icache_.stats());
-  out.merge(dcache_.stats());
-  if (l2_) out.merge(l2_->stats());
-  out.merge(mmu_.stats());
-  out.merge(mmu_.itlb().stats());
-  out.merge(mmu_.dtlb().stats());
-  out.merge(bpred_.stats());
+  StatSet out = bank_.snapshot();
   out.set("core.cycles", cycles_);
   out.set("core.instret", instret_);
   if (cfg_.decode_cache) {
-    // Host-side counters; only published when the cache is on so reports
-    // with it off stay byte-identical to the classic interpreter's.
-    out.set("bbcache.hits", bbcache_.stats.hits);
-    out.set("bbcache.misses", bbcache_.stats.misses);
-    out.set("bbcache.invalidations", bbcache_.stats.invalidations);
+    // Host-side counters, reported even at zero exactly when the cache is on.
+    // With it off nothing bumps them and the snapshot skips zeros, so those
+    // reports stay byte-identical to the classic interpreter's.
+    for (const char* name : BlockCache::kCounterNames) out.add(name, 0);
   }
   return out;
-}
-
-void Core::clear_all_stats() {
-  clear_stats();
-  icache_.clear_stats();
-  dcache_.clear_stats();
-  if (l2_) l2_->clear_stats();
-  mmu_.clear_stats();
-  mmu_.itlb().clear_stats();
-  mmu_.dtlb().clear_stats();
-  bpred_.clear_stats();
-  bbcache_.stats = {};
 }
 
 bool Core::interrupt_pending() const {

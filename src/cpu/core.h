@@ -213,26 +213,15 @@ class Core {
   MemAccessResult access_as(VirtAddr va, unsigned size, AccessType type,
                             AccessKind kind, Privilege priv, u64 store_value = 0);
 
-  const StatSet& stats() const {
-    bank_.snapshot_into(stats_);
-    return stats_;
-  }
-  /// Reset the core's own event counters (cache/TLB/MMU stats unaffected,
-  /// matching the old `stats().clear()` behaviour).
-  void clear_stats() {
-    bank_.clear();
-    stats_.clear();
-  }
-
-  /// Merged view of every hardware counter: core events, L1I/L1D caches,
-  /// I/D TLBs, and MMU/PTW counters, plus cycles/instret.
+  /// Every hardware counter of this hart — core events, L1I/L1D/L2, I/D
+  /// TLBs, MMU/PTW and branch predictor: the nonzero cells of the hart's
+  /// bank — plus the core.cycles/core.instret gauges and, exactly when the
+  /// decode cache is on, the bbcache.* counters (zeros included).
   StatSet merged_stats() const;
 
-  /// Zero every hardware counter merged_stats() reports: core events,
-  /// caches, TLBs, MMU/PTW, branch predictor, and the decode-cache stats.
-  /// Architectural cycles/instret are untouched (they are machine state,
-  /// not telemetry). Checkpoint forks call this so shards count from zero.
-  void clear_all_stats();
+  /// Zero every counter in this hart's bank. Architectural cycles/instret
+  /// are untouched (they are machine state, not telemetry).
+  void clear_stats() { bank_.clear(); }
 
   /// Convenience for loaders: copy a code image into physical memory.
   void load_code(PhysAddr base, const std::vector<u32>& words);
@@ -298,6 +287,8 @@ class Core {
 
   PhysMem& mem_;
   CoreConfig cfg_;
+  /// The hart's one counter store: every component below registers here.
+  telemetry::CounterBank bank_;
   PmpUnit pmp_;
   Cache icache_;
   Cache dcache_;
@@ -355,13 +346,11 @@ class Core {
   TraceHook trace_hook_;
   SIntrHook sintr_hook_;
 
-  telemetry::CounterBank bank_;
   telemetry::Counter pmp_faults_;
   telemetry::Counter interrupts_;
   telemetry::Counter traps_;
   telemetry::Counter sd_pt_;
   telemetry::Counter ld_pt_;
-  mutable StatSet stats_;
 };
 
 }  // namespace ptstore

@@ -10,7 +10,6 @@
 #include "harness/fleet.h"
 #include "kernel/protocol.h"
 #include "telemetry/json.h"
-#include "telemetry/metrics.h"
 
 namespace ptstore::harness {
 
@@ -433,15 +432,12 @@ CampaignResult run_campaign(const CampaignSpec& spec) {
   });
 
   for (const double s : fork_secs) result.timing.fork_seconds_total += s;
+  // Shard order, whatever the worker schedule: StatSet is name-keyed and
+  // addition commutes, so the aggregate is identical for any --jobs value.
   for (const ShardOutcome& s : result.shards) {
     if (s.failed) ++result.failures;
+    result.aggregate.merge(s.stats);
   }
-  result.aggregate = telemetry::merge_shard_stats([&] {
-    std::vector<StatSet> per_shard;
-    per_shard.reserve(result.shards.size());
-    for (const ShardOutcome& s : result.shards) per_shard.push_back(s.stats);
-    return per_shard;
-  }());
   if (spec.profile) {
     for (const ShardOutcome& s : result.shards) {
       telemetry::merge_folded(result.profile, s.profile);

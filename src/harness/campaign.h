@@ -160,7 +160,7 @@ struct CampaignTiming {
 struct CampaignResult {
   CampaignSpec spec;
   std::vector<ShardOutcome> shards;  ///< Index order, regardless of jobs.
-  StatSet aggregate;                 ///< merge_shard_stats over the shards.
+  StatSet aggregate;                 ///< Sum of the shards' report() counters.
   /// merge_folded over the shard profiles — a pure sum by stack key, so the
   /// merged profile is byte-identical for any --jobs value.
   telemetry::FoldedProfile profile;

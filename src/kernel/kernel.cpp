@@ -166,7 +166,7 @@ bool Kernel::boot() {
   }
 
   kmem_ = std::make_unique<KernelMem>(core_, iso_.pt_insns, iso_.pt_write_extra);
-  pages_ = std::make_unique<PageAllocator>(normal_base, sr_base, dram_end);
+  pages_ = std::make_unique<PageAllocator>(normal_base, sr_base, dram_end, bank_);
   backend_ = make_isolation_backend(iso_, *this);
   kmem_->set_pt_write_observer(backend_.get());
   for (Core* hart : harts_) hart->mmu().set_walk_verifier(backend_->walk_verifier());
@@ -200,7 +200,7 @@ bool Kernel::boot() {
 
   tokens_ = std::make_unique<TokenManager>(*kmem_, *token_cache_);
   pm_ = std::make_unique<ProcessManager>(*kmem_, *pt_, *pages_, *backend_,
-                                         *pcb_cache_, cfg_, kernel_root_);
+                                         *pcb_cache_, cfg_, kernel_root_, bank_);
   pm_->set_kernel(this);
 
   if (iso_.allow_adjustment) {
@@ -255,7 +255,7 @@ void Kernel::restore_state(const State& st) {
   // Zone geometry comes from the checkpoint, not the boot-time layout: the
   // PTSTORE base moves on secure-region growth.
   pages_ = std::make_unique<PageAllocator>(st.normal_zone.base, st.ptstore_zone.base,
-                                           st.ptstore_zone.end);
+                                           st.ptstore_zone.end, bank_);
   pages_->normal().restore_state(st.normal_zone);
   pages_->ptstore().restore_state(st.ptstore_zone);
   backend_ = make_isolation_backend(iso_, *this);
@@ -282,7 +282,7 @@ void Kernel::restore_state(const State& st) {
   kernel_root_ = st.kernel_root;
   tokens_ = std::make_unique<TokenManager>(*kmem_, *token_cache_);
   pm_ = std::make_unique<ProcessManager>(*kmem_, *pt_, *pages_, *backend_,
-                                         *pcb_cache_, cfg_, kernel_root_);
+                                         *pcb_cache_, cfg_, kernel_root_, bank_);
   pm_->set_kernel(this);
   pm_->restore_state(st.processes);
 
@@ -297,13 +297,6 @@ void Kernel::restore_state(const State& st) {
   collect_latency_ = false;
   latency_.clear();
   restored_count_.add();
-}
-
-void Kernel::clear_stats() {
-  bank_.clear();
-  if (pages_) pages_->clear_stats();
-  if (pm_) pm_->clear_stats();
-  latency_.clear();
 }
 
 bool Kernel::grow_secure_region(unsigned order) {

@@ -142,10 +142,10 @@ class Kernel {
   /// Charge the kernel trap entry/exit path (ecall or fault).
   void charge_trap_roundtrip();
 
-  const StatSet& stats() const {
-    bank_.snapshot_into(stats_);
-    return stats_;
-  }
+  /// The kernel's one counter store: kernel.*, plus the process.* and
+  /// page_alloc.* counters of its ProcessManager and PageAllocator.
+  telemetry::CounterBank& counters() { return bank_; }
+  const telemetry::CounterBank& counters() const { return bank_; }
 
   /// Attach the console UART at `uart_base` (mapped by System). With
   /// PTStore active the window is placed under a guard region (§V-F), so
@@ -160,6 +160,7 @@ class Kernel {
   /// tail-latency bench. Off by default — recording is cheap but not free.
   void enable_latency_collection(bool on) { collect_latency_ = on; }
   const std::map<Sys, Histogram>& syscall_latency() const { return latency_; }
+  void clear_latency() { latency_.clear(); }
 
   /// Host-side kernel state for full-system checkpoints. Everything the
   /// simulated kernel keeps *outside* simulated memory: allocator free
@@ -188,11 +189,6 @@ class Kernel {
   /// The latency histogram resets; collection stays off.
   void restore_state(const State& st);
 
-  /// Zero this kernel's telemetry counters and latency histograms (the
-  /// allocator's and process manager's included). Used by checkpoint forks
-  /// so shard counters start from zero.
-  void clear_stats();
-
  private:
   bool syscall_impl(Process& proc, Sys s);
 
@@ -204,6 +200,7 @@ class Kernel {
   SbiMonitor& sbi_;
   KernelConfig cfg_;
   IsolationConfig iso_;
+  telemetry::CounterBank bank_;  ///< Declared before the subsystems using it.
 
   std::unique_ptr<KernelMem> kmem_;
   std::unique_ptr<IsolationBackend> backend_;
@@ -222,13 +219,11 @@ class Kernel {
   bool collect_latency_ = false;
   std::map<Sys, Histogram> latency_;
 
-  telemetry::CounterBank bank_;
   telemetry::Counter booted_count_;
   telemetry::Counter restored_count_;
   telemetry::Counter sr_adjustments_;
   telemetry::Counter traps_;
   telemetry::Counter syscalls_;
-  mutable StatSet stats_;
 };
 
 }  // namespace ptstore

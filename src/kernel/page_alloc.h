@@ -6,7 +6,6 @@
 
 #include <functional>
 
-#include "common/stats.h"
 #include "kernel/buddy.h"
 #include "telemetry/metrics.h"
 
@@ -22,19 +21,21 @@ enum class Gfp : u8 {
 class PageAllocator {
  public:
   /// `normal` spans [normal_base, ptstore_base); `ptstore` spans
-  /// [ptstore_base, dram_end).
-  PageAllocator(PhysAddr normal_base, PhysAddr ptstore_base, PhysAddr dram_end)
+  /// [ptstore_base, dram_end). The page_alloc.* counters register in `bank`
+  /// (the kernel's).
+  PageAllocator(PhysAddr normal_base, PhysAddr ptstore_base, PhysAddr dram_end,
+                telemetry::CounterBank& bank)
       : normal_("NORMAL", normal_base, ptstore_base - normal_base),
         ptstore_("PTSTORE", ptstore_base, dram_end - ptstore_base),
-        ptstore_requests_(bank_.counter("page_alloc.ptstore_requests",
-                                        "PTStore-zone allocation requests")),
-        adjustments_triggered_(bank_.counter(
+        ptstore_requests_(bank.counter("page_alloc.ptstore_requests",
+                                       "PTStore-zone allocation requests")),
+        adjustments_triggered_(bank.counter(
             "page_alloc.adjustments_triggered",
             "PTStore-zone exhaustions that invoked the grow hook")),
-        user_requests_(bank_.counter("page_alloc.user_requests",
-                                     "normal-zone user-page requests")),
-        kernel_requests_(bank_.counter("page_alloc.kernel_requests",
-                                       "normal-zone kernel requests")) {}
+        user_requests_(bank.counter("page_alloc.user_requests",
+                                    "normal-zone user-page requests")),
+        kernel_requests_(bank.counter("page_alloc.kernel_requests",
+                                      "normal-zone kernel requests")) {}
 
   /// Hook invoked when the PTStore zone runs dry; should grow the zone
   /// (secure-region adjustment) and return true if more pages are available.
@@ -49,23 +50,14 @@ class PageAllocator {
   const BuddyZone& normal() const { return normal_; }
   const BuddyZone& ptstore() const { return ptstore_; }
 
-  const StatSet& stats() const {
-    bank_.snapshot_into(stats_);
-    return stats_;
-  }
-
-  void clear_stats() { bank_.clear(); }
-
  private:
   BuddyZone normal_;
   BuddyZone ptstore_;
   GrowHook grow_;
-  telemetry::CounterBank bank_;
   telemetry::Counter ptstore_requests_;
   telemetry::Counter adjustments_triggered_;
   telemetry::Counter user_requests_;
   telemetry::Counter kernel_requests_;
-  mutable StatSet stats_;
 };
 
 }  // namespace ptstore

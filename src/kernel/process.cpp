@@ -17,7 +17,7 @@ constexpr u64 kSwitchBodyInstrs = 600;
 ProcessManager::ProcessManager(KernelMem& kmem, PageTableManager& pt,
                                PageAllocator& pages, IsolationBackend& iso,
                                KmemCache& pcb_cache, const KernelConfig& cfg,
-                               PhysAddr kernel_root)
+                               PhysAddr kernel_root, telemetry::CounterBank& bank)
     : kmem_(kmem),
       pt_(pt),
       pages_(pages),
@@ -25,14 +25,14 @@ ProcessManager::ProcessManager(KernelMem& kmem, PageTableManager& pt,
       pcb_cache_(pcb_cache),
       cfg_(cfg),
       kernel_root_(kernel_root),
-      creates_(bank_.counter("process.creates", "processes created")),
-      forks_(bank_.counter("process.forks", "forks")),
-      execs_(bank_.counter("process.execs", "execs")),
-      exits_(bank_.counter("process.exits", "process exits")),
-      switches_(bank_.counter("process.switches", "context switches")),
-      token_rejects_(bank_.counter("process.token_rejects",
-                                   "context switches refused by token validation")),
-      faults_(bank_.counter("process.faults", "demand page faults handled")) {}
+      creates_(bank.counter("process.creates", "processes created")),
+      forks_(bank.counter("process.forks", "forks")),
+      execs_(bank.counter("process.execs", "execs")),
+      exits_(bank.counter("process.exits", "process exits")),
+      switches_(bank.counter("process.switches", "context switches")),
+      token_rejects_(bank.counter("process.token_rejects",
+                                  "context switches refused by token validation")),
+      faults_(bank.counter("process.faults", "demand page faults handled")) {}
 
 void ProcessManager::shootdown(std::optional<VirtAddr> va, std::optional<u16> asid) {
   if (k_ != nullptr) {

@@ -61,9 +61,10 @@ struct Process {
 
 class ProcessManager {
  public:
+  /// The process.* counters register in `bank` (the kernel's).
   ProcessManager(KernelMem& kmem, PageTableManager& pt, PageAllocator& pages,
                  IsolationBackend& iso, KmemCache& pcb_cache, const KernelConfig& cfg,
-                 PhysAddr kernel_root);
+                 PhysAddr kernel_root, telemetry::CounterBank& bank);
 
   /// Attach the owning kernel: TLB invalidations then go through its
   /// cross-hart shootdown protocol instead of a local-only sfence, and
@@ -108,11 +109,6 @@ class ProcessManager {
   u64 pcb_pgd(const Process& proc) { return kmem_.must_ld(proc.pcb_pgd_field()); }
   u64 pcb_token(const Process& proc) { return kmem_.must_ld(proc.pcb_token_field()); }
 
-  const StatSet& stats() const {
-    bank_.snapshot_into(stats_);
-    return stats_;
-  }
-
   /// Process-table state for full-system checkpoints. `Process` is a plain
   /// copyable value; `current` is saved by pid (0 = none) since pointers
   /// don't survive a restore.
@@ -125,8 +121,6 @@ class ProcessManager {
   };
   State save_state() const;
   void restore_state(const State& st);
-
-  void clear_stats() { bank_.clear(); }
 
  private:
   Process* create_common(Process* parent, PtStatus* st);
@@ -154,7 +148,6 @@ class ProcessManager {
   u64 next_pid_ = 1;
   u16 next_asid_ = 1;
 
-  telemetry::CounterBank bank_;
   telemetry::Counter creates_;
   telemetry::Counter forks_;
   telemetry::Counter execs_;
@@ -162,7 +155,6 @@ class ProcessManager {
   telemetry::Counter switches_;
   telemetry::Counter token_rejects_;
   telemetry::Counter faults_;
-  mutable StatSet stats_;
 };
 
 }  // namespace ptstore

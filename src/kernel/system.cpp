@@ -198,8 +198,9 @@ System::System(const SystemConfig& cfg)
 System::~System() = default;
 
 void System::clear_stats() {
-  core_->clear_all_stats();
-  kernel_->clear_stats();
+  for (unsigned h = 0; h < nharts(); ++h) core(h).clear_stats();
+  kernel_->counters().clear();
+  kernel_->clear_latency();
 }
 
 SystemCheckpoint System::checkpoint() {
@@ -248,9 +249,7 @@ Result<std::unique_ptr<System>> System::create_from(const SystemCheckpoint& ck) 
 
 StatSet System::report() const {
   StatSet out = core_->merged_stats();
-  out.merge(kernel_->stats());
-  out.merge(kernel_->processes().stats());
-  out.merge(kernel_->pages().stats());
+  out.merge(kernel_->counters().snapshot());
   out.set("kernel.pt_pages_live", kernel_->pagetables().pt_pages_allocated());
   out.set("kernel.tokens_live", kernel_->token_cache().objects_in_use());
   out.set("kernel.processes_live", kernel_->processes().live_count());

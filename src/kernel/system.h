@@ -125,13 +125,16 @@ class System {
   /// Total cycles elapsed on the core.
   Cycles cycles() const { return core_->cycles(); }
 
-  /// One merged StatSet over the whole machine: hardware counters (core,
-  /// caches, TLBs, MMU) plus kernel/process/allocator counters — the
-  /// observability surface for benches and postmortems.
+  /// The machine report for benches and postmortems: hart 0's hardware
+  /// counters (core(0).merged_stats(): core, caches, TLBs, MMU, branch
+  /// predictor) plus the kernel's bank (kernel/process/allocator counters)
+  /// and the live-object gauges. Secondary harts' hardware counters are not
+  /// included; read them with core(h).merged_stats().
   StatSet report() const;
 
-  /// Zero every telemetry counter on the machine (hardware + kernel).
-  /// Architectural state — including cycles/instret — is untouched.
+  /// Zero every telemetry counter on the machine: every hart's bank, the
+  /// kernel's bank and its syscall latency histograms. Architectural
+  /// state — including cycles/instret — is untouched.
   void clear_stats();
 
   /// Capture a full-system checkpoint. Quiesces the core's

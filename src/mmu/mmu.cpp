@@ -21,26 +21,27 @@ constexpr Cycles kPtwLevelBaseCost = 2;  ///< Walker FSM cost per level.
 }  // namespace
 
 Mmu::Mmu(PhysMem& mem, PmpUnit& pmp, const TlbConfig& itlb_cfg,
-         const TlbConfig& dtlb_cfg, Cache* ptw_cache, Cache* l2)
+         const TlbConfig& dtlb_cfg, telemetry::CounterBank& bank, Cache* ptw_cache,
+         Cache* l2)
     : mem_(mem),
       pmp_(pmp),
-      itlb_(itlb_cfg),
-      dtlb_(dtlb_cfg),
+      itlb_(itlb_cfg, bank),
+      dtlb_(dtlb_cfg, bank),
       ptw_cache_(ptw_cache),
       l2_(l2),
-      noncanonical_(bank_.counter("mmu.noncanonical", "non-canonical VA faults")),
-      walks_(bank_.counter("mmu.walks", "hardware page-table walks")),
-      ptw_bad_addr_(bank_.counter("mmu.ptw_bad_addr", "PTE fetches outside DRAM")),
-      ptw_secure_denied_(bank_.counter(
+      noncanonical_(bank.counter("mmu.noncanonical", "non-canonical VA faults")),
+      walks_(bank.counter("mmu.walks", "hardware page-table walks")),
+      ptw_bad_addr_(bank.counter("mmu.ptw_bad_addr", "PTE fetches outside DRAM")),
+      ptw_secure_denied_(bank.counter(
           "mmu.ptw_secure_denied", "PTE fetches denied by the satp.S secure check")),
-      ptw_pmp_denied_(bank_.counter("mmu.ptw_pmp_denied", "PTE fetches denied by PMP")),
-      ptw_nonsecure_fetch_(bank_.counter(
+      ptw_pmp_denied_(bank.counter("mmu.ptw_pmp_denied", "PTE fetches denied by PMP")),
+      ptw_nonsecure_fetch_(bank.counter(
           "mmu.ptw_nonsecure_fetch",
           "PTE fetches consumed from outside every PMP S=1 region")),
-      ptw_verify_denied_(bank_.counter(
+      ptw_verify_denied_(bank.counter(
           "mmu.ptw_verify_denied", "PTE fetches vetoed by the walk verifier")),
-      ad_updates_(bank_.counter("mmu.ad_updates", "hardware A/D bit writebacks")),
-      sfences_(bank_.counter("mmu.sfence", "sfence.vma executions")) {}
+      ad_updates_(bank.counter("mmu.ad_updates", "hardware A/D bit writebacks")),
+      sfences_(bank.counter("mmu.sfence", "sfence.vma executions")) {}
 
 isa::TrapCause Mmu::leaf_check(u64 leaf, AccessType type,
                                const TranslationContext& ctx) const {

@@ -8,7 +8,6 @@
 
 #include "cache/cache.h"
 #include "cache/tlb.h"
-#include "common/stats.h"
 #include "isa/csr.h"
 #include "isa/trap.h"
 #include "mem/phys_mem.h"
@@ -62,8 +61,9 @@ struct TranslationContext {
 
 class Mmu {
  public:
+  /// The walker's mmu.* counters and both TLBs' counters register in `bank`.
   Mmu(PhysMem& mem, PmpUnit& pmp, const TlbConfig& itlb_cfg, const TlbConfig& dtlb_cfg,
-      Cache* ptw_cache = nullptr, Cache* l2 = nullptr);
+      telemetry::CounterBank& bank, Cache* ptw_cache = nullptr, Cache* l2 = nullptr);
 
   /// Wire the owning core's cycle/instret/privilege state so PTW trace spans
   /// carry simulated timestamps. Purely observational — never affects timing.
@@ -93,14 +93,6 @@ class Mmu {
   Tlb& dtlb() { return dtlb_; }
   const Tlb& itlb() const { return itlb_; }
   const Tlb& dtlb() const { return dtlb_; }
-  const StatSet& stats() const {
-    bank_.snapshot_into(stats_);
-    return stats_;
-  }
-  void clear_stats() {
-    bank_.clear();
-    stats_.clear();
-  }
 
   /// Reference (non-caching, non-faulting) translation used by property
   /// tests to cross-check the walker. Returns nullopt on any fault.
@@ -130,7 +122,6 @@ class Mmu {
   const u64* clock_instret_ = nullptr;
   const Privilege* clock_priv_ = nullptr;
 
-  telemetry::CounterBank bank_;
   telemetry::Counter noncanonical_;
   telemetry::Counter walks_;
   telemetry::Counter ptw_bad_addr_;
@@ -140,7 +131,6 @@ class Mmu {
   telemetry::Counter ptw_verify_denied_;
   telemetry::Counter ad_updates_;
   telemetry::Counter sfences_;
-  mutable StatSet stats_;
 };
 
 }  // namespace ptstore

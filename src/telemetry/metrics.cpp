@@ -41,30 +41,23 @@ size_t MetricsRegistry::size() const {
   return metas_.size();
 }
 
-StatSet merge_shard_stats(const std::vector<StatSet>& shards) {
-  StatSet out;
-  for (const StatSet& s : shards) out.merge(s);
-  return out;
-}
-
 Counter CounterBank::counter(std::string_view name, std::string_view description,
                              std::string_view unit) {
   const CounterId id = MetricsRegistry::instance().intern(name, description, unit);
+  for (const Entry& e : entries_) {
+    if (e.id == id) return Counter(e.cell, id);
+  }
   cells_.push_back(0);
   entries_.push_back(Entry{id, &cells_.back()});
   return Counter(&cells_.back(), id);
 }
 
-void CounterBank::snapshot_into(StatSet& out) const {
+StatSet CounterBank::snapshot() const {
   const MetricsRegistry& reg = MetricsRegistry::instance();
+  StatSet out;
   for (const Entry& e : entries_) {
     if (*e.cell != 0) out.set(reg.meta(e.id).name, *e.cell);
   }
-}
-
-StatSet CounterBank::snapshot() const {
-  StatSet out;
-  snapshot_into(out);
   return out;
 }
 

@@ -20,7 +20,8 @@ TEST(L2, HierarchyChargesL2OnL1Miss) {
   l2c.ways = 8;
   l2c.hit_latency = 10;
   l2c.miss_penalty = 60;
-  Cache l1(l1c), l2(l2c);
+  telemetry::CounterBank bank;
+  Cache l1(l1c, bank), l2(l2c, bank);
 
   // Cold: L1 miss + L2 miss = 10 + 60 beyond L1 hit latency.
   EXPECT_EQ(Cache::hierarchy_access(l1, &l2, 0x1000, false), 70u);
@@ -38,7 +39,8 @@ TEST(L2, NullL2DegradesToL1Only) {
   l1c.name = "L1";
   l1c.size_bytes = KiB(1);
   l1c.ways = 1;
-  Cache l1(l1c);
+  telemetry::CounterBank bank;
+  Cache l1(l1c, bank);
   EXPECT_EQ(Cache::hierarchy_access(l1, nullptr, 0x1000, false),
             l1c.miss_penalty);
   EXPECT_EQ(Cache::hierarchy_access(l1, nullptr, 0x1000, false), 0u);

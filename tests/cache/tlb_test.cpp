@@ -10,7 +10,8 @@ namespace {
 TlbConfig cfg8() { return TlbConfig{.name = "T", .entries = 8}; }
 
 TEST(Tlb, MissThenHit) {
-  Tlb t(cfg8());
+  telemetry::CounterBank bank;
+  Tlb t(cfg8(), bank);
   EXPECT_EQ(t.lookup(0x1000, 1), nullptr);
   t.insert(0x1000, 1, 0, 0xABC, false);
   const TlbEntry* e = t.lookup(0x1000, 1);
@@ -20,21 +21,24 @@ TEST(Tlb, MissThenHit) {
 }
 
 TEST(Tlb, AsidIsolation) {
-  Tlb t(cfg8());
+  telemetry::CounterBank bank;
+  Tlb t(cfg8(), bank);
   t.insert(0x1000, 1, 0, 0xA, false);
   EXPECT_EQ(t.lookup(0x1000, 2), nullptr);
   EXPECT_NE(t.lookup(0x1000, 1), nullptr);
 }
 
 TEST(Tlb, GlobalMatchesAnyAsid) {
-  Tlb t(cfg8());
+  telemetry::CounterBank bank;
+  Tlb t(cfg8(), bank);
   t.insert(0x1000, 1, 0, 0xA, true);
   EXPECT_NE(t.lookup(0x1000, 2), nullptr);
   EXPECT_NE(t.lookup(0x1000, 7), nullptr);
 }
 
 TEST(Tlb, SuperpageReach) {
-  Tlb t(cfg8());
+  telemetry::CounterBank bank;
+  Tlb t(cfg8(), bank);
   // 1 GiB superpage (level 2) at VA 0x4000_0000.
   t.insert(0x4000'0000, 1, 2, 0xBEEF, false);
   EXPECT_NE(t.lookup(0x4000'0000, 1), nullptr);
@@ -43,14 +47,16 @@ TEST(Tlb, SuperpageReach) {
 }
 
 TEST(Tlb, MegapageReach) {
-  Tlb t(cfg8());
+  telemetry::CounterBank bank;
+  Tlb t(cfg8(), bank);
   t.insert(0x0020'0000, 3, 1, 0x1, false);
   EXPECT_NE(t.lookup(0x0020'0000 + MiB(1), 3), nullptr);
   EXPECT_EQ(t.lookup(0x0040'0000, 3), nullptr);
 }
 
 TEST(Tlb, LruEvictionAtCapacity) {
-  Tlb t(cfg8());
+  telemetry::CounterBank bank;
+  Tlb t(cfg8(), bank);
   for (u64 i = 0; i < 8; ++i) t.insert(i << kPageShift, 1, 0, i, false);
   (void)t.lookup(0, 1);  // Refresh entry 0.
   t.insert(u64{100} << kPageShift, 1, 0, 100, false);  // Evicts VA page 1.
@@ -60,7 +66,8 @@ TEST(Tlb, LruEvictionAtCapacity) {
 }
 
 TEST(Tlb, FlushAll) {
-  Tlb t(cfg8());
+  telemetry::CounterBank bank;
+  Tlb t(cfg8(), bank);
   t.insert(0x1000, 1, 0, 1, false);
   t.insert(0x2000, 2, 0, 2, true);
   t.flush(std::nullopt, std::nullopt);
@@ -68,7 +75,8 @@ TEST(Tlb, FlushAll) {
 }
 
 TEST(Tlb, FlushByAsidSparesGlobalsAndOtherAsids) {
-  Tlb t(cfg8());
+  telemetry::CounterBank bank;
+  Tlb t(cfg8(), bank);
   t.insert(0x1000, 1, 0, 1, false);
   t.insert(0x2000, 2, 0, 2, false);
   t.insert(0x3000, 1, 0, 3, true);  // Global.
@@ -79,7 +87,8 @@ TEST(Tlb, FlushByAsidSparesGlobalsAndOtherAsids) {
 }
 
 TEST(Tlb, FlushByAddress) {
-  Tlb t(cfg8());
+  telemetry::CounterBank bank;
+  Tlb t(cfg8(), bank);
   t.insert(0x1000, 1, 0, 1, false);
   t.insert(0x2000, 1, 0, 2, false);
   t.flush(VirtAddr{0x1000}, std::nullopt);
@@ -88,27 +97,30 @@ TEST(Tlb, FlushByAddress) {
 }
 
 TEST(Tlb, FlushAddressMatchesSuperpageReach) {
-  Tlb t(cfg8());
+  telemetry::CounterBank bank;
+  Tlb t(cfg8(), bank);
   t.insert(0x4000'0000, 1, 2, 1, false);  // 1 GiB page.
   t.flush(VirtAddr{0x5000'0000}, std::nullopt);  // Address inside its reach.
   EXPECT_EQ(t.lookup(0x4000'0000, 1), nullptr);
 }
 
 TEST(Tlb, StatsTracked) {
-  Tlb t(cfg8());
+  telemetry::CounterBank bank;
+  Tlb t(cfg8(), bank);
   (void)t.lookup(0x1000, 1);
   t.insert(0x1000, 1, 0, 1, false);
   (void)t.lookup(0x1000, 1);
-  EXPECT_EQ(t.stats().get("T.misses"), 1u);
-  EXPECT_EQ(t.stats().get("T.hits"), 1u);
-  EXPECT_EQ(t.stats().get("T.fills"), 1u);
+  EXPECT_EQ(bank.value_of("T.misses"), 1u);
+  EXPECT_EQ(bank.value_of("T.hits"), 1u);
+  EXPECT_EQ(bank.value_of("T.fills"), 1u);
 }
 
 // Parameterized: entry-count sweep preserves "resident set always hits".
 class TlbSizeSweep : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(TlbSizeSweep, ResidentSetHits) {
-  Tlb t(TlbConfig{.name = "T", .entries = GetParam()});
+  telemetry::CounterBank bank;
+  Tlb t(TlbConfig{.name = "T", .entries = GetParam()}, bank);
   for (unsigned i = 0; i < GetParam(); ++i) {
     t.insert(u64{i} << kPageShift, 1, 0, i, false);
   }

@@ -12,7 +12,8 @@ namespace {
 BranchPredictorConfig cfg() { return BranchPredictorConfig{}; }
 
 TEST(Bpred, LearnsAlwaysTaken) {
-  BranchPredictor bp(cfg());
+  telemetry::CounterBank bank;
+  BranchPredictor bp(cfg(), bank);
   const u64 pc = 0x8000'0100;
   // Cold: weakly-not-taken mispredicts a taken branch.
   EXPECT_GT(bp.resolve_branch(pc, true), 0u);
@@ -25,7 +26,8 @@ TEST(Bpred, LearnsAlwaysTaken) {
 }
 
 TEST(Bpred, LearnsAlwaysNotTaken) {
-  BranchPredictor bp(cfg());
+  telemetry::CounterBank bank;
+  BranchPredictor bp(cfg(), bank);
   const u64 pc = 0x8000'0200;
   for (int i = 0; i < 20; ++i) bp.resolve_branch(pc, false);
   EXPECT_EQ(bp.resolve_branch(pc, false), 0u);
@@ -33,7 +35,8 @@ TEST(Bpred, LearnsAlwaysNotTaken) {
 }
 
 TEST(Bpred, AnomalyRecoveryIsBounded) {
-  BranchPredictor bp(cfg());
+  telemetry::CounterBank bank;
+  BranchPredictor bp(cfg(), bank);
   const u64 pc = 0x8000'0300;
   for (int i = 0; i < 50; ++i) bp.resolve_branch(pc, true);  // Saturated taken.
   bp.resolve_branch(pc, false);  // One anomaly perturbs the history.
@@ -48,7 +51,8 @@ TEST(Bpred, LoopPatternConvergesWithEnoughHistory) {
   // disambiguate the exit iteration; with 10 bits it converges fully.
   BranchPredictorConfig long_hist = cfg();
   long_hist.history_bits = 10;
-  BranchPredictor bp(long_hist);
+  telemetry::CounterBank bank;
+  BranchPredictor bp(long_hist, bank);
   const u64 pc = 0x8000'0400;
   for (int warm = 0; warm < 100; ++warm) {
     for (int i = 0; i < 8; ++i) bp.resolve_branch(pc, i != 7);
@@ -62,7 +66,8 @@ TEST(Bpred, LoopPatternConvergesWithEnoughHistory) {
   // With too little history the same pattern aliases and keeps missing.
   BranchPredictorConfig short_hist = cfg();
   short_hist.history_bits = 2;
-  BranchPredictor bp2(short_hist);
+  telemetry::CounterBank bank2;
+  BranchPredictor bp2(short_hist, bank2);
   u64 penalty2 = 0;
   for (int warm = 0; warm < 100; ++warm) {
     for (int i = 0; i < 8; ++i) bp2.resolve_branch(pc, i != 7);
@@ -74,7 +79,8 @@ TEST(Bpred, LoopPatternConvergesWithEnoughHistory) {
 }
 
 TEST(Bpred, BtbRepeatJumpsFree) {
-  BranchPredictor bp(cfg());
+  telemetry::CounterBank bank;
+  BranchPredictor bp(cfg(), bank);
   EXPECT_GT(bp.resolve_jump(0x8000'0000, 0x8000'2000), 0u);  // Cold.
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(bp.resolve_jump(0x8000'0000, 0x8000'2000), 0u);
@@ -82,7 +88,8 @@ TEST(Bpred, BtbRepeatJumpsFree) {
 }
 
 TEST(Bpred, BtbTargetChangeRepays) {
-  BranchPredictor bp(cfg());
+  telemetry::CounterBank bank;
+  BranchPredictor bp(cfg(), bank);
   bp.resolve_jump(0x8000'0000, 0x8000'2000);
   EXPECT_EQ(bp.resolve_jump(0x8000'0000, 0x8000'2000), 0u);
   // Indirect jump switches target (e.g. function pointer): penalty again.
@@ -91,7 +98,8 @@ TEST(Bpred, BtbTargetChangeRepays) {
 }
 
 TEST(Bpred, BtbAliasingEvicts) {
-  BranchPredictor bp(cfg());
+  telemetry::CounterBank bank;
+  BranchPredictor bp(cfg(), bank);
   const u64 stride = u64{1} << 7;  // 64-entry BTB indexed by pc>>1.
   bp.resolve_jump(0x8000'0000, 1);
   bp.resolve_jump(0x8000'0000 + 64 * stride, 2);  // Same index, different pc.
@@ -99,7 +107,8 @@ TEST(Bpred, BtbAliasingEvicts) {
 }
 
 TEST(Bpred, RandomOutcomesRoughlyHalfAccuracy) {
-  BranchPredictor bp(cfg());
+  telemetry::CounterBank bank;
+  BranchPredictor bp(cfg(), bank);
   Rng rng(5);
   for (int i = 0; i < 4000; ++i) {
     bp.resolve_branch(0x8000'0000 + (rng.next_below(32) << 2), rng.chance(0.5));
@@ -109,9 +118,10 @@ TEST(Bpred, RandomOutcomesRoughlyHalfAccuracy) {
 }
 
 TEST(Bpred, StatsAccumulate) {
-  BranchPredictor bp(cfg());
+  telemetry::CounterBank bank;
+  BranchPredictor bp(cfg(), bank);
   for (int i = 0; i < 10; ++i) bp.resolve_branch(0x100, true);
-  EXPECT_EQ(bp.stats().get("bp.hits") + bp.stats().get("bp.misses"), 10u);
+  EXPECT_EQ(bank.value_of("bp.hits") + bank.value_of("bp.misses"), 10u);
 }
 
 }  // namespace

@@ -23,7 +23,7 @@ TEST(Interrupt, DisarmedTimerNeverFires) {
     a.ebreak();
   });
   EXPECT_EQ(r.stop, StopReason::kEbreakHalt);
-  EXPECT_EQ(m.core.stats().get("core.interrupts"), 0u);
+  EXPECT_EQ(m.core.merged_stats().get("core.interrupts"), 0u);
 }
 
 TEST(Interrupt, TimerFiresAndVectorsToMtvec) {
@@ -51,7 +51,7 @@ TEST(Interrupt, TimerFiresAndVectorsToMtvec) {
 
   const StepResult r = m.core.run(1000);
   EXPECT_EQ(r.stop, StopReason::kWfi);
-  EXPECT_EQ(m.core.stats().get("core.interrupts"), 1u);
+  EXPECT_EQ(m.core.merged_stats().get("core.interrupts"), 1u);
   EXPECT_EQ(*m.core.read_csr(csr::kMcause, Privilege::kMachine),
             csr::irq::kCauseInterrupt | csr::irq::kMti);
   // mepc points into the interrupted loop.
@@ -69,7 +69,7 @@ TEST(Interrupt, MaskedByMie) {
     a.ebreak();
   });
   EXPECT_EQ(r.stop, StopReason::kEbreakHalt);
-  EXPECT_EQ(m.core.stats().get("core.interrupts"), 0u);
+  EXPECT_EQ(m.core.merged_stats().get("core.interrupts"), 0u);
 }
 
 TEST(Interrupt, MaskedByGlobalMieInMachineMode) {
@@ -82,7 +82,7 @@ TEST(Interrupt, MaskedByGlobalMieInMachineMode) {
     a.ebreak();
   });
   EXPECT_EQ(r.stop, StopReason::kEbreakHalt);
-  EXPECT_EQ(m.core.stats().get("core.interrupts"), 0u);
+  EXPECT_EQ(m.core.merged_stats().get("core.interrupts"), 0u);
 }
 
 TEST(Interrupt, FiresInUserModeRegardlessOfMie) {
@@ -107,7 +107,7 @@ TEST(Interrupt, FiresInUserModeRegardlessOfMie) {
   m.core.set_priv(Privilege::kUser);
   const StepResult r = m.core.run(100);
   EXPECT_EQ(r.stop, StopReason::kWfi);
-  EXPECT_EQ(m.core.stats().get("core.interrupts"), 1u);
+  EXPECT_EQ(m.core.merged_stats().get("core.interrupts"), 1u);
   EXPECT_EQ(m.core.priv(), Privilege::kMachine);
   // MPP recorded U.
   EXPECT_EQ(bits(*m.core.read_csr(csr::kMstatus, Privilege::kMachine),
@@ -155,7 +155,7 @@ TEST(Interrupt, HandlerCanRescheduleAndMret) {
   const StepResult r = m.core.run(100000);
   EXPECT_EQ(r.stop, StopReason::kWfi);
   EXPECT_EQ(*m.core.read_csr(csr::kMscratch, Privilege::kMachine), 3u);
-  EXPECT_EQ(m.core.stats().get("core.interrupts"), 3u);
+  EXPECT_EQ(m.core.merged_stats().get("core.interrupts"), 3u);
 }
 
 TEST(Interrupt, SupervisorTimerDelegation) {
@@ -196,7 +196,7 @@ TEST(Interrupt, DelegatedInterruptNotTakenInMachineMode) {
     a.ebreak();
   });
   EXPECT_EQ(r.stop, StopReason::kEbreakHalt);
-  EXPECT_EQ(m.core.stats().get("core.interrupts"), 0u);
+  EXPECT_EQ(m.core.merged_stats().get("core.interrupts"), 0u);
 }
 
 TEST(Interrupt, WfiCompletesWhenInterruptPending) {

@@ -154,7 +154,7 @@ TEST(MemInsn, CachesCountHitsAndMisses) {
     a.ebreak();
   });
   // The data line misses once and then hits.
-  EXPECT_GE(m.core.stats().get("core.pmp_faults"), 0u);  // Sanity: counter exists.
+  EXPECT_GE(m.core.merged_stats().get("core.pmp_faults"), 0u);  // Sanity: counter exists.
 }
 
 }  // namespace

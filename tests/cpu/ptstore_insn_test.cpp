@@ -56,8 +56,8 @@ TEST_F(PtInsnTest, SdPtLdPtRoundTripInSecureRegion) {
   EXPECT_EQ(r.stop, StopReason::kEbreakHalt);
   EXPECT_EQ(m_.core.reg(10), 0xFEEDFACEu);
   EXPECT_EQ(m_.mem.read_u64(slot), 0xFEEDFACEu);
-  EXPECT_EQ(m_.core.stats().get("core.sd_pt"), 1u);
-  EXPECT_EQ(m_.core.stats().get("core.ld_pt"), 1u);
+  EXPECT_EQ(m_.core.merged_stats().get("core.sd_pt"), 1u);
+  EXPECT_EQ(m_.core.merged_stats().get("core.ld_pt"), 1u);
 }
 
 TEST_F(PtInsnTest, RegularStoreToSecureRegionFaults) {

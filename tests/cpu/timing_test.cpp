@@ -53,7 +53,7 @@ TEST(Timing, ColdBranchesMispredictWarmOnesDoNot) {
   m.core.run(1'000'000);
   const Cycles warm = m.core.cycles() - c1;
   EXPECT_GT(cold, warm + 64 * 5);  // ~7 cycles per cold mispredict.
-  EXPECT_GT(m.core.bpred().stats().get("bp.hits"), 60u);
+  EXPECT_GT(m.core.merged_stats().get("bp.hits"), 60u);
 }
 
 TEST(Timing, FlatTakenPenaltyWhenPredictorDisabled) {

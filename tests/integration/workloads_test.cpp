@@ -91,7 +91,7 @@ TEST(Workloads, SpecRunsAndStaysCpuBound) {
   run_spec(sys, prof, 5);
   EXPECT_GE(sys.core().instret() - inst_before, u64{5'000'000});
   // Kernel entries are rare for hmmer.
-  EXPECT_LT(sys.kernel().stats().get("kernel.syscalls"), 100u);
+  EXPECT_LT(sys.kernel().counters().value_of("kernel.syscalls"), 100u);
 }
 
 TEST(Workloads, NginxServesAllCases) {
@@ -100,7 +100,7 @@ TEST(Workloads, NginxServesAllCases) {
     cfg.dram_size = MiB(256);
     System sys(cfg);
     run_nginx(sys, c, 100, 100);
-    EXPECT_GE(sys.kernel().stats().get("kernel.syscalls"), 300u) << c.name;
+    EXPECT_GE(sys.kernel().counters().value_of("kernel.syscalls"), 300u) << c.name;
     EXPECT_EQ(sys.kernel().processes().live_count(), 1u) << c.name;
   }
 }
@@ -111,7 +111,7 @@ TEST(Workloads, RedisCoversSixteenCommands) {
   cfg.dram_size = MiB(256);
   System sys(cfg);
   run_redis(sys, redis_cases()[2], 500, 50);
-  EXPECT_GE(sys.kernel().stats().get("kernel.syscalls"), 500u);
+  EXPECT_GE(sys.kernel().counters().value_of("kernel.syscalls"), 500u);
 }
 
 TEST(Workloads, KernelBoundPtStoreDeltaStaysUnderPaperBound) {
@@ -144,7 +144,7 @@ TEST(Workloads, NginxKeepaliveAcceptsLess) {
     run_nginx(sys, c, 256, 100);
     // accept/close appears once per request without keepalive (plus worker
     // setup); once per 64 requests with it.
-    return sys.kernel().stats().get("kernel.syscalls");
+    return sys.kernel().counters().value_of("kernel.syscalls");
   };
   EXPECT_LT(accepts(true), accepts(false));
 }
@@ -155,19 +155,19 @@ TEST(Workloads, NginxWorkersAreRealProcesses) {
   System sys(cfg);
   run_nginx(sys, nginx_cases()[0], 64, 100);
   // 4 workers forked and reaped, plus context switches per request.
-  EXPECT_GE(sys.kernel().processes().stats().get("process.forks"), 4u);
+  EXPECT_GE(sys.kernel().counters().value_of("process.forks"), 4u);
   EXPECT_EQ(sys.kernel().processes().live_count(), 1u);
-  EXPECT_GE(sys.kernel().processes().stats().get("process.switches"), 64u);
+  EXPECT_GE(sys.kernel().counters().value_of("process.switches"), 64u);
 }
 
 TEST(Workloads, RedisWriteCommandsGrowHeap) {
   SystemConfig cfg = SystemConfig::cfi_ptstore();
   cfg.dram_size = MiB(256);
   System sys(cfg);
-  const u64 faults_before = sys.kernel().processes().stats().get("process.faults");
+  const u64 faults_before = sys.kernel().counters().value_of("process.faults");
   run_redis(sys, redis_cases()[2] /* SET */, 2000, 50);
   const u64 set_faults =
-      sys.kernel().processes().stats().get("process.faults") - faults_before;
+      sys.kernel().counters().value_of("process.faults") - faults_before;
   EXPECT_GT(set_faults, 30u);  // Heap pages demand-faulted as data grows.
 }
 
@@ -188,10 +188,10 @@ TEST(Workloads, TickModelFiresPeriodically) {
   System sys(cfg);
   TickModel tick;
   tick.reset(sys.kernel());
-  const u64 traps_before = sys.kernel().stats().get("kernel.traps");
+  const u64 traps_before = sys.kernel().counters().value_of("kernel.traps");
   sys.core().add_cycles(tick.period * 3 + 10);
   tick.advance(sys.kernel());
-  EXPECT_EQ(sys.kernel().stats().get("kernel.traps") - traps_before, 3u);
+  EXPECT_EQ(sys.kernel().counters().value_of("kernel.traps") - traps_before, 3u);
 }
 
 TEST(Workloads, RegistryListsEveryFigureWorkload) {

@@ -73,7 +73,7 @@ TEST(KernelAdjust, GrowsOnPtStoreZoneExhaustion) {
   const auto p = k.pages().alloc_pages(Gfp::kPtStore, 0);
   ASSERT_TRUE(p.has_value());
   EXPECT_TRUE(sys.core().pmp().is_secure(*p, kPageSize));
-  EXPECT_GE(k.stats().get("kernel.sr_adjustments"), 1u);
+  EXPECT_GE(k.counters().value_of("kernel.sr_adjustments"), 1u);
 }
 
 TEST(KernelAdjust, DisabledAdjustmentFailsInstead) {
@@ -174,8 +174,8 @@ TEST(KernelStats, SyscallsAndTrapsCounted) {
   cfg.dram_size = MiB(256);
   System sys(cfg);
   for (int i = 0; i < 5; ++i) sys.kernel().syscall(sys.init(), Sys::kNull);
-  EXPECT_EQ(sys.kernel().stats().get("kernel.syscalls"), 5u);
-  EXPECT_GE(sys.kernel().stats().get("kernel.traps"), 5u);
+  EXPECT_EQ(sys.kernel().counters().value_of("kernel.syscalls"), 5u);
+  EXPECT_GE(sys.kernel().counters().value_of("kernel.traps"), 5u);
 }
 
 }  // namespace

@@ -14,7 +14,8 @@ constexpr PhysAddr kEnd = kBase + MiB(16);
 
 class PageAllocTest : public ::testing::Test {
  protected:
-  PageAllocTest() : alloc_(kBase, kSrBase, kEnd) {}
+  PageAllocTest() : alloc_(kBase, kSrBase, kEnd, bank_) {}
+  telemetry::CounterBank bank_;
   PageAllocator alloc_;
 };
 
@@ -74,7 +75,7 @@ TEST_F(PageAllocTest, GrowHookFiresOnExhaustionAndRetries) {
     pages.push_back(*p);
   }
   EXPECT_EQ(hook_calls, 1);
-  EXPECT_EQ(alloc_.stats().get("page_alloc.adjustments_triggered"), 1u);
+  EXPECT_EQ(bank_.value_of("page_alloc.adjustments_triggered"), 1u);
   // Donated pages are genuinely below the old boundary.
   EXPECT_LT(alloc_.ptstore().base(), kSrBase);
 }
@@ -102,9 +103,9 @@ TEST_F(PageAllocTest, RequestCountersTrack) {
   (void)alloc_.alloc_pages(Gfp::kUser, 0);
   (void)alloc_.alloc_pages(Gfp::kUser, 0);
   (void)alloc_.alloc_pages(Gfp::kPtStore, 0);
-  EXPECT_EQ(alloc_.stats().get("page_alloc.kernel_requests"), 1u);
-  EXPECT_EQ(alloc_.stats().get("page_alloc.user_requests"), 2u);
-  EXPECT_EQ(alloc_.stats().get("page_alloc.ptstore_requests"), 1u);
+  EXPECT_EQ(bank_.value_of("page_alloc.kernel_requests"), 1u);
+  EXPECT_EQ(bank_.value_of("page_alloc.user_requests"), 2u);
+  EXPECT_EQ(bank_.value_of("page_alloc.ptstore_requests"), 1u);
 }
 
 }  // namespace

@@ -196,7 +196,7 @@ TEST(ProcessTokens, SwitchRejectsTamperedPgd) {
   // Corrupt the PCB's pgd field directly (normal memory: write succeeds).
   sys.mem().write_u64(child->pcb_pgd_field(), kDramBase + MiB(100));
   EXPECT_EQ(pm.switch_to(*child), SwitchResult::kTokenInvalid);
-  EXPECT_EQ(pm.stats().get("process.token_rejects"), 1u);
+  EXPECT_EQ(sys.kernel().counters().value_of("process.token_rejects"), 1u);
 }
 
 TEST(ProcessTokens, BaselineAcceptsTamperedPgd) {

@@ -142,6 +142,29 @@ TEST(SmpShootdown, CountersTrackIpisAndStayZeroSingleHart) {
   }
 }
 
+// System::clear_stats() zeroes every hart's counters, not only the boot
+// hart's: after the warm/protect sequence hart 1 holds DTLB/L1D hits, walks
+// and sfences, and none of them may survive the clear.
+TEST(SmpStats, ClearStatsZeroesEveryHart) {
+  System sys(smp_config(2));
+  Process* p = warm_remote_hart(sys);
+  ASSERT_NE(p, nullptr);
+  ASSERT_TRUE(sys.kernel().processes().protect_vma(*p, kRaceVa, kPageSize, pte::kR));
+  ASSERT_GT(sys.core(1).merged_stats().get("DTLB.hits"), 0u);
+  ASSERT_GT(sys.core(1).merged_stats().get("mmu.walks"), 0u);
+
+  sys.clear_stats();
+  for (unsigned h = 0; h < sys.nharts(); ++h) {
+    const StatSet s = sys.core(h).merged_stats();
+    for (const auto& [name, value] : s.counters()) {
+      if (name == "core.cycles" || name == "core.instret") continue;
+      EXPECT_EQ(value, 0u) << "hart " << h << " kept " << name;
+    }
+  }
+  EXPECT_EQ(sys.report().get("process.forks"), 0u);
+  EXPECT_EQ(sys.report().get("kernel.booted"), 0u);
+}
+
 // Full-system checkpoints carry the secondary harts: a fork of a warmed
 // 2-hart machine restores hart 1's satp (and thus the P2 scenarios replay
 // on forked shard machines exactly as on the original).

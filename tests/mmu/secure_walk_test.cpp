@@ -13,7 +13,7 @@ class SecureWalkTest : public ::testing::Test {
   SecureWalkTest()
       : mem_(kDramBase, MiB(64)),
         mmu_(mem_, pmp_, TlbConfig{.name = "I", .entries = 32},
-             TlbConfig{.name = "D", .entries = 8}) {
+             TlbConfig{.name = "D", .entries = 8}, bank_) {
     // Secure region: top 16 MiB of DRAM.
     sr_base_ = mem_.dram_end() - MiB(16);
     pmp_.set_addr(0, sr_base_ >> 2);
@@ -40,6 +40,7 @@ class SecureWalkTest : public ::testing::Test {
 
   PhysMem mem_;
   PmpUnit pmp_;
+  telemetry::CounterBank bank_;
   Mmu mmu_;
   PhysAddr sr_base_ = 0;
 };
@@ -63,7 +64,7 @@ TEST_F(SecureWalkTest, InjectedRootRefusedWithSBit) {
   const auto r = mmu_.translate(kVa, AccessType::kWrite, AccessKind::kRegular, uctx());
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.fault, isa::TrapCause::kStoreAccessFault);
-  EXPECT_EQ(mmu_.stats().get("mmu.ptw_secure_denied"), 1u);
+  EXPECT_EQ(bank_.value_of("mmu.ptw_secure_denied"), 1u);
 }
 
 TEST_F(SecureWalkTest, InjectedRootAcceptedWithoutSBit) {

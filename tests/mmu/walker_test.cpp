@@ -13,7 +13,7 @@ class WalkerTest : public ::testing::Test {
   WalkerTest()
       : mem_(kDramBase, MiB(64)),
         mmu_(mem_, pmp_, TlbConfig{.name = "I", .entries = 32},
-             TlbConfig{.name = "D", .entries = 8}) {}
+             TlbConfig{.name = "D", .entries = 8}, bank_) {}
 
   /// Allocate a fresh zeroed page-table page.
   PhysAddr alloc_page() {
@@ -50,6 +50,7 @@ class WalkerTest : public ::testing::Test {
 
   PhysMem mem_;
   PmpUnit pmp_;
+  telemetry::CounterBank bank_;
   Mmu mmu_;
   PhysAddr next_ = kDramBase + MiB(1);
 };

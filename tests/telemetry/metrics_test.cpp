@@ -72,6 +72,18 @@ TEST(CounterBank, BanksShareNamesButNotValues) {
   EXPECT_EQ(b.value_of("test.metrics.shared"), 0u);
 }
 
+TEST(CounterBank, ReregisteringANameReusesItsCell) {
+  CounterBank bank;
+  Counter first = bank.counter("test.metrics.rebuilt");
+  first.add(2);
+  // A component rebuilt over the same bank keeps counting in the same cell.
+  Counter second = bank.counter("test.metrics.rebuilt");
+  second.add(3);
+  EXPECT_EQ(first.value(), 5u);
+  EXPECT_EQ(bank.size(), 1u);
+  EXPECT_EQ(bank.snapshot().get("test.metrics.rebuilt"), 5u);
+}
+
 TEST(CounterBank, ClearZeroesCells) {
   CounterBank bank;
   Counter c = bank.counter("test.metrics.cleared");

@@ -34,6 +34,7 @@
 //   --witness-budget N solver split budget per diagnostic (default 4096)
 //   --witness-json F   write all verdicts + witness traces as JSON
 //   -v                 also print notes and summary for clean images
+//   -h, --help         print the usage text and exit 0
 //
 // Exit codes: 0 expectation met, 1 violated, 2 usage/input error. With
 // --witness (single-file / --kernel modes) the refinement outcome is
@@ -77,7 +78,7 @@ bool parse_u64(const std::string& s, u64* out) {
   }
 }
 
-int usage() {
+int usage(int rc = 2) {
   std::fprintf(stderr,
                "usage: ptlint [--base ADDR] [--sr BASE:END] [--expect-clean | "
                "--expect-violation] [--sarif FILE] [--witness] "
@@ -85,8 +86,9 @@ int usage() {
                "       ptlint [--sr BASE:END] [--witness] --corpus <name|all>\n"
                "       ptlint --flow [--backend B] [--sr BASE:END] "
                "[--sarif FILE] [--witness] [-v] "
-               "(file.s | --kernel | --corpus <name|all>)\n");
-  return 2;
+               "(file.s | --kernel | --corpus <name|all>)\n"
+               "       ptlint -h | --help\n");
+  return rc;
 }
 
 namespace symx = ptstore::analysis::symexec;
@@ -388,6 +390,8 @@ int main(int argc, char** argv) {
       expect_violation = true;
     } else if (arg == "-v") {
       verbose = true;
+    } else if (arg == "-h" || arg == "--help") {
+      return usage(0);
     } else if (!arg.empty() && arg[0] == '-') {
       return usage();
     } else if (file.empty()) {

@@ -15,6 +15,8 @@
 //   ptmc --dot FILE            write the first counterexample as GraphViz
 //   ptmc --json [FILE]         emit the CheckResult as JSON
 //
+// -h/--help prints the usage text and exits 0.
+//
 // Exit codes: 0 = expectations met, 1 = property/expectation failure,
 // 2 = usage error.
 #include <cstdio>
@@ -35,7 +37,7 @@ namespace mc = analysis::ptmc;
 constexpr u32 kWideDepth = 20;
 constexpr u64 kWideStates = 8'000'000;
 
-int usage() {
+int usage(int rc = 2) {
   const mc::ModelConfig defaults;
   std::fprintf(stderr,
                "usage: ptmc [--all | --mutate NAME | --matrix] [options]\n"
@@ -59,11 +61,12 @@ int usage() {
                "  --no-grow        disable secure-region growth\n"
                "  --dot FILE       write first counterexample as GraphViz\n"
                "  --json [FILE]    emit result JSON (stdout without FILE)\n"
-               "  -v               verbose (print traces)\n",
+               "  -v               verbose (print traces)\n"
+               "  -h, --help       print this help and exit\n",
                defaults.max_depth, kWideDepth,
                static_cast<unsigned long long>(defaults.max_states),
                static_cast<unsigned long long>(kWideStates));
-  return 2;
+  return rc;
 }
 
 bool write_file(const std::string& path, const std::string& text) {
@@ -224,6 +227,8 @@ int main(int argc, char** argv) {
       if (i + 1 < argc && argv[i + 1][0] != '-') json_path = argv[++i];
     } else if (arg == "-v" || arg == "--verbose") {
       verbose = true;
+    } else if (arg == "-h" || arg == "--help") {
+      return usage(0);
     } else {
       std::fprintf(stderr, "ptmc: unknown argument '%s'\n", arg.c_str());
       return usage();

@@ -44,6 +44,34 @@ TEST(BackendRegression, AttackCampaignReportByteIdenticalToSeed) {
             read_golden("campaign_attack_seed.json"));
 }
 
+// The seed reports above never fail, so they pin no breach label, minimized
+// reproducer or hart dispatch. These three do, from the same CLI shape:
+// `ptcampaign smp [--skip-ipi]` (2 harts) and `ptcampaign attack --stock`.
+TEST(BackendRegression, SmpCampaignReportByteIdenticalToSeed) {
+  CampaignSpec spec = seed_spec(CampaignKind::kSmp);
+  spec.nharts = 2;
+  const CampaignResult r = run_campaign(spec);
+  EXPECT_EQ(campaign_report_json(r, /*include_timing=*/false),
+            read_golden("campaign_smp_seed.json"));
+}
+
+TEST(BackendRegression, SmpSkipIpiCampaignReportByteIdenticalToSeed) {
+  CampaignSpec spec = seed_spec(CampaignKind::kSmp);
+  spec.nharts = 2;
+  spec.sabotage_skip_ipi = true;
+  const CampaignResult r = run_campaign(spec);
+  EXPECT_EQ(campaign_report_json(r, /*include_timing=*/false),
+            read_golden("campaign_smp_skip_ipi_seed.json"));
+}
+
+TEST(BackendRegression, StockAttackCampaignReportByteIdenticalToSeed) {
+  CampaignSpec spec = seed_spec(CampaignKind::kAttack);
+  spec.ptstore = false;
+  const CampaignResult r = run_campaign(spec);
+  EXPECT_EQ(campaign_report_json(r, /*include_timing=*/false),
+            read_golden("campaign_attack_stock_seed.json"));
+}
+
 TEST(BackendRegression, ExplicitBackendSelectionIsLabeled) {
   CampaignSpec spec = seed_spec(CampaignKind::kProto);
   spec.shards = 2;

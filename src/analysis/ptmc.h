@@ -45,7 +45,8 @@
 // the BFS tree (each state's parent edge), so every counterexample is
 // shortest-first. Each ModelConfig defence flag mirrors one concrete
 // kernel/PMP knob, which is what lets ptmc's counterexamples be replayed
-// op-for-op against the real System (src/attacks/ptmc_replay.h).
+// against the real System: src/harness/ptmc_replay.h lowers each step onto
+// the campaign engine's ops (src/harness/campaign.h) and runs them there.
 //
 // Soundness caveat: this is a *bounded* result. "No violation" means no
 // violation within max_depth/max_states over this abstraction — see

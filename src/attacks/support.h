@@ -1,8 +1,7 @@
 // Shared attack-scenario plumbing: victim setup, the omniscient page-table
 // locator, user-mode probes, and post-attack satp recovery. Extracted from
-// scenarios.cpp so the ptmc counterexample replay driver can reuse the same
-// building blocks when it cashes an abstract violation into a concrete
-// architectural outcome.
+// scenarios.cpp so the campaign executor (harness/campaign.h), which also
+// runs ptmc counterexample replay, reuses the same building blocks.
 #pragma once
 
 #include <optional>

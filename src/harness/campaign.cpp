@@ -2,13 +2,14 @@
 
 #include <chrono>
 #include <ctime>
+#include <iomanip>
+#include <iterator>
 #include <sstream>
 
 #include "attacks/primitive.h"
 #include "attacks/support.h"
 #include "common/rng.h"
 #include "harness/fleet.h"
-#include "kernel/protocol.h"
 #include "telemetry/json.h"
 
 namespace ptstore::harness {
@@ -64,29 +65,65 @@ std::optional<CampaignKind> campaign_kind_from(std::string_view name) {
 }
 
 const char* to_string(CampaignOp::Kind k) {
-  switch (k) {
-    case CampaignOp::Kind::kCopyMm: return "copy_mm";
-    case CampaignOp::Kind::kAllocPt: return "alloc_pt";
-    case CampaignOp::Kind::kFreePt: return "free_pt";
-    case CampaignOp::Kind::kSwitchMm: return "switch_mm";
-    case CampaignOp::Kind::kExitMm: return "exit_mm";
-    case CampaignOp::Kind::kGrow: return "grow";
-    case CampaignOp::Kind::kRwWriteLeaf: return "rw_write_leaf";
-    case CampaignOp::Kind::kRwWriteSecure: return "rw_write_secure";
-    case CampaignOp::Kind::kPcbRewire: return "pcb_rewire";
-    case CampaignOp::Kind::kRaceProbe: return "race_probe";
-  }
-  return "?";
+  // Indexed by Kind, whose values are append-only (reports carry the names).
+  static const char* const kNames[] = {
+      "copy_mm", "alloc_pt", "free_pt", "switch_mm", "exit_mm", "grow",
+      "rw_write_leaf", "rw_write_secure", "pcb_rewire", "race_probe",
+      "rw_write", "user_probe", "force_alloc", "satp_write"};
+  const auto i = static_cast<size_t>(k);
+  return i < std::size(kNames) ? kNames[i] : "?";
 }
 
-OpResult exec_campaign_op(System& sys, const CampaignOp& op, CampaignKind kind) {
+std::string describe(const CampaignOp& op) {
+  std::ostringstream os;
+  os << std::left << std::setw(16) << to_string(op.kind) << " pid=" << op.pid
+     << " arg=0x" << std::hex << op.arg;
+  if (op.hart != 0) os << " hart=" << std::dec << unsigned{op.hart};
+  if (op.arg2 != 0) os << " arg2=0x" << std::hex << op.arg2;
+  return os.str();
+}
+
+namespace {
+
+/// The op's subject is gone (a minimized replay dropped the op that created
+/// this pid) or absent: the op degrades to a no-op.
+OpResult skipped(const char* why) { return {.status = why, .skipped = true}; }
+
+/// One architectural access: `ok_label` when it completed, else "blocked".
+OpResult access(bool ok, isa::TrapCause fault, const char* ok_label) {
+  return {.status = ok ? ok_label : "blocked", .ok = ok, .fault = fault};
+}
+
+/// The campaign verdict on one executed op. On a stock kernel (kProto,
+/// kSmp) a firing defence IS the bug: nothing attacked the machine, so
+/// zero-check/token/S-bit events mean the protocol corrupted its own state.
+/// Under kAttack those same statuses are the defences working as intended.
+/// Any primitive that completes is a breach, and a kernel panic is always
+/// a violation. (ptmc replay judges by its property witnesses instead.)
+/// Returns the diagnosis ("switch_mm -> fault at op 7") of a violation.
+std::optional<std::string> violation(CampaignKind kind, const CampaignOp& op,
+                                     const OpResult& r, u64 at) {
+  const bool defence_fired = r.proto == ProtoStatus::kZeroDetect ||
+                             is_credential_reject(r.proto) ||
+                             r.proto == ProtoStatus::kFault;
+  const bool primitive = op.kind > CampaignOp::Kind::kGrow;
+  const bool violated =
+      r.panic ||
+      (primitive ? r.ok : kind != CampaignKind::kAttack && defence_fired);
+  if (!violated) return std::nullopt;
+  return std::string(to_string(op.kind)) + " -> " + r.status + " at op " +
+         std::to_string(at);
+}
+
+}  // namespace
+
+OpResult exec_campaign_op(System& sys, const CampaignOp& op) {
   ProtocolOps proto(sys.kernel());
   ProcessManager& pm = sys.kernel().processes();
+  const unsigned hart = op.hart < sys.nharts() ? op.hart : 0;
   // SMP campaigns record the executing hart per op; replays re-dispatch to
   // the same hart, so reproducers stay interleave-deterministic.
-  if (sys.nharts() > 1) {
-    sys.kernel().set_active_hart(op.hart < sys.nharts() ? op.hart : 0);
-  }
+  if (sys.nharts() > 1) sys.kernel().set_active_hart(hart);
   try {
     switch (op.kind) {
       case CampaignOp::Kind::kCopyMm:
@@ -97,8 +134,7 @@ OpResult exec_campaign_op(System& sys, const CampaignOp& op, CampaignKind kind) 
       case CampaignOp::Kind::kGrow: {
         Process* proc = op.pid != 0 ? pm.find(op.pid) : nullptr;
         if (op.kind != CampaignOp::Kind::kGrow && proc == nullptr) {
-          // A minimized replay dropped the op that created this pid.
-          return {"no-proc", false};
+          return skipped("no-proc");
         }
         ProtoResult r;
         switch (op.kind) {
@@ -109,51 +145,41 @@ OpResult exec_campaign_op(System& sys, const CampaignOp& op, CampaignKind kind) 
           case CampaignOp::Kind::kExitMm: r = proto.exit_mm(*proc); break;
           default: r = proto.grow(static_cast<unsigned>(op.arg)); break;
         }
-        // On a stock kernel (kProto) a firing defence IS the bug: nothing
-        // attacked the machine, so zero-check/token/S-bit events mean the
-        // protocol corrupted its own state. Under kAttack those same
-        // statuses are the defences working as intended.
-        const bool defence_fired = r.status == ProtoStatus::kZeroDetect ||
-                                   is_credential_reject(r.status) ||
-                                   r.status == ProtoStatus::kFault;
-        const bool violation = (kind == CampaignKind::kProto ||
-                                kind == CampaignKind::kSmp) &&
-                               defence_fired;
-        return {to_string(r.status), violation};
+        return {.status = to_string(r.status), .ok = r.ok(), .proto = r.status,
+                .pid = r.pid, .root = r.root};
       }
 
       case CampaignOp::Kind::kRwWriteLeaf: {
         Process* proc = op.pid != 0 ? pm.find(op.pid) : nullptr;
-        if (proc == nullptr) return {"no-proc", false};
+        if (proc == nullptr) return skipped("no-proc");
         const u64 root = pm.pcb_pgd(*proc);
         const auto slot = attacks::find_leaf_slot(sys, root, attacks::kVictimVa);
-        if (!slot) return {"no-slot", false};
+        if (!slot) return skipped("no-slot");
         ArbitraryRw rw(sys.core());
         const KAccess w = rw.write(*slot, op.arg);
         // A regular store into a secure-region PT page must fault (S-bit).
-        if (w.ok) return {"breach", true};
-        return {"blocked", false};
+        return access(w.ok, w.fault, "breach");
       }
 
       case CampaignOp::Kind::kRwWriteSecure: {
         ArbitraryRw rw(sys.core());
         const KAccess w = rw.write(op.arg, 0xDEAD'BEEF'DEAD'BEEFULL);
-        if (w.ok) return {"breach", true};
-        return {"blocked", false};
+        return access(w.ok, w.fault, "breach");
       }
 
       case CampaignOp::Kind::kPcbRewire: {
         Process* proc = op.pid != 0 ? pm.find(op.pid) : nullptr;
-        if (proc == nullptr) return {"no-proc", false};
+        if (proc == nullptr) return skipped("no-proc");
         const u64 orig = pm.pcb_pgd(*proc);
         ArbitraryRw rw(sys.core());
         // The PCB lives in attackable normal memory: this store succeeds.
-        if (!rw.write(proc->pcb_pgd_field(), op.arg).ok) return {"pcb-unreachable", false};
+        if (!rw.write(proc->pcb_pgd_field(), op.arg).ok) {
+          return {.status = "pcb-unreachable"};
+        }
         const ProtoResult r = proto.switch_mm(*proc);
         // Undo so later ops run on an uncorrupted machine.
         (void)rw.write(proc->pcb_pgd_field(), orig);
-        if (r.status == ProtoStatus::kOk) return {"breach", true};
-        return {"blocked", false};
+        return {.status = r.ok() ? "breach" : "blocked", .ok = r.ok()};
       }
 
       case CampaignOp::Kind::kRaceProbe: {
@@ -165,32 +191,61 @@ OpResult exec_campaign_op(System& sys, const CampaignOp& op, CampaignKind kind) 
         //   3. hart 1 write-probes the page in U-mode. After the shootdown
         //      acked, the write MUST fault; a completed write means hart 1
         //      kept the stale writable entry — a shootdown-protocol breach.
-        if (sys.nharts() < 2) return {"no-smp", false};
+        if (sys.nharts() < 2) return skipped("no-smp");
         Process* proc = op.pid != 0 ? pm.find(op.pid) : nullptr;
-        if (proc == nullptr) return {"no-proc", false};
+        if (proc == nullptr) return skipped("no-proc");
         Kernel& k = sys.kernel();
         const VirtAddr va = op.arg;
         k.set_active_hart(1);
         (void)proto.alloc_pt(*proc, va);  // Idempotent: may already be mapped.
         if (!proto.switch_mm(*proc).ok() || !k.user_access(*proc, va, true)) {
           k.set_active_hart(0);
-          return {"no-map", false};
+          return {.status = "no-map"};
         }
         k.set_active_hart(0);
         if (!pm.protect_vma(*proc, va, kPageSize, pte::kR)) {
-          return {"no-vma", false};
+          return {.status = "no-vma"};
         }
         const MemAccessResult w = attacks::user_probe(sys.core(1), va, true);
         // Restore writability so later ops see a consistent machine.
         (void)pm.protect_vma(*proc, va, kPageSize, pte::kR | pte::kW);
-        if (w.ok) return {"breach", true};
-        return {"blocked", false};
+        return access(w.ok, w.fault, "breach");
+      }
+
+      case CampaignOp::Kind::kRwWrite: {
+        ArbitraryRw rw(sys.core());
+        const KAccess w = rw.write(op.arg, op.arg2);
+        return access(w.ok, w.fault, "ok");
+      }
+
+      case CampaignOp::Kind::kUserProbe: {
+        const MemAccessResult a =
+            attacks::user_probe(sys.core(hart), op.arg, op.arg2 != 0);
+        return access(a.ok, a.fault, "ok");
+      }
+
+      case CampaignOp::Kind::kForceAlloc: {
+        // Free-list corruption: the PT-page zone's next allocation returns
+        // arg, whether or not that page is free.
+        Kernel& k = sys.kernel();
+        BuddyZone& zone =
+            k.iso().secure_zone ? k.pages().ptstore() : k.pages().normal();
+        zone.force_next_alloc(op.arg);
+        return {.status = "ok", .ok = true};
+      }
+
+      case CampaignOp::Kind::kSatpWrite: {
+        const u64 satp = isa::satp::make(isa::satp::kModeSv39, 0,
+                                         op.arg >> kPageShift, /*s_bit=*/false);
+        const bool ok =
+            sys.core().write_csr(isa::csr::kSatp, satp, Privilege::kSupervisor);
+        return {.status = ok ? "ok" : "blocked", .ok = ok};
       }
     }
   } catch (const KernelPanic& p) {
-    return {std::string("panic:") + p.what(), true};
+    return {.status = std::string("panic:") + p.what(), .panic = true};
   }
-  return {"?", false};
+  return {.status = "?"};
 }
 
 namespace {
@@ -271,14 +326,12 @@ void run_op_shard(System& sys, CampaignKind kind, Rng& rng, u64 op_count,
     }
 
     out->repro.push_back(op);
-    const OpResult r = exec_campaign_op(sys, op, kind);
+    const OpResult r = exec_campaign_op(sys, op);
     ++out->ops_executed;
     ++out->status_counts[std::string(to_string(op.kind)) + ":" + r.status];
-    if (r.violation) {
+    if (auto why = violation(kind, op, r, i)) {
       out->failed = true;
-      std::ostringstream os;
-      os << to_string(op.kind) << " -> " << r.status << " at op " << i;
-      out->failure = os.str();
+      out->failure = std::move(*why);
       return;
     }
   }
@@ -326,13 +379,9 @@ bool replay_trace_fails(const SystemCheckpoint& ck, CampaignKind kind,
     attacks::setup_victim(*sys.value());
   }
   for (size_t i = 0; i < ops.size(); ++i) {
-    const OpResult r = exec_campaign_op(*sys.value(), ops[i], kind);
-    if (r.violation) {
-      if (why != nullptr) {
-        std::ostringstream os;
-        os << to_string(ops[i].kind) << " -> " << r.status << " at op " << i;
-        *why = os.str();
-      }
+    const OpResult r = exec_campaign_op(*sys.value(), ops[i]);
+    if (auto v = violation(kind, ops[i], r, i)) {
+      if (why != nullptr) *why = std::move(*v);
       return true;
     }
   }
@@ -489,8 +538,10 @@ void write_campaign_report(std::ostream& os, const CampaignResult& r,
         w.kv("op", to_string(op.kind));
         w.kv("pid", op.pid);
         w.kv("arg", op.arg);
-        // Hart 0 is implied (and the only hart in pre-SMP reports).
+        // Hart 0 and a zero arg2 are implied: reports that predate those
+        // fields stay byte-identical.
         if (op.hart != 0) w.kv("hart", static_cast<u64>(op.hart));
+        if (op.arg2 != 0) w.kv("arg2", op.arg2);
         w.end_object();
       }
       w.end_array();

@@ -22,8 +22,10 @@
 //
 // Every op is recorded with resolved arguments, so a failing shard yields a
 // reproducer (seed + op trace) that replays without the RNG and minimizes
-// by greedy removal. Reports are schema-v1 JSON; with timing excluded they
-// are byte-identical for any --jobs value.
+// by greedy removal. exec_campaign_op is the single executor of concrete
+// protocol ops and attacker primitives; ptmc counterexample replay
+// (harness/ptmc_replay.h) lowers onto the same ops. Reports are schema-v1
+// JSON; with timing excluded they are byte-identical for any --jobs value.
 #pragma once
 
 #include <map>
@@ -35,6 +37,7 @@
 
 #include "common/stats.h"
 #include "harness/diff_oracle.h"
+#include "kernel/protocol.h"
 #include "kernel/system.h"
 #include "telemetry/profile.h"
 
@@ -62,25 +65,39 @@ struct CampaignOp {
     kRwWriteSecure,  ///< Attack: regular store at a secure-region address.
     kPcbRewire,      ///< Attack: fake pgd into the PCB, then switch_mm.
     kRaceProbe,      ///< SMP: warm remote TLB, downgrade, probe remote hart.
+    kRwWrite,        ///< Attack: regular store of arg2 at arg (S-mode).
+    kUserProbe,      ///< U-mode access to arg on `hart`; arg2 != 0 writes.
+    kForceAlloc,     ///< Attack: the PT zone's next allocation returns arg.
+    kSatpWrite,      ///< Attack: csr gadget writes satp := Sv39 root arg, S=0.
   };
   Kind kind = Kind::kSwitchMm;
   u64 pid = 0;  ///< Subject process, 0 when the op has none.
-  u64 arg = 0;  ///< va / order / store value, depending on kind.
+  u64 arg = 0;  ///< va / order / store value or address, depending on kind.
   u8 hart = 0;  ///< Executing hart (SMP campaigns; always 0 single-hart).
+  u64 arg2 = 0; ///< Second operand: rw_write value, user_probe write flag.
 };
 
 const char* to_string(CampaignOp::Kind k);
+/// The op as one reproducer line: "copy_mm          pid=3 arg=0x0", plus
+/// " hart=N" and " arg2=0x..." when those are nonzero.
+std::string describe(const CampaignOp& op);
 
-/// Outcome of executing one CampaignOp.
+/// Outcome of executing one CampaignOp. It carries no verdict: campaigns
+/// and ptmc replay each judge it by their own rule.
 struct OpResult {
-  std::string status;     ///< Deterministic label ("ok", "oom", "breach", ...).
-  bool violation = false; ///< The op exposed a bug (defence misfire / breach).
+  std::string status;  ///< Deterministic label ("ok", "oom", "breach", ...).
+  bool skipped = false;  ///< Subject missing ("no-proc", ...): a no-op.
+  bool ok = false;  ///< Protocol op returned kOk / the primitive completed.
+  ProtoStatus proto = ProtoStatus::kOk;  ///< Protocol ops: kernel verdict.
+  isa::TrapCause fault = isa::TrapCause::kNone;  ///< Primitive's access fault.
+  u64 pid = 0;        ///< copy_mm: the created child; else the subject.
+  PhysAddr root = 0;  ///< Page-table root the protocol op reported.
+  bool panic = false; ///< The kernel panicked mid-op (status "panic:...").
 };
 
-/// Execute one op against a live machine. `kind` selects the violation
-/// policy: on kProto a firing defence is the bug; on kAttack a *succeeding*
-/// primitive is. KernelPanic is caught and reported as a violation.
-OpResult exec_campaign_op(System& sys, const CampaignOp& op, CampaignKind kind);
+/// Execute one op against a live machine, on the hart it names.
+/// KernelPanic is caught and reported in the result.
+OpResult exec_campaign_op(System& sys, const CampaignOp& op);
 
 struct ShardOutcome {
   u64 shard = 0;

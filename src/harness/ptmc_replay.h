@@ -1,11 +1,13 @@
 // Counterexample replay: drives a concrete System through the op sequence
 // of a ptmc counterexample, with the same defences disabled that the model
 // had disabled, and checks that the abstract violation is architecturally
-// real. The abstract pages of the model are bound lazily to physical pages
-// of the simulator as the trace touches them; each kernel op goes through
-// src/kernel/protocol.h so abstract and concrete steps correspond 1:1.
+// real. Replay is a lowering onto the campaign IR (harness/campaign.h):
+// each model step becomes CampaignOps whose arguments come from the
+// driver's bindings (model proc -> pid, model page -> physical page, bound
+// lazily on first touch), all run by exec_campaign_op. The verdict is the
+// violated property's witness (P1 probe, P2 satp root, P3 forged cash-in,
+// P4 watched slot), not the campaign rule.
 //
-// Two entry points:
 //   * replay_counterexample — replay under the counterexample's own
 //     (mutated) ModelConfig; a faithful counterexample must end in
 //     Outcome::kSucceeded.
@@ -20,13 +22,13 @@
 #include "analysis/ptmc.h"
 #include "attacks/scenarios.h"
 
-namespace ptstore::attacks {
+namespace ptstore::harness {
 
 struct ReplayReport {
-  Outcome outcome = Outcome::kContained;
+  attacks::Outcome outcome = attacks::Outcome::kContained;
   std::string detail;            ///< What decided the outcome.
-  std::vector<std::string> log;  ///< One line per replayed op.
-  bool defended() const { return outcome != Outcome::kSucceeded; }
+  std::vector<std::string> log;  ///< Executed ops: describe(op) -> status.
+  bool defended() const { return outcome != attacks::Outcome::kSucceeded; }
 };
 
 /// Replay `ce` on a System configured from ce.cfg (defence mutations
@@ -37,4 +39,4 @@ ReplayReport replay_counterexample(const analysis::ptmc::Counterexample& ce);
 /// the defence that stopped it.
 ReplayReport replay_on_stock(const analysis::ptmc::Counterexample& ce);
 
-}  // namespace ptstore::attacks
+}  // namespace ptstore::harness

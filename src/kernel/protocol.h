@@ -1,9 +1,10 @@
 // Protocol-op hooks: the kernel operations of the paper's §IV-C protocol
 // (alloc_pt / free_pt / copy_mm / switch_mm / exit_mm / secure-region grow)
 // exposed as a uniform, structured-result surface. The ptmc bounded model
-// checker (src/analysis/ptmc.h) abstracts exactly these transitions; its
-// counterexample replay (src/attacks/ptmc_replay.h) drives the concrete
-// kernel through this interface op-for-op, so every abstract step maps onto
+// checker (src/analysis/ptmc.h) abstracts exactly these transitions. The
+// one concrete executor, exec_campaign_op (src/harness/campaign.h), drives
+// the kernel through this interface for fleet campaigns and for ptmc
+// counterexample replay alike, so every abstract protocol step maps onto
 // one call here and every defence that fires maps onto one ProtoStatus.
 #pragma once
 

@@ -117,9 +117,10 @@ TEST(Campaign, OpsReferencingDeadPidsDegradeBenignly) {
   auto sys = System::create_from(ck);
   ASSERT_TRUE(sys.ok());
   const CampaignOp orphan{CampaignOp::Kind::kCopyMm, 999'999, 0};
-  const OpResult r = exec_campaign_op(*sys.value(), orphan, spec.kind);
+  const OpResult r = exec_campaign_op(*sys.value(), orphan);
   EXPECT_EQ(r.status, "no-proc");
-  EXPECT_FALSE(r.violation);
+  EXPECT_TRUE(r.skipped);
+  EXPECT_FALSE(replay_trace_fails(ck, spec.kind, {orphan}));
 }
 
 TEST(Campaign, ReportCarriesSchemaAndSpecFields) {

@@ -11,7 +11,7 @@
 // outcome + detail must match tests/golden/ptmc_replay.txt. On a mismatch
 // the actual dump is written to
 // <build>/tests/ptmc_replay_golden.actual/ptmc_replay.txt.
-#include "attacks/ptmc_replay.h"
+#include "harness/ptmc_replay.h"
 
 #include <filesystem>
 #include <fstream>
@@ -20,10 +20,11 @@
 
 #include <gtest/gtest.h>
 
-namespace ptstore::attacks {
+namespace ptstore::harness {
 namespace {
 
 namespace ptmc = analysis::ptmc;
+using attacks::Outcome;
 
 /// The bounds `ptmc --harts N` runs with: the second hart needs the wide
 /// depth/state budget to close.
@@ -45,11 +46,13 @@ ptmc::ModelConfig stock_config() {
   return cfg;
 }
 
-const std::vector<ptmc::Counterexample>& matrix_counterexamples(unsigned nharts) {
+const std::vector<ptmc::Counterexample>& matrix_counterexamples(
+    unsigned nharts) {
   static std::map<unsigned, std::vector<ptmc::Counterexample>> cache;
   auto [it, fresh] = cache.try_emplace(nharts);
   if (!fresh) return it->second;
-  for (const ptmc::MutationEntry& m : ptmc::mutation_matrix(cli_config(nharts))) {
+  for (const ptmc::MutationEntry& m :
+       ptmc::mutation_matrix(cli_config(nharts))) {
     if (m.must_break == 0) continue;
     ptmc::ModelConfig cfg = m.cfg;
     cfg.stop_after_violated = m.must_break;
@@ -63,9 +66,9 @@ const std::vector<ptmc::Counterexample>& matrix_counterexamples(unsigned nharts)
   return it->second;
 }
 
-class PtmcReplayHarts : public ::testing::TestWithParam<unsigned> {};
+class PtmcReplayMatrix : public ::testing::TestWithParam<unsigned> {};
 
-TEST_P(PtmcReplayHarts, MatrixCoversAllFourProperties) {
+TEST_P(PtmcReplayMatrix, MatrixCoversAllFourProperties) {
   u8 props = 0;
   for (const ptmc::Counterexample& ce : matrix_counterexamples(GetParam())) {
     props |= static_cast<u8>(1u << ce.prop);
@@ -73,7 +76,7 @@ TEST_P(PtmcReplayHarts, MatrixCoversAllFourProperties) {
   EXPECT_EQ(props, ptmc::kAllProps);
 }
 
-TEST_P(PtmcReplayHarts, MutatedSystemReproducesEveryCounterexample) {
+TEST_P(PtmcReplayMatrix, MutatedSystemReproducesEveryCounterexample) {
   for (const ptmc::Counterexample& ce : matrix_counterexamples(GetParam())) {
     const ReplayReport rep = replay_counterexample(ce);
     EXPECT_EQ(rep.outcome, Outcome::kSucceeded)
@@ -81,7 +84,7 @@ TEST_P(PtmcReplayHarts, MutatedSystemReproducesEveryCounterexample) {
   }
 }
 
-TEST_P(PtmcReplayHarts, StockSystemStopsEveryCounterexample) {
+TEST_P(PtmcReplayMatrix, StockSystemStopsEveryCounterexample) {
   for (const ptmc::Counterexample& ce : matrix_counterexamples(GetParam())) {
     const ReplayReport rep = replay_on_stock(ce);
     EXPECT_TRUE(rep.defended())
@@ -91,23 +94,47 @@ TEST_P(PtmcReplayHarts, StockSystemStopsEveryCounterexample) {
   }
 }
 
-TEST_P(PtmcReplayHarts, ReplayLogNamesEachOp) {
+TEST_P(PtmcReplayMatrix, ReplayLogNamesEachOp) {
   const auto& ces = matrix_counterexamples(GetParam());
   ASSERT_FALSE(ces.empty());
   const ReplayReport rep = replay_counterexample(ces.front());
   EXPECT_GE(rep.log.size(), ces.front().steps.size());
+  // Each line is an executed CampaignOp in ptcampaign's repro format.
+  for (const std::string& line : rep.log) {
+    EXPECT_NE(line.find(" pid="), std::string::npos) << line;
+    EXPECT_NE(line.find(" -> "), std::string::npos) << line;
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Harts, PtmcReplayHarts, ::testing::Values(1u, 2u));
+INSTANTIATE_TEST_SUITE_P(Harts, PtmcReplayMatrix, ::testing::Values(1u, 2u),
+                         [](const auto& info) {
+                           return std::to_string(info.param);
+                         });
 
-std::string dump_replays(const std::string& label, const ptmc::ModelConfig& cfg) {
+// The stock capability set's P1 trace: p0 runs on an in-region root, the
+// attacker sprays tables into normal memory, then writes the live root.
+// That write must plant the entry chaining the root to the sprayed tables,
+// so the walk really consumes them; the defended system faults the write.
+TEST(PtmcReplay, StockP1ChainsTheLiveRootToSprayedTables) {
+  const ptmc::CheckResult res = ptmc::check(stock_config());
+  const ptmc::Counterexample* ce = res.counterexample_for(0);
+  ASSERT_NE(ce, nullptr);
+  const ReplayReport mut = replay_counterexample(*ce);
+  EXPECT_EQ(mut.outcome, Outcome::kSucceeded) << mut.detail;
+  const ReplayReport stock = replay_on_stock(*ce);
+  EXPECT_EQ(stock.outcome, Outcome::kBlockedFault) << stock.detail;
+}
+
+std::string dump_replays(const std::string& label,
+                         const ptmc::ModelConfig& cfg) {
   std::ostringstream os;
   for (const ptmc::Counterexample& ce : ptmc::check(cfg).counterexamples) {
     const ReplayReport mut = replay_counterexample(ce);
     const ReplayReport stock = replay_on_stock(ce);
     os << "=== " << label << " " << ptmc::prop_name(ce.prop) << " ===\n"
        << "mutated: " << to_string(mut.outcome) << " | " << mut.detail << "\n"
-       << "stock: " << to_string(stock.outcome) << " | " << stock.detail << "\n";
+       << "stock: " << to_string(stock.outcome) << " | " << stock.detail
+       << "\n";
   }
   return os.str();
 }
@@ -117,7 +144,8 @@ TEST(PtmcReplay, Golden) {
   for (const unsigned harts : {1u, 2u}) {
     // `ptmc --matrix --replay --harts N`: each entry stops once its targets
     // fall, and every counterexample found (collateral ones too) replays.
-    for (const ptmc::MutationEntry& e : ptmc::mutation_matrix(cli_config(harts))) {
+    for (const ptmc::MutationEntry& e :
+         ptmc::mutation_matrix(cli_config(harts))) {
       ptmc::ModelConfig cfg = e.cfg;
       cfg.stop_after_violated = e.must_break;
       dump += dump_replays("mutate " + std::string(e.name) + " harts " +
@@ -139,4 +167,4 @@ TEST(PtmcReplay, Golden) {
 }
 
 }  // namespace
-}  // namespace ptstore::attacks
+}  // namespace ptstore::harness

@@ -52,11 +52,7 @@ void print_repro(const ShardOutcome& s) {
   std::printf("  repro (seed %llu, %zu ops):\n",
               static_cast<unsigned long long>(s.seed), s.repro.size());
   for (const CampaignOp& op : s.repro) {
-    std::printf("    %-16s pid=%llu arg=0x%llx", to_string(op.kind),
-                static_cast<unsigned long long>(op.pid),
-                static_cast<unsigned long long>(op.arg));
-    if (op.hart != 0) std::printf(" hart=%u", op.hart);
-    std::printf("\n");
+    std::printf("    %s\n", describe(op).c_str());
   }
 }
 

@@ -25,7 +25,7 @@
 #include <string>
 
 #include "analysis/ptmc.h"
-#include "attacks/ptmc_replay.h"
+#include "harness/ptmc_replay.h"
 
 namespace {
 
@@ -97,8 +97,8 @@ void print_result(const mc::CheckResult& res, bool verbose) {
 bool replay_all(const mc::CheckResult& res, bool verbose) {
   bool ok = true;
   for (const auto& ce : res.counterexamples) {
-    const attacks::ReplayReport mut = attacks::replay_counterexample(ce);
-    const attacks::ReplayReport stock = attacks::replay_on_stock(ce);
+    const harness::ReplayReport mut = harness::replay_counterexample(ce);
+    const harness::ReplayReport stock = harness::replay_on_stock(ce);
     std::printf("  replay %s: mutated -> %s; stock -> %s\n",
                 mc::prop_name(ce.prop), attacks::to_string(mut.outcome),
                 attacks::to_string(stock.outcome));

@@ -53,33 +53,38 @@ MemAccessResult Core::access_as(VirtAddr va, unsigned size, AccessType type,
 MemAccessResult Core::access_with(VirtAddr va, unsigned size, AccessType type,
                                   AccessKind kind, Privilege priv, u64 store_value,
                                   const TranslateResult* pre) {
-  MemAccessResult res;
-  TranslateResult local;
-  if (pre == nullptr) {
-    if (!is_aligned(va, size)) {
-      res.fault = isa::misaligned_for(type);
-      return res;
-    }
-    local = mmu_.translate(va, type, kind, ctx_for(priv));
-    res.cycles += local.cycles;
-    if (!local.ok) {
-      res.fault = local.fault;
-      return res;
-    }
-    pre = &local;
+  // Caller-provided `pre` is ok & charged.
+  if (pre != nullptr) return access_pa(pre->pa, size, type, kind, priv, store_value);
+  if (!is_aligned(va, size)) {
+    MemAccessResult res;
+    res.fault = isa::misaligned_for(type);
+    return res;
   }
-  const TranslateResult& tr = *pre;  // Caller-provided `pre` is ok & charged.
+  const TranslateResult tr = mmu_.translate(va, type, kind, ctx_for(priv));
+  if (!tr.ok) {
+    MemAccessResult res;
+    res.cycles = tr.cycles;
+    res.fault = tr.fault;
+    return res;
+  }
+  MemAccessResult res = access_pa(tr.pa, size, type, kind, priv, store_value);
+  res.cycles += tr.cycles;
+  return res;
+}
 
+MemAccessResult Core::access_pa(PhysAddr pa, unsigned size, AccessType type,
+                                AccessKind kind, Privilege priv, u64 store_value) {
+  MemAccessResult res;
   // PMP is checked on the *physical* address of every access — including
   // TLB hits. This is exactly why PTStore survives TLB-inconsistency
   // attacks (paper §V-E5): stale virtual permissions cannot bypass it.
-  PmpDecision pd = pmp_.check(tr.pa, size, type, kind, priv);
+  PmpDecision pd = pmp_.check(pa, size, type, kind, priv);
   if (!cfg_.ptstore_enabled) {
     // Baseline core: the S-bit has no meaning; re-run the check treating the
     // access as regular so only base PMP R/W/X semantics apply.
     if (pd.reason == PmpDenyReason::kSecureRegular ||
         pd.reason == PmpDenyReason::kPtInsnOutsideSecure) {
-      pd = pmp_.check(tr.pa, size, type, AccessKind::kRegular, priv);
+      pd = pmp_.check(pa, size, type, AccessKind::kRegular, priv);
       if (pd.reason == PmpDenyReason::kSecureRegular) pd.allowed = true;
     }
   }
@@ -89,29 +94,29 @@ MemAccessResult Core::access_with(VirtAddr va, unsigned size, AccessType type,
     return res;
   }
 
-  if (!mem_.is_valid(tr.pa, size)) {
+  if (!mem_.is_valid(pa, size)) {
     res.fault = isa::access_fault_for(type);
     return res;
   }
 
   Cache& cache = (type == AccessType::kExecute) ? icache_ : dcache_;
-  if (mem_.is_dram(tr.pa, size)) {
+  if (mem_.is_dram(pa, size)) {
     // Hit latency is folded into the base CPI; only charge the excess.
-    res.cycles += Cache::hierarchy_access(cache, l2_ ? &*l2_ : nullptr, tr.pa,
+    res.cycles += Cache::hierarchy_access(cache, l2_ ? &*l2_ : nullptr, pa,
                                           type == AccessType::kWrite);
   } else {
     res.cycles += 20;  // Uncached MMIO access.
   }
 
-  res.pa = tr.pa;
+  res.pa = pa;
   if (type == AccessType::kWrite) {
-    mem_.write(tr.pa, size, store_value);
+    mem_.write(pa, size, store_value);
     // A store to a reserved address breaks the LR/SC reservation.
-    if (reservation_ && align_down(*reservation_, 8) == align_down(tr.pa, 8)) {
+    if (reservation_ && align_down(*reservation_, 8) == align_down(pa, 8)) {
       reservation_.reset();
     }
   } else {
-    res.value = mem_.read(tr.pa, size);
+    res.value = mem_.read(pa, size);
   }
   res.ok = true;
   return res;

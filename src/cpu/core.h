@@ -168,7 +168,12 @@ class Core {
   void retire_abstract(u64 n, Cycles per_inst = 1) {
     instret_ += n;
     cycles_ += n * per_inst;
+    abstract_retired_ += n;
   }
+  /// Host-only tally of retire_abstract() charges since construction, so
+  /// instret() minus it counts interpreted instructions. Not architectural
+  /// state and not a counter: checkpoints and reports never see it.
+  u64 abstract_retired() const { return abstract_retired_; }
 
   /// Install the C++ kernel's trap intercept. Traps delegated to S-mode call
   /// the hook first; if it reports handled, the core performs an sret-like
@@ -233,6 +238,9 @@ class Core {
   MemAccessResult access_with(VirtAddr va, unsigned size, AccessType type,
                               AccessKind kind, Privilege priv, u64 store_value,
                               const TranslateResult* pre);
+  /// access_with() from the PMP check on, for the translated address `pa`.
+  MemAccessResult access_pa(PhysAddr pa, unsigned size, AccessType type,
+                            AccessKind kind, Privilege priv, u64 store_value);
   /// Fetch + decode + execute one instruction (the classic interpreter
   /// path). `pre` as in access_with, for the decode-cache fallback.
   StepResult step_fetch_decode(const TranslateResult* pre);
@@ -301,6 +309,7 @@ class Core {
   Privilege priv_ = Privilege::kMachine;
   Cycles cycles_ = 0;
   u64 instret_ = 0;
+  u64 abstract_retired_ = 0;
 
   // CSRs.
   u64 mstatus_ = 0;

@@ -47,14 +47,6 @@ void KernelMem::must_pt_sd(VirtAddr va, u64 v) {
   if (!a.ok) panic("sd.pt", va, a.fault);
 }
 
-KAccess KernelMem::pt_zero_page(VirtAddr page_va) {
-  for (u64 off = 0; off < kPageSize; off += 8) {
-    const KAccess a = pt_sd(page_va + off, 0);
-    if (!a.ok) return a;
-  }
-  return {true, isa::TrapCause::kNone, 0};
-}
-
 namespace {
 constexpr u64 kWordsPerPage = kPageSize / 8;
 }
@@ -94,16 +86,6 @@ KAccess KernelMem::bulk_zero(VirtAddr page_va) {
   if (!probe.ok) return probe;
   core_->mem().fill(page_va, 0, kPageSize);
   core_->retire_abstract(kWordsPerPage - 1, core_->config().timing.base_cpi);
-  return {true, isa::TrapCause::kNone, 0};
-}
-
-KAccess KernelMem::pt_copy_page(VirtAddr dst_va, VirtAddr src_va) {
-  for (u64 off = 0; off < kPageSize; off += 8) {
-    const KAccess rd = pt_ld(src_va + off);
-    if (!rd.ok) return rd;
-    const KAccess wr = pt_sd(dst_va + off, rd.value);
-    if (!wr.ok) return wr;
-  }
   return {true, isa::TrapCause::kNone, 0};
 }
 

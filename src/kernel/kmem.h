@@ -88,15 +88,10 @@ class KernelMem {
   u64 must_pt_ld(VirtAddr va);
   void must_pt_sd(VirtAddr va, u64 v);
 
-  /// Zero / copy whole pages through the architectural access path,
-  /// charging one store (or load+store) per 64-bit word.
-  KAccess pt_zero_page(VirtAddr page_va);
-  KAccess pt_copy_page(VirtAddr dst_va, VirtAddr src_va);
-
   // Bulk fast paths: perform ONE architecturally-checked probe access (so
   // PMP/MMU protection is still enforced on the target page), then complete
-  // the operation host-side and charge the cycles the per-word loop would
-  // have cost. Semantically identical to the per-word loops; used on hot
+  // the operation host-side and charge the cycles a per-word ld.pt/sd.pt
+  // loop would have cost. Semantically identical to that loop; used on hot
   // kernel paths (fork storms, demand-zeroing) to keep simulation tractable.
   KAccess pt_bulk_zero(VirtAddr page_va);
   KAccess pt_bulk_copy(VirtAddr dst_va, VirtAddr src_va);

@@ -22,20 +22,13 @@ const PhysMem::Window* PhysMem::find_device(PhysAddr pa, u64 size) const {
   return nullptr;
 }
 
-PhysMem::Frame* PhysMem::find_frame_slow(u64 frame) {
-  auto it = frames_.find(frame);
-  if (it == frames_.end()) return nullptr;
-  memo_frame_ = frame;
-  memo_ = &it->second;
-  return memo_;
-}
-
 PhysMem::Frame* PhysMem::materialize(u64 frame) {
-  auto buf = std::make_unique<u8[]>(kPageSize);
-  std::memset(buf.get(), 0, kPageSize);
-  memo_frame_ = frame;
-  memo_ = &frames_.emplace(frame, Frame{std::move(buf), 0}).first->second;
-  return memo_;
+  std::unique_ptr<Leaf>& leaf = dir_[frame >> kLeafShift];
+  if (!leaf) leaf = std::make_unique<Leaf>();
+  std::unique_ptr<Frame>& slot = (*leaf)[frame & (kLeafFrames - 1)];
+  slot = std::make_unique<Frame>();
+  ++resident_;
+  return slot.get();
 }
 
 u64 PhysMem::read_slow(PhysAddr pa, unsigned size) {
@@ -65,7 +58,7 @@ void PhysMem::read_block(PhysAddr pa, void* out, u64 len) {
     const u64 chunk = std::min<u64>(len, kPageSize - off);
     // Reads never materialize frames: untouched memory is zero.
     if (const Frame* f = find_frame(pa)) {
-      std::memcpy(dst, f->data.get() + off, chunk);
+      std::memcpy(dst, f->data + off, chunk);
     } else {
       std::memset(dst, 0, chunk);
     }
@@ -81,7 +74,7 @@ void PhysMem::write_block(PhysAddr pa, const void* in, u64 len) {
   while (len > 0) {
     const u64 off = (pa - dram_base_) & kPageMask;
     const u64 chunk = std::min<u64>(len, kPageSize - off);
-    std::memcpy(frame_for(pa) + off, src, chunk);
+    std::memcpy(written_bytes(pa) + off, src, chunk);
     pa += chunk;
     src += chunk;
     len -= chunk;
@@ -93,7 +86,11 @@ void PhysMem::fill(PhysAddr pa, u8 byte, u64 len) {
   while (len > 0) {
     const u64 off = (pa - dram_base_) & kPageMask;
     const u64 chunk = std::min<u64>(len, kPageSize - off);
-    std::memset(frame_for(pa) + off, byte, chunk);
+    Frame* f = frame_for(pa);
+    // Zero bytes into a known-zero frame change nothing; a whole-frame zero
+    // fill makes the frame known-zero.
+    if (byte != 0 || !f->known_zero) std::memset(f->data + off, byte, chunk);
+    f->known_zero = byte == 0 && (f->known_zero || chunk == kPageSize);
     pa += chunk;
     len -= chunk;
   }
@@ -102,17 +99,16 @@ void PhysMem::fill(PhysAddr pa, u8 byte, u64 len) {
 bool PhysMem::is_zero(PhysAddr pa, u64 len) {
   assert(is_dram(pa, len));
   while (len > 0) {
-    const u64 frame = (pa - dram_base_) >> kPageShift;
     const u64 off = (pa - dram_base_) & kPageMask;
     const u64 chunk = std::min<u64>(len, kPageSize - off);
-    auto it = frames_.find(frame);
-    if (it != frames_.end()) {
-      const u8* p = it->second.data.get() + off;
-      for (u64 i = 0; i < chunk; ++i) {
-        if (p[i] != 0) return false;
-      }
-    }
     // Unmaterialized frames are zero by construction.
+    Frame* f = find_frame(pa);
+    if (f != nullptr && !f->known_zero) {
+      for (u64 i = 0; i < chunk; ++i) {
+        if (f->data[off + i] != 0) return false;
+      }
+      if (chunk == kPageSize) f->known_zero = true;
+    }
     pa += chunk;
     len -= chunk;
   }
@@ -121,34 +117,27 @@ bool PhysMem::is_zero(PhysAddr pa, u64 len) {
 
 std::vector<std::pair<u64, std::vector<u8>>> PhysMem::snapshot_frames() const {
   std::vector<std::pair<u64, std::vector<u8>>> out;
-  out.reserve(frames_.size());
-  for (const auto& [frame, f] : frames_) {
-    out.emplace_back(frame,
-                     std::vector<u8>(f.data.get(), f.data.get() + kPageSize));
-  }
+  out.reserve(resident_);
+  for_each_frame([&out](u64 frame, const Frame& f) {
+    out.emplace_back(frame, std::vector<u8>(f.data, f.data + kPageSize));
+  });
   return out;
 }
 
 void PhysMem::restore_frames(
     const std::vector<std::pair<u64, std::vector<u8>>>& frames) {
-  frames_.clear();
+  for (auto& leaf : dir_) leaf.reset();
+  resident_ = 0;
   ++table_gen_;  // Old frame_write_gen() pointers are now dangling.
-  memo_frame_ = ~u64{0};
-  memo_ = nullptr;
   for (const auto& [frame, bytes] : frames) {
-    assert(bytes.size() == kPageSize);
-    auto buf = std::make_unique<u8[]>(kPageSize);
-    std::memcpy(buf.get(), bytes.data(), kPageSize);
-    frames_.emplace(frame, Frame{std::move(buf), 0});
+    assert(bytes.size() == kPageSize && frame < (dram_size_ >> kPageShift));
+    Frame* f = materialize(frame);
+    std::memcpy(f->data, bytes.data(), kPageSize);
+    f->known_zero = false;
   }
 }
 
 u64 PhysMem::content_digest() const {
-  std::vector<u64> indices;
-  indices.reserve(frames_.size());
-  for (const auto& [frame, f] : frames_) indices.push_back(frame);
-  std::sort(indices.begin(), indices.end());
-
   u64 h = 0xcbf29ce484222325ULL;  // FNV offset basis.
   auto mix = [&h](const u8* p, u64 len) {
     for (u64 i = 0; i < len; ++i) {
@@ -156,24 +145,19 @@ u64 PhysMem::content_digest() const {
       h *= 0x100000001b3ULL;  // FNV prime.
     }
   };
-  for (const u64 frame : indices) {
-    const Frame& f = frames_.at(frame);
-    bool all_zero = true;
-    for (u64 i = 0; i < kPageSize; ++i) {
-      if (f.data[i] != 0) {
-        all_zero = false;
-        break;
-      }
+  for_each_frame([&mix](u64 frame, const Frame& f) {
+    if (f.known_zero || std::all_of(f.data, f.data + kPageSize,
+                                    [](u8 b) { return b == 0; })) {
+      return;
     }
-    if (all_zero) continue;
     const u8 idx[8] = {
         static_cast<u8>(frame), static_cast<u8>(frame >> 8),
         static_cast<u8>(frame >> 16), static_cast<u8>(frame >> 24),
         static_cast<u8>(frame >> 32), static_cast<u8>(frame >> 40),
         static_cast<u8>(frame >> 48), static_cast<u8>(frame >> 56)};
     mix(idx, 8);
-    mix(f.data.get(), kPageSize);
-  }
+    mix(f.data, kPageSize);
+  });
   return h;
 }
 

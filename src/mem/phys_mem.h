@@ -1,14 +1,18 @@
 // Sparse physical memory model. DRAM frames are allocated lazily so a
-// multi-GiB simulated machine costs only what it touches. MMIO devices can
+// multi-GiB simulated machine costs only what it touches: a two-level frame
+// table maps a frame number to its frame, and a leaf of that table exists
+// only once a frame inside its 2 MiB span has been written. Every frame
+// carries a write generation (the decode cache's content guard) and a
+// known-zero bit that lets is_zero() skip the byte scan. MMIO devices can
 // be attached to address windows outside DRAM (used by the generality demo
 // in examples/bare_metal_guard).
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bits.h"
@@ -31,8 +35,10 @@ class PhysMem {
  public:
   /// DRAM occupies [dram_base, dram_base + dram_size).
   PhysMem(PhysAddr dram_base, u64 dram_size)
-      : dram_base_(dram_base), dram_size_(dram_size) {}
-  // Cores and MMUs keep references to it, and the frame memo points into it.
+      : dram_base_(dram_base),
+        dram_size_(dram_size),
+        dir_(((dram_size >> kPageShift) + kLeafFrames - 1) >> kLeafShift) {}
+  // Cores and MMUs keep references to it and to its frames' write_gen.
   PhysMem(const PhysMem&) = delete;
   PhysMem& operator=(const PhysMem&) = delete;
 
@@ -76,7 +82,7 @@ class PhysMem {
     if (in_one_dram_frame(pa, size)) {
       u64 v = 0;  // Reads never materialize frames: untouched memory is zero.
       if (const Frame* f = find_frame(pa)) {
-        std::memcpy(&v, f->data.get() + ((pa - dram_base_) & kPageMask), size);
+        std::memcpy(&v, f->data + ((pa - dram_base_) & kPageMask), size);
       }
       return v;
     }
@@ -85,7 +91,7 @@ class PhysMem {
   void write(PhysAddr pa, unsigned size, u64 value) {
     assert(size == 1 || size == 2 || size == 4 || size == 8);
     if (in_one_dram_frame(pa, size)) {
-      std::memcpy(frame_for(pa) + ((pa - dram_base_) & kPageMask), &value, size);
+      std::memcpy(written_bytes(pa) + ((pa - dram_base_) & kPageMask), &value, size);
       return;
     }
     write_slow(pa, size, value);
@@ -98,10 +104,12 @@ class PhysMem {
 
   /// True if every byte of [pa, pa+len) is zero. Used by the PTStore kernel's
   /// zero-check defence against allocator-metadata attacks (paper §V-E3).
+  /// Frames known to be zero (never written, or last written by a
+  /// whole-frame fill(0)) answer without a scan.
   bool is_zero(PhysAddr pa, u64 len);
 
   /// Number of DRAM frames materialized so far (for memory-pressure stats).
-  size_t resident_frames() const { return frames_.size(); }
+  size_t resident_frames() const { return resident_; }
 
   /// Pointer to the write-generation counter of the frame containing `pa`,
   /// or nullptr if the address is not DRAM or the frame has never been
@@ -111,8 +119,8 @@ class PhysMem {
   /// restore_frames() rebuilds the table — watch frame_table_gen() for that.
   const u64* frame_write_gen(PhysAddr pa) const {
     if (!is_dram(pa)) return nullptr;
-    auto it = frames_.find((pa - dram_base_) >> kPageShift);
-    return it == frames_.end() ? nullptr : &it->second.write_gen;
+    const Frame* f = find_frame(pa);
+    return f == nullptr ? nullptr : &f->write_gen;
   }
 
   /// Bumped whenever the frame table itself is rebuilt (checkpoint restore),
@@ -120,7 +128,8 @@ class PhysMem {
   u64 frame_table_gen() const { return table_gen_; }
 
   /// Snapshot/restore of DRAM contents (machine checkpoints). Only
-  /// materialized frames are copied; restore drops all current frames.
+  /// materialized frames are copied, in ascending frame order; restore
+  /// drops all current frames.
   std::vector<std::pair<u64, std::vector<u8>>> snapshot_frames() const;
   void restore_frames(const std::vector<std::pair<u64, std::vector<u8>>>& frames);
 
@@ -140,42 +149,65 @@ class PhysMem {
   };
 
   struct Frame {
-    std::unique_ptr<u8[]> data;
     u64 write_gen = 0;
+    /// Every byte is zero. Set at materialization and by a whole-frame
+    /// fill(0) (or a scan that finds the frame zero); every other write
+    /// clears it.
+    bool known_zero = true;
+    u8 data[kPageSize] = {};
   };
+
+  // Frame table: dir_[frame >> kLeafShift] points at a leaf of kLeafFrames
+  // frame slots (one 2 MiB span of DRAM), allocated with its first frame.
+  // (A flat table answers one load sooner, but a calloc'd one costs page
+  // faults or a clear on every machine built, and machines are built often.)
+  static constexpr unsigned kLeafShift = 9;
+  static constexpr u64 kLeafFrames = u64{1} << kLeafShift;
+  using Leaf = std::array<std::unique_ptr<Frame>, kLeafFrames>;
 
   bool in_one_dram_frame(PhysAddr pa, unsigned size) const {
     return is_dram(pa, size) && ((pa - dram_base_) & kPageMask) + size <= kPageSize;
   }
   /// The materialized frame holding DRAM address `pa`, or nullptr.
-  Frame* find_frame(PhysAddr pa) {
+  Frame* find_frame(PhysAddr pa) const {
     const u64 frame = (pa - dram_base_) >> kPageShift;
-    if (frame == memo_frame_) return memo_;
-    return find_frame_slow(frame);
+    const Leaf* leaf = dir_[frame >> kLeafShift].get();
+    return leaf == nullptr ? nullptr : (*leaf)[frame & (kLeafFrames - 1)].get();
   }
-  Frame* find_frame_slow(u64 frame);
-  /// Data of the frame holding DRAM address `pa`, materialized if needed.
-  /// Every caller is a write path, so this bumps the frame's write_gen.
-  u8* frame_for(PhysAddr pa) {
+  /// The frame holding DRAM address `pa`, materialized if needed. Every
+  /// caller is a write path, so this bumps the frame's write_gen.
+  Frame* frame_for(PhysAddr pa) {
     Frame* f = find_frame(pa);
     if (f == nullptr) f = materialize((pa - dram_base_) >> kPageShift);
     ++f->write_gen;
-    return f->data.get();
+    return f;
+  }
+  /// Data of frame_for(pa), about to receive arbitrary bytes.
+  u8* written_bytes(PhysAddr pa) {
+    Frame* f = frame_for(pa);
+    f->known_zero = false;
+    return f->data;
   }
   Frame* materialize(u64 frame);
+  /// Calls fn(frame number, frame) for every materialized frame, ascending.
+  template <typename Fn>
+  void for_each_frame(Fn&& fn) const {
+    for (u64 d = 0; d < dir_.size(); ++d) {
+      if (!dir_[d]) continue;
+      for (u64 i = 0; i < kLeafFrames; ++i) {
+        if (const Frame* f = (*dir_[d])[i].get()) fn((d << kLeafShift) | i, *f);
+      }
+    }
+  }
   u64 read_slow(PhysAddr pa, unsigned size);
   void write_slow(PhysAddr pa, unsigned size, u64 value);
   const Window* find_device(PhysAddr pa, u64 size) const;
 
   PhysAddr dram_base_;
   u64 dram_size_;
-  std::unordered_map<u64, Frame> frames_;
+  std::vector<std::unique_ptr<Leaf>> dir_;
+  size_t resident_ = 0;
   u64 table_gen_ = 0;
-  // One-entry memo of the last frame found: frame index -> its node in
-  // frames_. Node addresses survive rehashing; only restore_frames() (which
-  // bumps table_gen_) destroys nodes, and it clears the memo.
-  u64 memo_frame_ = ~u64{0};
-  Frame* memo_ = nullptr;
   std::vector<Window> devices_;
 };
 

@@ -68,12 +68,19 @@ bool PmpUnit::is_secure(PhysAddr pa, u64 size) const {
   return false;
 }
 
-PmpDecision PmpUnit::check(PhysAddr pa, u64 size, AccessType type, AccessKind kind,
-                           Privilege priv) const {
+PmpDecision PmpUnit::scan(PhysAddr pa, u64 size, AccessType type, AccessKind kind,
+                          Privilege priv, bool* page_uniform) const {
+  const PhysAddr page_pa = align_down(pa, kPageSize);
+  auto inside_page = [page_pa](PhysAddr b) {
+    return b > page_pa && b - page_pa < kPageSize;
+  };
   // Find the highest-priority (lowest-index) entry that matches any byte.
   for (unsigned i = 0; i < kPmpEntryCount; ++i) {
     const auto r = entry_range(i);
     if (!r) continue;
+    if (page_uniform != nullptr && (inside_page(r->first) || inside_page(r->second))) {
+      *page_uniform = false;
+    }
     const u64 rsize = r->second - r->first;
     if (!ranges_overlap(r->first, rsize, pa, size)) continue;
     if (!range_contains(r->first, rsize, pa, size)) {

@@ -72,9 +72,29 @@ class PmpUnit {
   u64 addr(unsigned idx) const { return addr_.at(idx); }
 
   /// Full check of an access [pa, pa+size) issued at privilege `priv` by
-  /// agent `kind` with intent `type`.
+  /// agent `kind` with intent `type`. Always equals scan().
   PmpDecision check(PhysAddr pa, u64 size, AccessType type, AccessKind kind,
-                    Privilege priv) const;
+                    Privilege priv) const {
+    const u64 page = pa >> kPageShift;
+    if (size == 0 || (pa + size - 1) >> kPageShift != page) {
+      return scan(pa, size, type, kind, priv);
+    }
+    const u64 tag = page << 6 | u64{static_cast<u8>(type)} << 4 |
+                    u64{static_cast<u8>(kind)} << 2 | u64{static_cast<u8>(priv)};
+    MemoSlot& slot = memo_[(tag * 0x9E3779B97F4A7C15ULL) >> (64 - kMemoBits)];
+    if (slot.tag == tag && slot.gen == write_gen_) return slot.decision;
+    bool page_uniform = true;
+    const PmpDecision d = scan(pa, size, type, kind, priv, &page_uniform);
+    if (page_uniform) slot = MemoSlot{tag, write_gen_, d};
+    return d;
+  }
+  /// check() without the decision memo: the priority scan over the entries.
+  /// With `page_uniform`, also clears *page_uniform if an entry the scan
+  /// considered has a boundary strictly inside pa's page. When it stays
+  /// set, every entry before the deciding one misses the page and that one
+  /// covers all of it, so every access inside the page gets this decision.
+  PmpDecision scan(PhysAddr pa, u64 size, AccessType type, AccessKind kind,
+                   Privilege priv, bool* page_uniform = nullptr) const;
 
   /// True if the whole range lies inside some active S=1 entry. Used by the
   /// MMU for the satp.S page-table-walker check.
@@ -101,7 +121,8 @@ class PmpUnit {
 
   /// Bumped on every pmpcfg/pmpaddr write attempt (even ones a locked entry
   /// ignores). check() is pure, so a cached decision stays valid while this
-  /// counter is unchanged — the decode cache relies on that.
+  /// counter is unchanged — the decision memo and the decode cache rely on
+  /// that.
   u64 write_gen() const { return write_gen_; }
 
   std::string describe() const;
@@ -111,10 +132,18 @@ class PmpUnit {
     return static_cast<PmpMatch>((cfg_[idx] & pmpcfg::kAMask) >> pmpcfg::kAShift);
   }
 
+  struct MemoSlot {
+    u64 tag = ~u64{0};  ///< page << 6 | type << 4 | kind << 2 | priv.
+    u64 gen = ~u64{0};  ///< write_gen_ when filled.
+    PmpDecision decision;
+  };
+  static constexpr unsigned kMemoBits = 8;
+
   std::array<u8, kPmpEntryCount> cfg_{};
   std::array<u64, kPmpEntryCount> addr_{};
   u64 write_gen_ = 0;
   bool secure_enforcement_ = true;
+  mutable std::array<MemoSlot, std::size_t{1} << kMemoBits> memo_{};
 };
 
 }  // namespace ptstore

@@ -20,6 +20,7 @@ void register_campaign_workloads(WorkloadRegistry& reg);
 namespace {
 
 u64 g_instructions = 0;
+u64 g_abstract_instructions = 0;  // The retire_abstract() share of it.
 
 FleetOptions g_fleet;
 
@@ -100,6 +101,7 @@ Cycles run_on(SystemConfig cfg, const WorkloadFn& fn, const char* config_label) 
   if (g_collector.enabled) s.kernel().enable_latency_collection(true);
   const Cycles before = s.cycles();
   const u64 instret_before = s.core().instret();
+  const u64 abstract_before = s.core().abstract_retired();
   // Boot-time events stay outside the session: attribution covers exactly
   // the measured interval, so the profile total matches the cycle delta.
   telemetry::EventRing* tr = telemetry::tracing();
@@ -113,6 +115,7 @@ Cycles run_on(SystemConfig cfg, const WorkloadFn& fn, const char* config_label) 
   if (pf != nullptr) pf->session_end(s.cycles());
   if (tr != nullptr) tr->session_end(s.cycles());
   g_instructions += s.core().instret() - instret_before;
+  g_abstract_instructions += s.core().abstract_retired() - abstract_before;
   if (g_collector.enabled) capture_run(config_label, s);
   return s.cycles() - before;
 }
@@ -313,11 +316,15 @@ int run_workload_main_with(std::unique_ptr<Workload> w, int argc, char** argv) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
 
+  // Abstract charges cost the host next to nothing, so the rate counts
+  // only the instructions the interpreter actually ran.
   const double minst = static_cast<double>(instructions_simulated()) / 1e6;
-  std::printf("\n[%s] wall %.2f s, %.1f Minst simulated (%.1f Minst/s), "
-              "decode cache %s%s\n",
-              w->name().c_str(), secs, minst,
-              secs > 0 ? minst / secs : 0.0,
+  const double abstract_minst = static_cast<double>(g_abstract_instructions) / 1e6;
+  const double interp_minst = minst - abstract_minst;
+  std::printf("\n[%s] wall %.2f s, %.1f Minst simulated (%.1f abstract + %.2f "
+              "interpreted), %.2f interpreted Minst/s, decode cache %s%s\n",
+              w->name().c_str(), secs, minst, abstract_minst, interp_minst,
+              secs > 0 ? interp_minst / secs : 0.0,
               decode_cache_enabled() ? "on" : "off",
               smoke_mode() ? ", smoke scale" : "");
 

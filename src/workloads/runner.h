@@ -106,7 +106,7 @@ bool smoke_mode();
 bool decode_cache_enabled();
 
 /// Simulated instructions retired inside run_on()/measure() so far in this
-/// process — the numerator of the driver's Minst/s footer.
+/// process — the driver footer's simulated total (abstract + interpreted).
 u64 instructions_simulated();
 
 // ---- Fleet / campaign knobs (the --jobs / --shards / --campaign-seed flags) ----

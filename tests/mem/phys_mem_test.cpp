@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "common/rng.h"
 
 namespace ptstore {
@@ -117,7 +120,8 @@ TEST_F(PhysMemTest, MmioOverlapRejected) {
   EXPECT_FALSE(mem_.map_device(0x3000'0000, 0, &dev));       // Empty window.
 }
 
-// The one-entry frame memo must not outlive the frame table it points into.
+// A restore frees every frame; accesses afterwards must see only the
+// restored image, never a frame freed with the old table.
 TEST_F(PhysMemTest, AccessAfterRestoreFramesSeesRestoredImage) {
   const PhysAddr a = kDramBase + 3 * kPageSize + 16;
   const PhysAddr b = kDramBase + 7 * kPageSize;
@@ -184,6 +188,22 @@ TEST_F(PhysMemTest, MemoKeepsMmioAndFrameCrossingRoutes) {
   EXPECT_EQ(dev.writes, 1);
 }
 
+// content_digest() recomputed from a byte shadow (frame -> bytes): FNV-1a
+// over each frame that is not all zero, ascending, index then bytes.
+u64 shadow_digest(const std::map<u64, std::vector<u8>>& shadow) {
+  u64 h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](u8 b) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  };
+  for (const auto& [frame, bytes] : shadow) {
+    if (std::all_of(bytes.begin(), bytes.end(), [](u8 b) { return b == 0; })) continue;
+    for (unsigned i = 0; i < 8; ++i) mix(static_cast<u8>(frame >> (8 * i)));
+    for (const u8 b : bytes) mix(b);
+  }
+  return h;
+}
+
 TEST_F(PhysMemTest, RandomizedReadbackProperty) {
   Rng rng(123);
   std::vector<std::pair<PhysAddr, u64>> writes;
@@ -197,6 +217,118 @@ TEST_F(PhysMemTest, RandomizedReadbackProperty) {
   std::map<PhysAddr, u64> final;
   for (const auto& [a, v] : writes) final[a] = v;
   for (const auto& [a, v] : final) EXPECT_EQ(mem_.read_u64(a), v);
+
+  // Second mix over a 16-frame window, so ops collide: whole-frame and
+  // partial fills (zero and not), scalar writes and write_block across
+  // frames, snapshot/restore, and reads of unmaterialized frames, against
+  // a byte shadow. Checks contents, is_zero (against a byte scan of the
+  // shadow), resident_frames, content_digest and every frame_write_gen.
+  constexpr u64 kWindowFrames = 16;
+  constexpr u64 kWindow = kWindowFrames * kPageSize;
+  PhysMem mem(kDramBase, MiB(4));
+  std::map<u64, std::vector<u8>> shadow;  // Materialized frame -> bytes.
+  std::map<u64, u64> gens;                // Materialized frame -> write_gen.
+  // Every write op bumps each frame it touches once.
+  auto write_shadow = [&](u64 off, u64 len, auto byte_at) {
+    for (u64 i = 0; i < len; ++i) {
+      const u64 frame = (off + i) >> kPageShift;
+      std::vector<u8>& bytes = shadow[frame];
+      if (bytes.empty()) bytes.assign(kPageSize, 0);
+      if (i == 0 || ((off + i) & kPageMask) == 0) ++gens[frame];
+      bytes[(off + i) & kPageMask] = byte_at(i);
+    }
+  };
+  auto shadow_byte = [&](u64 off) -> u8 {
+    const auto it = shadow.find(off >> kPageShift);
+    return it == shadow.end() ? 0 : it->second[off & kPageMask];
+  };
+  auto random_span = [&rng]() {
+    const u64 off = rng.next_below(kWindow);
+    u64 len = rng.chance(0.5) ? 1 + rng.next_below(64) : 1 + rng.next_below(3 * kPageSize);
+    if (rng.chance(0.3)) {  // Whole frames.
+      return std::make_pair(align_down(off, kPageSize), kPageSize * (1 + rng.next_below(3)));
+    }
+    return std::make_pair(off, len);
+  };
+  std::vector<std::pair<u64, std::vector<u8>>> snap;
+  std::map<u64, std::vector<u8>> snap_shadow;
+  for (int step = 0; step < 3000; ++step) {
+    auto [off, len] = random_span();
+    len = std::min(len, kWindow - off);
+    const PhysAddr pa = kDramBase + off;
+    switch (rng.next_below(9)) {
+      case 0:
+      case 1: {  // fill, zero half the time.
+        const u8 byte = rng.chance(0.5) ? 0 : static_cast<u8>(1 + rng.next_below(255));
+        mem.fill(pa, byte, len);
+        write_shadow(off, len, [byte](u64) { return byte; });
+        break;
+      }
+      case 2: {  // write_block, possibly across frames.
+        std::vector<u8> in(len);
+        for (u8& b : in) b = rng.chance(0.7) ? 0 : static_cast<u8>(rng.next_u64());
+        mem.write_block(pa, in.data(), len);
+        write_shadow(off, len, [&in](u64 i) { return in[i]; });
+        break;
+      }
+      case 3: {  // Scalar write, possibly crossing a frame.
+        const unsigned size = 1u << rng.next_below(4);
+        if (off + size > kWindow) break;
+        const u64 v = rng.chance(0.3) ? 0 : rng.next_u64();
+        mem.write(pa, size, v);
+        write_shadow(off, size, [v](u64 i) { return static_cast<u8>(v >> (8 * i)); });
+        break;
+      }
+      case 4:  // Snapshot now, or restore the last snapshot.
+        if (snap.empty() || rng.chance(0.5)) {
+          snap = mem.snapshot_frames();
+          snap_shadow = shadow;
+        } else {
+          mem.restore_frames(snap);
+          shadow = snap_shadow;
+          gens.clear();
+          for (const auto& [frame, bytes] : shadow) gens[frame] = 0;
+        }
+        break;
+      case 5: {  // Reads, materialized or not.
+        std::vector<u8> out(len);
+        mem.read_block(pa, out.data(), len);
+        for (u64 i = 0; i < len; ++i) ASSERT_EQ(out[i], shadow_byte(off + i)) << step;
+        if (off + 8 <= kWindow) {
+          u64 want = 0;
+          for (unsigned i = 0; i < 8; ++i) want |= u64{shadow_byte(off + i)} << (8 * i);
+          ASSERT_EQ(mem.read_u64(pa), want) << step;
+        }
+        break;
+      }
+      default: {  // is_zero over the span, then over its whole frames.
+        bool want = true;
+        for (u64 i = 0; i < len; ++i) want = want && shadow_byte(off + i) == 0;
+        ASSERT_EQ(mem.is_zero(pa, len), want) << step;
+        const u64 lo = align_down(off, kPageSize);
+        const u64 hi = std::min(align_up(off + len, kPageSize), kWindow);
+        bool whole = true;
+        for (u64 o = lo; o < hi; ++o) whole = whole && shadow_byte(o) == 0;
+        ASSERT_EQ(mem.is_zero(kDramBase + lo, hi - lo), whole) << step;
+        break;
+      }
+    }
+    ASSERT_EQ(mem.resident_frames(), shadow.size()) << step;
+    for (u64 frame = 0; frame < kWindowFrames; ++frame) {
+      const u64* gen = mem.frame_write_gen(kDramBase + frame * kPageSize);
+      const auto it = gens.find(frame);
+      if (it == gens.end()) {
+        ASSERT_EQ(gen, nullptr) << step;
+      } else {
+        ASSERT_NE(gen, nullptr) << step;
+        ASSERT_EQ(*gen, it->second) << step;
+      }
+    }
+    if (step % 16 == 0) {
+      ASSERT_EQ(mem.content_digest(), shadow_digest(shadow)) << step;
+    }
+  }
+  EXPECT_EQ(mem.content_digest(), shadow_digest(shadow));
 }
 
 }  // namespace

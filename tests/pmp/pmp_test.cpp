@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/bits.h"
+#include "common/rng.h"
+
 namespace ptstore {
 namespace {
 
@@ -173,6 +178,93 @@ TEST(Pmp, DescribeListsActiveEntries) {
   const std::string d = pmp.describe();
   EXPECT_NE(d.find("pmp0"), std::string::npos);
   EXPECT_NE(d.find("RW-S-"), std::string::npos);
+}
+
+// check() answers in-page accesses from its decision memo; scan() is the
+// uncached reference. They must agree on every call: across random
+// configurations (OFF/TOR/NA4/NAPOT entries with S and L bits, boundaries
+// inside pages and on their edges), secure-enforcement toggles, and
+// accesses of every size, type, kind and privilege, the recent ones replayed
+// after each configuration write.
+TEST(Pmp, MemoizedCheckMatchesScan) {
+  constexpr PhysAddr kBase = 0x8000'0000;
+  constexpr u64 kPages = 16;
+  constexpr AccessType kTypes[] = {AccessType::kRead, AccessType::kWrite,
+                                   AccessType::kExecute};
+  constexpr AccessKind kKinds[] = {AccessKind::kRegular, AccessKind::kPtInsn,
+                                   AccessKind::kPtw};
+  constexpr Privilege kPrivs[] = {Privilege::kUser, Privilege::kSupervisor,
+                                  Privilege::kMachine};
+  struct Access {
+    PhysAddr pa;
+    u64 size;
+    AccessType type;
+    AccessKind kind;
+    Privilege priv;
+  };
+  Rng rng(0x5EED);
+  // A page edge, or a 4-byte-aligned point inside a page.
+  auto boundary = [&rng]() -> PhysAddr {
+    const PhysAddr page = kBase + rng.next_below(kPages + 1) * kPageSize;
+    return rng.chance(0.5) ? page : page + 4 * rng.next_below(kPageSize / 4);
+  };
+  u64 compared = 0;
+  auto expect_same = [&](const PmpUnit& pmp, const Access& a) {
+    const PmpDecision want = pmp.scan(a.pa, a.size, a.type, a.kind, a.priv);
+    for (int rep = 0; rep < 2; ++rep) {  // Fill, then (maybe) hit.
+      const PmpDecision got = pmp.check(a.pa, a.size, a.type, a.kind, a.priv);
+      ASSERT_EQ(got.allowed, want.allowed) << std::hex << a.pa << " size " << a.size;
+      ASSERT_EQ(got.reason, want.reason) << std::hex << a.pa << " size " << a.size;
+      ASSERT_EQ(got.entry, want.entry) << std::hex << a.pa << " size " << a.size;
+      ++compared;
+    }
+  };
+
+  for (int round = 0; round < 100; ++round) {
+    PmpUnit pmp;
+    std::vector<Access> recent;
+    for (int step = 0; step < 40; ++step) {
+      const unsigned idx = static_cast<unsigned>(rng.next_below(kPmpEntryCount));
+      switch (rng.next_below(5)) {
+        case 0:
+        case 1: {
+          const auto mode = static_cast<PmpMatch>(rng.next_below(4));
+          const u8 perms = static_cast<u8>(rng.next_below(8));
+          pmp.set_cfg(idx, cfg_of(mode, perms, rng.chance(0.3), rng.chance(0.05)));
+          break;
+        }
+        case 2:  // TOR top or NA4 base.
+          pmp.set_addr(idx, boundary() >> 2);
+          break;
+        case 3: {  // NAPOT region of 8 B .. 64 KiB.
+          const u64 size = u64{8} << rng.next_below(14);
+          pmp.set_addr(idx, (align_down(boundary(), size) >> 2) | (size / 8 - 1));
+          break;
+        }
+        default:
+          pmp.set_secure_enforcement(rng.chance(0.5));
+          break;
+      }
+      for (const Access& a : recent) expect_same(pmp, a);
+      for (int k = 0; k < 24; ++k) {
+        Access a{};
+        a.pa = rng.chance(0.5) ? kBase + rng.next_below(kPages * kPageSize)
+                               : boundary() - 8 + rng.next_below(16);
+        a.size = u64{1} << rng.next_below(4);
+        a.type = kTypes[rng.next_below(3)];
+        a.kind = kKinds[rng.next_below(3)];
+        a.priv = kPrivs[rng.next_below(3)];
+        expect_same(pmp, a);
+        if (recent.size() < 32) {
+          recent.push_back(a);
+        } else {
+          recent[rng.next_below(recent.size())] = a;
+        }
+      }
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(compared, 300'000u);
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
 #include "analysis/ptmc.h"
 
+#include <algorithm>
 #include <bit>
+#include <exception>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "telemetry/json.h"
 
@@ -54,6 +58,42 @@ u64 State::pack() const {
         (static_cast<u64>(satp1.bound) << 4))
        << shift;
   return k;
+}
+
+State State::unpack(u64 key) {
+  const auto take = [&key](unsigned bits) {
+    const u64 f = key & ((u64{1} << bits) - 1);
+    key >>= bits;
+    return static_cast<u8>(f);
+  };
+  const auto take_satp = [&take] {
+    SatpState sp;
+    sp.root = take(3);
+    sp.s = take(1) != 0;
+    sp.bound = take(1) != 0;
+    return sp;
+  };
+  State s;
+  s.boundary = static_cast<u8>(take(1) + 1);
+  for (PageState& pg : s.pages) {
+    pg.status = static_cast<PageStatus>(take(1));
+    pg.content = static_cast<PageContent>(take(2));
+  }
+  for (ProcState& p : s.procs) {
+    p.live = take(1) != 0;
+    p.pgd = take(3);
+    p.token = static_cast<TokenRef>(take(2));
+    p.ghost_root = take(3);
+    p.extra_pt = take(3);
+  }
+  for (TokenState& t : s.tokens) {
+    t.live = take(1) != 0;
+    t.pt_page = take(3);
+  }
+  s.satp = take_satp();
+  s.forced_alloc = take(3);
+  s.satp1 = take_satp();
+  return s;
 }
 
 State State::initial() { return State{}; }
@@ -592,6 +632,8 @@ class VisitedTable {
     if (++size_ * 4 > slots_.size() * 3) grow();
   }
 
+  bool contains(u64 key) const { return slots_[index_of(key)].key == key; }
+
   /// The edge `key` was first reached by; `key` must be present.
   u64 edge(u64 key) const { return slots_[index_of(key)].edge; }
 
@@ -656,7 +698,73 @@ Counterexample rebuild_counterexample(unsigned prop_idx, const ModelConfig& cfg,
   return ce;
 }
 
+/// Frontier states one worker expands per round. Every worker takes an
+/// equal block, so a round needs no work stealing; a level no larger than
+/// one block runs inline on the calling thread.
+constexpr size_t kBlockStates = 4096;
+/// Slots the merge prefetches ahead of the one it probes.
+constexpr size_t kMergePrefetch = 8;
+
+/// One worker's expansion of a block of the frontier, in expansion order:
+/// the successors not yet visited when the round began (key + parent edge)
+/// and every violating transition, visited successor or not. Its worker
+/// writes the vector ends on every successor, so chunks sit on separate
+/// cache-line pairs.
+struct alignas(128) Chunk {
+  struct Violation {
+    u64 ordinal;  ///< Transition index within the chunk.
+    size_t kept;  ///< Kept successors before this transition's.
+    u64 src;      ///< Packed source state.
+    u8 op_id;
+    u8 mask;      ///< Props it violates.
+  };
+  std::vector<VisitedTable::Slot> fresh;
+  std::vector<Violation> violations;
+  u64 transitions = 0;
+  std::exception_ptr error;
+};
+
+void expand(std::span<const u64> block, const std::vector<Op>& alphabet,
+            const ModelConfig& cfg, const VisitedTable& visited, Chunk& out) {
+  out.fresh.clear();
+  out.violations.clear();
+  out.transitions = 0;
+  for (const u64 key : block) {
+    const State s = State::unpack(key);
+    // Append every successor and prefetch its slot before the first probe,
+    // so the table's cache misses overlap; then drop the visited ones.
+    const size_t first = out.fresh.size();
+    const size_t first_violation = out.violations.size();
+    for (size_t id = 0; id < alphabet.size(); ++id) {
+      const auto suc = apply(s, alphabet[id], cfg);
+      if (!suc) continue;
+      const u64 next = suc->next.pack();
+      if (suc->violations != 0)
+        out.violations.push_back({out.transitions, out.fresh.size(), key,
+                                  static_cast<u8>(id), suc->violations});
+      ++out.transitions;
+      visited.prefetch(next);
+      out.fresh.push_back({next, key | u64{id} << kKeyBits});
+    }
+    // Compact in place; each of this state's violations moves from its
+    // successor's position to the number of successors kept before it.
+    size_t kept = first;
+    size_t v = first_violation;
+    for (size_t i = first; i < out.fresh.size(); ++i) {
+      if (v < out.violations.size() && out.violations[v].kept == i)
+        out.violations[v++].kept = kept;
+      if (!visited.contains(out.fresh[i].key)) out.fresh[kept++] = out.fresh[i];
+    }
+    out.fresh.resize(kept);
+  }
+}
+
 }  // namespace
+
+unsigned worker_count() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
 
 CheckResult check(const ModelConfig& cfg) {
   if (cfg.nharts != 1 && cfg.nharts != 2)
@@ -664,23 +772,32 @@ CheckResult check(const ModelConfig& cfg) {
                                 std::to_string(cfg.nharts));
   CheckResult res;
   const std::vector<Op>& alphabet = cfg.nharts == 2 ? all_ops_smp() : all_ops();
-  const State init = State::initial();
-  const u64 init_key = init.pack();
+  const u64 init_key = State::initial().pack();
 
   VisitedTable visited;
   visited.fill(visited.probe(init_key), init_key, 0);
   // One BFS level at a time, in expansion order: the same order a FIFO
   // queue would pop, so counts and counterexamples are shortest-first.
-  std::vector<std::pair<u64, State>> level{{init_key, init}};
-  std::vector<std::pair<u64, State>> next_level;
+  std::vector<u64> level{init_key};
+  std::vector<u64> next_level;
+  std::vector<Chunk> chunks(worker_count());
 
-  struct Candidate {
-    u64 key;
-    State next;
-    u8 op_id;
-    u8 violations;
+  // Takes a chunk's kept successors [from, to) in order: the probe, the
+  // state budget and the fill of the serial BFS.
+  const auto admit = [&](const Chunk& c, size_t from, size_t to) {
+    for (size_t i = from; i < to; ++i) {
+      if (i + kMergePrefetch < to) visited.prefetch(c.fresh[i + kMergePrefetch].key);
+      const auto [key, edge] = c.fresh[i];
+      VisitedTable::Slot& slot = visited.probe(key);
+      if (slot.key == key) continue;
+      if (visited.size() >= cfg.max_states) {
+        res.state_capped = true;
+        continue;
+      }
+      visited.fill(slot, key, edge);
+      next_level.push_back(key);
+    }
   };
-  std::vector<Candidate> cands(alphabet.size());
 
   for (u32 depth = 0; !level.empty(); ++depth) {
     res.depth = depth;
@@ -689,46 +806,58 @@ CheckResult check(const ModelConfig& cfg) {
       break;
     }
     next_level.clear();
-    for (const auto& [key, s] : level) {
-      // Generate every successor and prefetch its slot before the first
-      // probe, so the table's cache misses overlap.
-      size_t n = 0;
-      for (size_t id = 0; id < alphabet.size(); ++id) {
-        const auto suc = apply(s, alphabet[id], cfg);
-        if (!suc) continue;
-        cands[n++] = {suc->next.pack(), suc->next, static_cast<u8>(id),
-                      suc->violations};
-      }
-      for (size_t i = 0; i < n; ++i) visited.prefetch(cands[i].key);
+    for (size_t begin = 0; begin < level.size();) {
+      // Fork: one block per worker (the caller takes the first), all
+      // reading the table as it stood when the round began.
+      const std::span<const u64> rest(level.begin() + begin, level.end());
+      const size_t used =
+          std::min(chunks.size(), (rest.size() + kBlockStates - 1) / kBlockStates);
+      const auto block = [&](size_t w) {
+        const size_t from = w * kBlockStates;
+        return rest.subspan(from, std::min(kBlockStates, rest.size() - from));
+      };
+      {
+        std::vector<std::jthread> helpers;
+        for (size_t w = 1; w < used; ++w) {
+          helpers.emplace_back([&, w] {
+            try {
+              expand(block(w), alphabet, cfg, visited, chunks[w]);
+            } catch (...) {
+              chunks[w].error = std::current_exception();
+            }
+          });
+        }
+        expand(block(0), alphabet, cfg, visited, chunks[0]);
+      }  // Join.
+      begin += std::min(rest.size(), used * kBlockStates);
 
-      for (size_t i = 0; i < n; ++i) {
-        const Candidate& c = cands[i];
-        ++res.transitions;
-        if (c.violations != 0) {
+      // Merge in frontier order.
+      for (size_t w = 0; w < used; ++w) {
+        const Chunk& c = chunks[w];
+        if (c.error) std::rethrow_exception(c.error);
+        size_t taken = 0;
+        for (const Chunk::Violation& v : c.violations) {
+          admit(c, taken, v.kept);
+          taken = v.kept;
           for (unsigned p = 0; p < kNumProps; ++p) {
             const u8 bit = static_cast<u8>(1u << p);
-            if ((c.violations & bit) != 0 && (res.props_violated & bit) == 0) {
+            if ((v.mask & bit) != 0 && (res.props_violated & bit) == 0) {
               res.props_violated |= bit;
               res.counterexamples.push_back(rebuild_counterexample(
-                  p, cfg, alphabet, visited, key, alphabet[c.op_id]));
+                  p, cfg, alphabet, visited, v.src, alphabet[v.op_id]));
             }
           }
           if (cfg.stop_after_violated != 0 &&
               (res.props_violated & cfg.stop_after_violated) ==
                   cfg.stop_after_violated) {
+            res.transitions += v.ordinal + 1;
             res.early_stopped = true;
             res.states = visited.size();
             return res;
           }
         }
-        VisitedTable::Slot& slot = visited.probe(c.key);
-        if (slot.key == c.key) continue;
-        if (visited.size() >= cfg.max_states) {
-          res.state_capped = true;
-          continue;
-        }
-        visited.fill(slot, c.key, key | u64{c.op_id} << kKeyBits);
-        next_level.emplace_back(c.key, c.next);
+        admit(c, taken, c.fresh.size());
+        res.transitions += c.transitions;
       }
     }
     level.swap(next_level);

@@ -43,10 +43,22 @@
 // The checker is a level-by-level BFS over packed 58-bit states; one
 // open-addressed table keyed by the packed state is both the visited set and
 // the BFS tree (each state's parent edge), so every counterexample is
-// shortest-first. Each ModelConfig defence flag mirrors one concrete
-// kernel/PMP knob, which is what lets ptmc's counterexamples be replayed
-// against the real System: src/harness/ptmc_replay.h lowers each step onto
-// the campaign engine's ops (src/harness/campaign.h) and runs them there.
+// shortest-first. A level is a vector of packed keys alone: State::unpack()
+// rebuilds a state when it is expanded. Each level is cut into fixed blocks
+// of frontier states, and each hardware thread expands one block at a time
+// against the table, which stays read-only while they run: a worker keeps
+// the successors the table does not hold yet, plus every violating
+// transition, with its position in the block. The calling thread then merges
+// the blocks in frontier order and takes each kept successor and violation
+// exactly as a single-threaded BFS would meet them: it records
+// counterexamples, stops early, probes, caps and fills the table. A
+// successor a worker dropped was already visited, which the serial loop
+// would also have skipped, so counts, truncation points and counterexamples
+// do not depend on how many workers ran. Each ModelConfig defence flag
+// mirrors one concrete kernel/PMP knob, which is what lets ptmc's
+// counterexamples be replayed against the real System:
+// src/harness/ptmc_replay.h lowers each step onto the campaign engine's ops
+// (src/harness/campaign.h) and runs them there.
 //
 // Soundness caveat: this is a *bounded* result. "No violation" means no
 // violation within max_depth/max_states over this abstraction — see
@@ -77,6 +89,8 @@ enum class TokenRef : u8 { kNone = 0, kSlot0 = 1, kSlot1 = 2, kFake = 3 };
 struct PageState {
   PageStatus status = PageStatus::kFree;
   PageContent content = PageContent::kZero;
+
+  bool operator==(const PageState&) const = default;
 };
 
 struct ProcState {
@@ -85,17 +99,23 @@ struct ProcState {
   TokenRef token = TokenRef::kNone;  ///< PCB token pointer (attacker-writable).
   u8 ghost_root = kNoPage; ///< Root the kernel actually issued (ghost state).
   u8 extra_pt = kNoPage;   ///< One optional extra PT page (alloc_pt/free_pt).
+
+  bool operator==(const ProcState&) const = default;
 };
 
 struct TokenState {
   bool live = false;
   u8 pt_page = 0;  ///< Page table this token binds (canonical 0 when dead).
+
+  bool operator==(const TokenState&) const = default;
 };
 
 struct SatpState {
   u8 root = kNoPage;  ///< kNoPage = kernel address space (no user root).
   bool s = false;     ///< satp.S — PTW secure check armed.
   bool bound = true;  ///< Ghost: root was issued to the running process.
+
+  bool operator==(const SatpState&) const = default;
 };
 
 struct State {
@@ -114,7 +134,11 @@ struct State {
   /// Canonical 58-bit packing — the BFS dedup key (53 historical bits plus
   /// hart 1's satp at [53..57]).
   u64 pack() const;
+  /// The inverse of pack(): unpack(s.pack()) == s for every state.
+  static State unpack(u64 key);
   static State initial();
+
+  bool operator==(const State&) const = default;
 
   SatpState& satp_of(unsigned hart) { return hart == 0 ? satp : satp1; }
   const SatpState& satp_of(unsigned hart) const {
@@ -260,9 +284,13 @@ struct CheckResult {
   std::string format() const;
 };
 
-/// BFS over the reachable states of `cfg`'s transition system. Throws
-/// std::invalid_argument unless cfg.nharts is 1 or 2.
+/// BFS over the reachable states of `cfg`'s transition system, expanding
+/// each level on worker_count() threads. Throws std::invalid_argument unless
+/// cfg.nharts is 1 or 2.
 CheckResult check(const ModelConfig& cfg);
+
+/// Threads check() expands a level on: one per hardware thread.
+unsigned worker_count();
 
 // ---------------------------------------------------------------------------
 // Mutation matrix: for each defence, the *minimal* set of knobs to disable

@@ -1,7 +1,12 @@
 // Model-checker tests: the defences-on system proves P1-P4 over its entire
 // reachable closure; each mutation-matrix entry breaks exactly its targeted
-// properties with a shallow counterexample; exports are well-formed.
+// properties with a shallow counterexample; exports are well-formed; and the
+// parallel check() matches a serial reference BFS byte for byte.
+#include <random>
 #include <stdexcept>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -29,25 +34,31 @@ TEST(Ptmc, PackDistinguishesStateComponents) {
   const State base = State::initial();
   const u64 key = base.pack();
   EXPECT_EQ(key, State::initial().pack());  // deterministic
+  EXPECT_TRUE(State::unpack(key) == base);
 
+  // Each perturbation packs to a new key, and unpacks back to itself.
+  const auto distinct = [&](const State& s) {
+    EXPECT_NE(s.pack(), key);
+    EXPECT_TRUE(State::unpack(s.pack()) == s);
+  };
   State s = base;
   s.boundary = 1;
-  EXPECT_NE(s.pack(), key);
+  distinct(s);
   s = base;
   s.pages[0].content = PageContent::kAttacker;
-  EXPECT_NE(s.pack(), key);
+  distinct(s);
   s = base;
   s.procs[1].live = true;
-  EXPECT_NE(s.pack(), key);
+  distinct(s);
   s = base;
   s.tokens[0].live = true;
-  EXPECT_NE(s.pack(), key);
+  distinct(s);
   s = base;
   s.satp.s = !s.satp.s;
-  EXPECT_NE(s.pack(), key);
+  distinct(s);
   s = base;
   s.forced_alloc = 2;
-  EXPECT_NE(s.pack(), key);
+  distinct(s);
 }
 
 TEST(Ptmc, OpAlphabetIsFixedAndDescribable) {
@@ -287,6 +298,134 @@ TEST(Ptmc, SmpPackDistinguishesSecondHartSatp) {
   s = base;
   s.satp_of(1).bound = false;
   EXPECT_NE(s.pack(), base.pack());
+}
+
+// ---- Serial reference -------------------------------------------------------
+
+// The single-threaded BFS check() replaced, kept as an oracle: a frontier of
+// (key, state) pairs, a hash map of parent edges, and every successor taken
+// in order (count, violations, early stop, dedup, state budget). It also
+// checks that every state it reaches survives State::unpack(pack()).
+CheckResult serial_reference(const ModelConfig& cfg) {
+  CheckResult res;
+  const std::vector<Op>& alphabet = cfg.nharts == 2 ? all_ops_smp() : all_ops();
+  const State init = State::initial();
+  const u64 init_key = init.pack();
+  EXPECT_TRUE(State::unpack(init_key) == init);
+
+  // Packed state -> (parent key, op ID) of the edge that first reached it.
+  std::unordered_map<u64, std::pair<u64, size_t>> parent{{init_key, {init_key, 0}}};
+  const auto rebuild = [&](unsigned prop, u64 src, size_t op_id) {
+    std::vector<size_t> ids{op_id};
+    for (u64 key = src; key != init_key; key = parent.at(key).first)
+      ids.push_back(parent.at(key).second);
+    Counterexample ce;
+    ce.prop = prop;
+    ce.cfg = cfg;
+    State cur = init;
+    for (auto it = ids.rbegin(); it != ids.rend(); ++it) {
+      Step step;
+      step.op = alphabet[*it];
+      const auto suc = apply(cur, step.op, cfg, &step.note);
+      step.after = suc ? suc->next : cur;
+      step.violations = suc ? suc->violations : 0;
+      ce.steps.push_back(std::move(step));
+      if (suc) cur = suc->next;
+    }
+    return ce;
+  };
+
+  std::vector<std::pair<u64, State>> level{{init_key, init}};
+  std::vector<std::pair<u64, State>> next_level;
+  u64 round_trip_failures = 0;
+  for (u32 depth = 0; !level.empty(); ++depth) {
+    res.depth = depth;
+    if (depth >= cfg.max_depth) {
+      res.depth_capped = true;
+      break;
+    }
+    next_level.clear();
+    for (const auto& [key, s] : level) {
+      for (size_t id = 0; id < alphabet.size(); ++id) {
+        const auto suc = apply(s, alphabet[id], cfg);
+        if (!suc) continue;
+        ++res.transitions;
+        const u64 next = suc->next.pack();
+        for (unsigned p = 0; p < kNumProps; ++p) {
+          const u8 bit = static_cast<u8>(1u << p);
+          if ((suc->violations & bit) != 0 && (res.props_violated & bit) == 0) {
+            res.props_violated |= bit;
+            res.counterexamples.push_back(rebuild(p, key, id));
+          }
+        }
+        if (suc->violations != 0 && cfg.stop_after_violated != 0 &&
+            (res.props_violated & cfg.stop_after_violated) == cfg.stop_after_violated) {
+          res.early_stopped = true;
+          res.states = parent.size();
+          EXPECT_EQ(round_trip_failures, 0u);
+          return res;
+        }
+        if (parent.contains(next)) continue;
+        if (parent.size() >= cfg.max_states) {
+          res.state_capped = true;
+          continue;
+        }
+        if (!(State::unpack(next) == suc->next)) ++round_trip_failures;
+        parent.emplace(next, std::pair{key, id});
+        next_level.emplace_back(next, suc->next);
+      }
+    }
+    level.swap(next_level);
+  }
+  EXPECT_EQ(round_trip_failures, 0u) << "State::unpack is not pack's inverse";
+  res.states = parent.size();
+  res.complete = !res.depth_capped && !res.state_capped;
+  return res;
+}
+
+// check() expands each level on every hardware thread and merges the blocks
+// in frontier order; its report must equal the serial BFS's byte for byte
+// over random configurations: every defence and capability flag, one and
+// two harts, depth bounds 1-20, state budgets on level boundaries and inside
+// levels (wide enough for multi-block levels), and random early-stop masks.
+TEST(Ptmc, ParallelCheckMatchesSerialReference) {
+  std::mt19937_64 rng(0x9d7c3a11);
+  const auto coin = [&rng] { return (rng() & 1) != 0; };
+  const auto below = [&rng](u64 n) { return rng() % n; };
+  for (int i = 0; i < 300; ++i) {
+    ModelConfig cfg;
+    cfg.s_bit = coin();
+    cfg.ptw_check = coin();
+    cfg.token_check = coin();
+    cfg.zero_check = coin();
+    cfg.csr_gadget = below(4) == 0;
+    cfg.allow_grow = below(4) != 0;
+    cfg.verify_on_walk = below(3) == 0;
+    cfg.cred_unforgeable = below(3) == 0;
+    cfg.nharts = coin() ? 2 : 1;
+    cfg.ipi = coin();
+    cfg.max_depth = static_cast<u32>(1 + below(20));
+    cfg.stop_after_violated = coin() ? static_cast<u8>(below(16)) : 0;
+    // Mostly small budgets; one in six is wide enough that a level spans
+    // several worker blocks.
+    const u64 budget = below(6) == 0 ? 12'000 + below(28'000) : 1 + below(4'000);
+    cfg.max_states = budget;
+    if (coin()) {
+      // Land the budget exactly on a level boundary: the state count of a
+      // shallower run that only its depth bound stopped.
+      ModelConfig probe = cfg;
+      probe.max_depth = static_cast<u32>(1 + below(std::min<u32>(cfg.max_depth, 4)));
+      probe.max_states = 1'000'000;
+      probe.stop_after_violated = 0;
+      const CheckResult boundary = serial_reference(probe);
+      ASSERT_FALSE(boundary.state_capped);
+      cfg.max_states = boundary.states;
+    }
+    const CheckResult want = serial_reference(cfg);
+    const CheckResult got = check(cfg);
+    ASSERT_EQ(got.format(), want.format()) << "config #" << i << ": " << to_json(want);
+    ASSERT_EQ(to_json(got), to_json(want)) << "config #" << i;
+  }
 }
 
 }  // namespace

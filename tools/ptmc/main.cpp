@@ -15,13 +15,19 @@
 //   ptmc --dot FILE            write the first counterexample as GraphViz
 //   ptmc --json [FILE]         emit the CheckResult as JSON
 //
-// -h/--help prints the usage text and exits 0.
+// -h/--help prints the usage text and exits 0. With -v, each check also
+// prints its host cost to stderr: states, transitions, seconds, states/s and
+// the number of BFS worker threads.
 //
 // Exit codes: 0 = expectations met, 1 = property/expectation failure,
 // 2 = usage error.
+#include <cerrno>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "analysis/ptmc.h"
@@ -61,7 +67,7 @@ int usage(int rc = 2) {
                "  --no-grow        disable secure-region growth\n"
                "  --dot FILE       write first counterexample as GraphViz\n"
                "  --json [FILE]    emit result JSON (stdout without FILE)\n"
-               "  -v               verbose (print traces)\n"
+               "  -v               verbose (print traces; host cost on stderr)\n"
                "  -h, --help       print this help and exit\n",
                defaults.max_depth, kWideDepth,
                static_cast<unsigned long long>(defaults.max_states),
@@ -69,11 +75,45 @@ int usage(int rc = 2) {
   return rc;
 }
 
-bool write_file(const std::string& path, const std::string& text) {
+/// Writes `text` to `path` (named by the `what` option); on failure says so
+/// and returns false.
+bool write_file(const char* what, const std::string& path,
+                const std::string& text) {
   std::ofstream f(path);
-  if (!f) return false;
-  f << text;
-  return f.good();
+  if (f) f << text;
+  if (f.good()) return true;
+  std::fprintf(stderr, "ptmc: cannot write %s file '%s'\n", what, path.c_str());
+  return false;
+}
+
+/// Parses a decimal integer in [1, max]; anything else (empty, signed,
+/// trailing characters, zero, out of range) is rejected.
+bool parse_positive(const char* text, u64 max, u64& out) {
+  if (text[0] < '0' || text[0] > '9') return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (errno != 0 || *end != '\0' || v == 0 || v > max) return false;
+  out = v;
+  return true;
+}
+
+/// check(), with its host cost on stderr under -v.
+mc::CheckResult timed_check(const mc::ModelConfig& cfg, bool verbose) {
+  const auto t0 = std::chrono::steady_clock::now();
+  mc::CheckResult res = mc::check(cfg);
+  const double s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  if (verbose) {
+    std::fprintf(stderr,
+                 "ptmc: %llu states, %llu transitions in %.3f s host "
+                 "(%.0f states/s, %u workers)\n",
+                 static_cast<unsigned long long>(res.states),
+                 static_cast<unsigned long long>(res.transitions), s,
+                 s > 0 ? static_cast<double>(res.states) / s : 0.0,
+                 mc::worker_count());
+  }
+  return res;
 }
 
 void print_result(const mc::CheckResult& res, bool verbose) {
@@ -170,12 +210,20 @@ int main(int argc, char** argv) {
     } else if (arg == "--depth") {
       const char* n = next("--depth");
       if (n == nullptr) return usage();
-      cfg.max_depth = static_cast<u32>(std::atoi(n));
+      u64 v = 0;
+      if (!parse_positive(n, std::numeric_limits<u32>::max(), v)) {
+        std::fprintf(stderr, "ptmc: --depth needs a positive integer, got '%s'\n", n);
+        return usage();
+      }
+      cfg.max_depth = static_cast<u32>(v);
       depth_set = true;
     } else if (arg == "--states") {
       const char* n = next("--states");
       if (n == nullptr) return usage();
-      cfg.max_states = static_cast<u64>(std::atoll(n));
+      if (!parse_positive(n, std::numeric_limits<u64>::max(), cfg.max_states)) {
+        std::fprintf(stderr, "ptmc: --states needs a positive integer, got '%s'\n", n);
+        return usage();
+      }
       states_set = true;
     } else if (arg == "--harts") {
       const char* n = next("--harts");
@@ -257,7 +305,7 @@ int main(int argc, char** argv) {
     for (const auto& entry : mc::mutation_matrix(cfg)) {
       mc::ModelConfig mcfg = entry.cfg;
       mcfg.stop_after_violated = entry.must_break;
-      const mc::CheckResult res = mc::check(mcfg);
+      const mc::CheckResult res = timed_check(mcfg, verbose);
       const u8 unexpected =
           res.props_violated & static_cast<u8>(~(entry.must_break | entry.may_also_break));
       const bool entry_ok =
@@ -277,7 +325,8 @@ int main(int argc, char** argv) {
       if (!entry_ok) ok = false;
       if (replay && !replay_all(res, verbose)) ok = false;
       if (!dot_path.empty() && !res.counterexamples.empty()) {
-        write_file(dot_path, mc::to_dot(res.counterexamples.front()));
+        if (!write_file("--dot", dot_path, mc::to_dot(res.counterexamples.front())))
+          return 2;
         dot_path.clear();  // First counterexample only.
       }
     }
@@ -299,15 +348,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  const mc::CheckResult res = mc::check(cfg);
+  const mc::CheckResult res = timed_check(cfg, verbose);
   print_result(res, verbose);
-  if (!dot_path.empty() && !res.counterexamples.empty())
-    write_file(dot_path, mc::to_dot(res.counterexamples.front()));
+  if (!dot_path.empty() && !res.counterexamples.empty() &&
+      !write_file("--dot", dot_path, mc::to_dot(res.counterexamples.front())))
+    return 2;
   if (json_out) {
     const std::string doc = mc::to_json(res);
     if (json_path.empty())
       std::fputs((doc + "\n").c_str(), stdout);
-    else if (!write_file(json_path, doc))
+    else if (!write_file("--json", json_path, doc))
       return 2;
   }
   if (replay && !replay_all(res, verbose)) return 1;

@@ -4,15 +4,20 @@
 //
 //   $ ./examples/fork_storm [num_processes]
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "common/args.h"
 #include "kernel/system.h"
 
 using namespace ptstore;
 
 int main(int argc, char** argv) {
-  const u64 procs = argc > 1 ? std::strtoull(argv[1], nullptr, 0) : 8000;
+  u64 procs = 8000;
+  if (argc > 1) {
+    const auto v = parse_arg("num_processes", argv[1]);
+    if (!v) return 2;
+    procs = *v;
+  }
 
   SystemConfig cfg = SystemConfig::cfi_ptstore();
   cfg.dram_size = MiB(512);

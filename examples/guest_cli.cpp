@@ -14,6 +14,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "common/args.h"
 #include "cpu/tracer.h"
 #include "isa/assembler.h"
 #include "isa/text_asm.h"
@@ -64,7 +65,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--asm") == 0) {
       as_text = true;
     } else if (std::strcmp(argv[i], "--max") == 0 && i + 1 < argc) {
-      max_insts = std::strtoull(argv[++i], nullptr, 0);
+      const auto v = parse_arg("--max", argv[++i]);
+      if (!v) return 2;
+      max_insts = *v;
     } else {
       file = argv[i];
     }

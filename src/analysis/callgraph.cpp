@@ -1,7 +1,6 @@
 #include "analysis/callgraph.h"
 
 #include <algorithm>
-#include <deque>
 #include <sstream>
 
 #include "analysis/dataflow.h"
@@ -32,9 +31,9 @@ struct IntervalState {
 /// one whole-image engine run seeded at every known function entry, with
 /// caller-saved registers clobbered across call-return edges. Precision is
 /// only needed for the li/auipc-materialised function-pointer idiom.
-std::map<u64, AbsVal> resolve_jalr_targets(const Image& img, const Cfg& cfg,
+std::map<u64, Domain> resolve_jalr_targets(const Image& img, const Cfg& cfg,
                                            const std::set<u64>& roots) {
-  std::map<u64, AbsVal> targets;
+  std::map<u64, Domain> targets;
   Dataflow<IntervalState> df;
   IntervalState entry;
   entry.regs = entry_intervals();
@@ -44,7 +43,8 @@ std::map<u64, AbsVal> resolve_jalr_targets(const Image& img, const Cfg& cfg,
   }
   const auto step = [&](u64 pc, const Inst& in, IntervalState& st) {
     if (in.op == Op::kJalr) {
-      const AbsVal t = AbsVal::add_imm(st.regs[in.rs1], in.imm);
+      const Domain t =
+          Domain::add(st.regs[in.rs1], Domain::exact(static_cast<u64>(in.imm)));
       auto [it, fresh] = targets.emplace(pc, t);
       if (!fresh) it->second = it->second.join(t);
     }
@@ -105,7 +105,7 @@ CallGraph CallGraph::build(const Image& img, const std::vector<u64>& extra_roots
     }
     if (grew) continue;  // New direct-call entries: rebuild once more.
 
-    const std::map<u64, AbsVal> jalr_targets =
+    const std::map<u64, Domain> jalr_targets =
         resolve_jalr_targets(img, cg.cfg_, entries);
 
     // Partition blocks into functions and classify every call site.
@@ -114,19 +114,13 @@ CallGraph CallGraph::build(const Image& img, const std::vector<u64>& extra_roots
       Function fn;
       fn.entry = entry;
       fn.name = function_name(img, entry);
-      std::set<u64> seen;
-      std::deque<u64> work{entry};
-      while (!work.empty()) {
-        const u64 at = work.front();
-        work.pop_front();
-        if (!seen.insert(at).second) continue;
+      reachable_from({entry}, [&](u64 at, const auto& follow) {
         const BasicBlock* bb = cg.cfg_.block_at(at);
-        if (bb == nullptr) continue;
+        if (bb == nullptr) return;
         fn.blocks.push_back(at);
 
         const u64 term_pc = bb->end - 4;
         const Inst term = img.inst_at(term_pc);
-        const auto follow = [&](u64 to) { work.push_back(to); };
 
         if (term.op == Op::kJal && term.rd != 0) {
           // Direct call; the continuation (kCallReturn edge) stays ours.
@@ -143,7 +137,7 @@ CallGraph CallGraph::build(const Image& img, const std::vector<u64>& extra_roots
           for (const Edge& e : bb->succs) {
             if (e.kind == EdgeKind::kCallReturn) follow(e.to);
           }
-          continue;
+          return;
         }
         if (term.op == Op::kJal) {  // rd == 0: goto or tail call.
           const u64 target = term_pc + static_cast<u64>(term.imm);
@@ -158,19 +152,19 @@ CallGraph CallGraph::build(const Image& img, const std::vector<u64>& extra_roots
           } else {
             for (const Edge& e : bb->succs) follow(e.to);
           }
-          continue;
+          return;
         }
         if (term.op == Op::kJalr) {
           auto it = jalr_targets.find(term_pc);
-          const AbsVal tgt =
-              it == jalr_targets.end() ? AbsVal::top() : it->second;
+          const Domain tgt =
+              it == jalr_targets.end() ? Domain::top() : it->second;
           const u64 exact = tgt.lo & ~u64{1};
-          if (is_return(term)) continue;  // No successors.
+          if (is_return(term)) return;  // No successors.
           CallSite cs;
           cs.pc = term_pc;
           const bool tail = term.rd == 0;
           cs.tail = tail;
-          if (tgt.is_exact() && img.contains(exact)) {
+          if (tgt.is_singleton() && img.contains(exact)) {
             cs.targets.push_back(exact);
             cs.resolved = true;
             if (entries.insert(exact).second) grew = true;
@@ -183,10 +177,10 @@ CallGraph CallGraph::build(const Image& img, const std::vector<u64>& extra_roots
               if (e.kind == EdgeKind::kCallReturn) follow(e.to);
             }
           }
-          continue;
+          return;
         }
         for (const Edge& e : bb->succs) follow(e.to);
-      }
+      });
       std::sort(fn.blocks.begin(), fn.blocks.end());
       cg.by_entry_[entry] = cg.fns_.size();
       cg.fns_.push_back(std::move(fn));

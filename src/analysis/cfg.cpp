@@ -1,7 +1,6 @@
 #include "analysis/cfg.h"
 
 #include <algorithm>
-#include <deque>
 
 namespace ptstore::analysis {
 
@@ -43,37 +42,25 @@ Cfg Cfg::build(const Image& img, const std::vector<u64>& extra_roots) {
   Cfg cfg;
   if (img.words.empty()) return cfg;
 
-  // Pass 1: explore every reachable instruction, collecting block leaders.
-  std::set<u64> leaders;
-  std::deque<u64> work;
-  auto add_root = [&](u64 pc) {
-    if (img.contains(pc)) {
-      leaders.insert(pc);
-      work.push_back(pc);
+  // Pass 1: explore every reachable instruction, collecting block leaders
+  // (the roots and every in-image terminator target).
+  std::vector<u64> roots{img.base};
+  roots.insert(roots.end(), extra_roots.begin(), extra_roots.end());
+  std::erase_if(roots, [&](u64 pc) { return !img.contains(pc); });
+  std::set<u64> leaders(roots.begin(), roots.end());
+  cfg.reachable_ = reachable_from(roots, [&](u64 pc, const auto& visit) {
+    const isa::Inst in = img.inst_at(pc);
+    if (!in.is_terminator()) {
+      if (img.contains(pc + 4)) visit(pc + 4);
+      return;
     }
-  };
-  add_root(img.base);
-  for (const u64 r : extra_roots) add_root(r);
-
-  while (!work.empty()) {
-    u64 pc = work.front();
-    work.pop_front();
-    while (img.contains(pc) && cfg.reachable_.insert(pc).second) {
-      const isa::Inst in = img.inst_at(pc);
-      if (!in.is_terminator()) {
-        pc += 4;
-        continue;
+    for (const Edge& e : terminator_edges(in, pc)) {
+      if (img.contains(e.to)) {
+        leaders.insert(e.to);
+        visit(e.to);
       }
-      for (const Edge& e : terminator_edges(in, pc)) {
-        if (img.contains(e.to)) {
-          leaders.insert(e.to);
-          work.push_back(e.to);
-        }
-      }
-      break;
     }
-    // Re-queued leader inside an already-explored run: still a leader.
-  }
+  });
 
   // Pass 2: slice the reachable instruction stream into blocks at leaders
   // and terminators.

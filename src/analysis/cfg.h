@@ -9,6 +9,7 @@
 // the latter, which soundly over-approximates any callee the CFG can see.
 #pragma once
 
+#include <deque>
 #include <map>
 #include <set>
 #include <vector>
@@ -68,5 +69,25 @@ class Cfg {
 /// Direct control-flow targets of a terminator at `pc` (empty for indirect
 /// exits and stream-ending instructions). Exposed for tests.
 std::vector<Edge> terminator_edges(const isa::Inst& in, u64 pc);
+
+/// The plain reachability walk (CFG discovery, function partitioning,
+/// backward slicing): every node reachable from `seeds`, seeds included.
+/// `expand(node, visit)` calls `visit(next)` for each successor; nodes are
+/// expanded once each, in breadth-first order.
+template <typename Expand>
+std::set<u64> reachable_from(const std::vector<u64>& seeds, Expand&& expand) {
+  std::set<u64> seen;
+  std::deque<u64> work;
+  const auto visit = [&](u64 node) {
+    if (seen.insert(node).second) work.push_back(node);
+  };
+  for (const u64 s : seeds) visit(s);
+  while (!work.empty()) {
+    const u64 node = work.front();
+    work.pop_front();
+    expand(node, visit);
+  }
+  return seen;
+}
 
 }  // namespace ptstore::analysis

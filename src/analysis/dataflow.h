@@ -1,24 +1,25 @@
 // The one forward-dataflow engine behind every static pass in src/analysis:
-// ptlint's whole-image interval × must-validated analysis, the call-graph
-// resolver's interval pass, ptflow's per-function taint analysis and its
+// ptlint's whole-image Domain × must-validated analysis, the call-graph
+// resolver's register pass, ptflow's per-function taint analysis and its
 // context pass over function entries. Clients supply a State and hooks; the
 // engine owns the worklist and the join-plus-widen rule.
 //
-// A State provides `RegIntervals regs`, `bool reached` and
-// `bool join_from(const State&)` (lattice join; true when it changed).
+// A State provides `RegIntervals regs` (analysis/effects.h), `bool reached`
+// and `bool join_from(const State&)` (lattice join; true when it changed).
 //
 // Every fixpoint runs to convergence, with no round cap: both lattices are
-// finite once widened (an interval register that keeps changing goes to Top
-// after kWidenAfter changing joins; every other component is a finite bit
-// or flag set joined monotonically), so each node's state can only change
-// a bounded number of times.
+// finite once widened (a register whose interval keeps changing goes to Top
+// after kWidenAfter changing joins; known bits can only be lost, 64 per
+// register; every other component is a finite bit or flag set joined
+// monotonically), so each node's state can only change a bounded number of
+// times.
 #pragma once
 
 #include <deque>
 #include <map>
 
-#include "analysis/absval.h"
 #include "analysis/cfg.h"
+#include "analysis/domain.h"
 
 namespace ptstore::analysis {
 
@@ -37,14 +38,27 @@ class Dataflow {
 
   /// The join-plus-widen rule: join `st` into `node`'s entry state, and once
   /// the node has absorbed more than kWidenAfter changing joins, send every
-  /// register this join changed to Top. Queues the node when it changed.
+  /// register whose interval this join changed to Top. A join that only
+  /// drops known bits is not a changing join: known bits are finite on their
+  /// own, and counting them would widen sooner than an interval-only domain.
+  /// Queues the node when it changed.
   void propagate(u64 node, const State& st) {
     Slot& slot = slots_[node];
     const State before = slot.state;
     if (!slot.state.join_from(st)) return;
-    if (++slot.joins > kWidenAfter && before.reached) {
+    // `before` with the joined known bits changes under the join exactly
+    // when an interval or a client component did.
+    State probe = before;
+    for (unsigned r = 1; r < 32; ++r) {
+      probe.regs[r].kmask = slot.state.regs[r].kmask;
+      probe.regs[r].kval = slot.state.regs[r].kval;
+    }
+    if (probe.join_from(slot.state) && ++slot.joins > kWidenAfter && before.reached) {
       for (unsigned r = 1; r < 32; ++r) {
-        if (slot.state.regs[r] != before.regs[r]) slot.state.regs[r] = AbsVal::top();
+        const Domain& now = slot.state.regs[r];
+        if (now.lo != before.regs[r].lo || now.hi != before.regs[r].hi) {
+          slot.state.regs[r] = Domain::top();
+        }
       }
     }
     work_.push_back(node);

@@ -1,15 +1,32 @@
 // The instruction-effects table shared by ptlint, ptflow and the call-graph
-// resolver: what one decoded instruction does to memory, CSRs and the
-// caller's registers, as seen by the interval domain. The register transfer
-// itself (including the jal/jalr link write) is interval_step in
-// analysis/absval.h; everything the three clients need beyond it lives here,
-// once.
+// resolver: what one decoded instruction does to registers, memory, CSRs and
+// the caller's registers, as seen by the abstract value Domain
+// (analysis/domain.h). The register transfer, interval_step, maps each
+// instruction onto Domain's transfer functions, the same ones ptsym's solver
+// runs, so no two analyses can disagree on address formation.
 #pragma once
 
-#include "analysis/absval.h"
+#include <array>
+
+#include "analysis/domain.h"
 #include "isa/inst.h"
 
 namespace ptstore::analysis {
+
+/// One abstract value per architectural register (x0 pinned to exact 0).
+using RegIntervals = std::array<Domain, 32>;
+
+/// Function-entry register file: every register Top, x0 exact 0.
+RegIntervals entry_intervals();
+
+/// Per-register join of `src` into `dst`; true when any register changed.
+bool join_intervals(RegIntervals& dst, const RegIntervals& src);
+
+/// Forward transfer for one instruction's register effect: constants,
+/// address arithmetic and the jal/jalr link write (rd = pc + 4) go through
+/// the Domain transfers; everything unmodelled (loads, CSR reads, mul/div,
+/// compares) degrades soundly to Top.
+void interval_step(u64 pc, const isa::Inst& in, RegIntervals& regs);
 
 /// One memory access: loads and ld.pt read, stores and sd.pt write, AMOs
 /// (incl. lr/sc) do both.
@@ -17,7 +34,7 @@ struct Access {
   bool load = false;
   bool store = false;
   bool pt = false;    ///< ld.pt / sd.pt.
-  AbsVal addr;        ///< Effective-address interval.
+  Domain addr;        ///< Effective address.
   u8 value_reg = 0;   ///< Register holding the stored value (x0 if none).
 
   bool any() const { return load || store; }
@@ -47,7 +64,7 @@ inline constexpr u8 kCallerSaved[] = {1,  5,  6,  7,  10, 11, 12, 13,
 
 /// Havoc the caller-saved registers to Top (the call-return edge effect).
 inline void clobber_caller_saved(RegIntervals& regs) {
-  for (const u8 r : kCallerSaved) regs[r] = AbsVal::top();
+  for (const u8 r : kCallerSaved) regs[r] = Domain::top();
 }
 
 }  // namespace ptstore::analysis

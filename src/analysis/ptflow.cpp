@@ -405,7 +405,7 @@ FlowSpec FlowSpec::for_backend(BackendKind k, u64 sr_base, u64 sr_end) {
   return s;
 }
 
-TaintSet FlowSpec::secret_taint(const AbsVal& addr) const {
+TaintSet FlowSpec::secret_taint(const Domain& addr) const {
   TaintSet t = 0;
   for (const SecretRange& r : secrets) {
     // ⊤ addresses are *not* tainted: an unconstrained pointer may read
@@ -417,7 +417,7 @@ TaintSet FlowSpec::secret_taint(const AbsVal& addr) const {
   return t;
 }
 
-bool FlowSpec::sanctioned_dest(const AbsVal& addr) const {
+bool FlowSpec::sanctioned_dest(const Domain& addr) const {
   if (cred_end > cred_base && addr.inside(cred_base, cred_end)) return true;
   for (const SecretRange& r : secrets) {
     if (addr.inside(r.base, r.end)) return true;

@@ -74,10 +74,10 @@ struct FlowSpec {
   static FlowSpec for_backend(BackendKind k, u64 sr_base, u64 sr_end);
 
   /// Taint classes of a load from `addr` (union over overlapping sources).
-  TaintSet secret_taint(const AbsVal& addr) const;
+  TaintSet secret_taint(const Domain& addr) const;
   /// True when `addr` is provably confined to a sanctioned secret home
   /// (the credential range or any declared source range).
-  bool sanctioned_dest(const AbsVal& addr) const;
+  bool sanctioned_dest(const Domain& addr) const;
 };
 
 enum class FlowDiagKind : u8 {

@@ -34,7 +34,7 @@ struct LintState {
 
 void step(u64 pc, const Inst& in, LintState& st) { interval_step(pc, in, st.regs); }
 
-AccessClass classify(const AbsVal& addr, const LintConfig& cfg) {
+AccessClass classify(const Domain& addr, const LintConfig& cfg) {
   if (addr.inside(cfg.sr_base, cfg.sr_end)) return AccessClass::kSecure;
   if (addr.outside(cfg.sr_base, cfg.sr_end)) return AccessClass::kNonSecure;
   return AccessClass::kUnknown;

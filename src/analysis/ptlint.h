@@ -1,7 +1,7 @@
 // ptlint: static verifier for PTStore's isolation invariants over guest
 // machine code. One whole-image run of the shared forward-dataflow engine
-// (analysis/dataflow.h) over the recovered CFG, in the interval domain
-// (analysis/absval.h) × R3's must-validated flag, following call edges into
+// (analysis/dataflow.h) over the recovered CFG, in the register Domain
+// (analysis/domain.h) × R3's must-validated flag, following call edges into
 // callees; it classifies every memory access against the secure region and
 // checks the paper's software-side rules:
 //

@@ -115,7 +115,7 @@ ExprId PathExplorer::do_load(PathState& st, ExprId addr, u8 size,
           TaintSet t = static_cast<TaintSet>(it->taint | kTaintSymMem);
           if (flow_ != nullptr)
             t = static_cast<TaintSet>(
-                t | flow_->secret_taint(AbsVal::exact(a)));
+                t | flow_->secret_taint(Domain::exact(a)));
           *taint_out = t;
         }
         return extend(raw);
@@ -131,7 +131,7 @@ ExprId PathExplorer::do_load(PathState& st, ExprId addr, u8 size,
           if (taint_out != nullptr)
             *taint_out = static_cast<TaintSet>(
                 kTaintSymMem |
-                (flow_ != nullptr ? flow_->secret_taint(AbsVal::exact(a))
+                (flow_ != nullptr ? flow_->secret_taint(Domain::exact(a))
                                   : 0));
           return extend(e.value);
         }
@@ -141,7 +141,7 @@ ExprId PathExplorer::do_load(PathState& st, ExprId addr, u8 size,
     const InputId in_id = arena_.node(in_expr).input;
     TaintSet t = kTaintSymMem;
     if (flow_ != nullptr) {
-      t = static_cast<TaintSet>(t | flow_->secret_taint(AbsVal::exact(a)));
+      t = static_cast<TaintSet>(t | flow_->secret_taint(Domain::exact(a)));
       if ((t & kSecretBits) != 0) {
         arena_.input_info(in_id).preferred = secret_sentinel(in_id) & mask;
         arena_.input_info(in_id).has_preferred = true;

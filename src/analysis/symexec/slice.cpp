@@ -1,7 +1,5 @@
 #include "analysis/symexec/slice.h"
 
-#include <deque>
-
 #include "isa/inst.h"
 
 namespace ptstore::analysis::symexec {
@@ -9,17 +7,12 @@ namespace ptstore::analysis::symexec {
 namespace {
 
 /// Reverse closure over predecessor edges from `seeds`.
-std::set<u64> reverse_closure(const Cfg& cfg, std::deque<u64> work) {
-  std::set<u64> out(work.begin(), work.end());
-  while (!work.empty()) {
-    const u64 at = work.front();
-    work.pop_front();
-    const BasicBlock* bb = cfg.block_at(at);
-    if (bb == nullptr) continue;
-    for (u64 pred : bb->preds)
-      if (out.insert(pred).second) work.push_back(pred);
-  }
-  return out;
+std::set<u64> reverse_closure(const Cfg& cfg, const std::vector<u64>& seeds) {
+  return reachable_from(seeds, [&](u64 at, const auto& visit) {
+    if (const BasicBlock* bb = cfg.block_at(at)) {
+      for (const u64 pred : bb->preds) visit(pred);
+    }
+  });
 }
 
 }  // namespace
@@ -31,7 +24,7 @@ std::set<u64> backward_block_slice(const Cfg& cfg, u64 goal_pc) {
 }
 
 std::set<u64> wild_block_slice(const Cfg& cfg, const Image& img) {
-  std::deque<u64> seeds;
+  std::vector<u64> seeds;
   for (const BasicBlock& bb : cfg.blocks()) {
     if (!bb.indirect_exit) continue;
     const u64 term_pc = bb.end - 4;
@@ -44,7 +37,7 @@ std::set<u64> wild_block_slice(const Cfg& cfg, const Image& img) {
     if (!is_ret) seeds.push_back(bb.start);
   }
   if (seeds.empty()) return {};
-  return reverse_closure(cfg, std::move(seeds));
+  return reverse_closure(cfg, seeds);
 }
 
 }  // namespace ptstore::analysis::symexec

@@ -16,7 +16,7 @@
 
 #include <string>
 
-#include "analysis/absval.h"
+#include "analysis/effects.h"
 
 namespace ptstore::analysis {
 

@@ -3,6 +3,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
+
+#include "common/args.h"
 
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -269,17 +272,21 @@ int run_workload_main_with(std::unique_ptr<Workload> w, int argc, char** argv) {
     } else if (arg.rfind("--profile=", 0) == 0) {
       profile_path = arg.substr(10);
     } else if (arg == "--jobs" && i + 1 < argc) {
-      g_fleet.jobs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 0));
+      const auto v = parse_arg("--jobs", argv[++i], 0, std::numeric_limits<unsigned>::max());
+      if (!v) return 2;
+      g_fleet.jobs = static_cast<unsigned>(*v);
     } else if (arg == "--shards" && i + 1 < argc) {
-      g_fleet.shards = std::strtoull(argv[++i], nullptr, 0);
+      const auto v = parse_arg("--shards", argv[++i]);
+      if (!v) return 2;
+      g_fleet.shards = *v;
     } else if (arg == "--campaign-seed" && i + 1 < argc) {
-      g_fleet.campaign_seed = std::strtoull(argv[++i], nullptr, 0);
+      const auto v = parse_arg("--campaign-seed", argv[++i]);
+      if (!v) return 2;
+      g_fleet.campaign_seed = *v;
     } else if (arg == "--harts" && i + 1 < argc) {
-      g_fleet.harts = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 0));
-      if (g_fleet.harts < 1 || g_fleet.harts > 8) {
-        std::fprintf(stderr, "--harts must be 1..8\n");
-        return 2;
-      }
+      const auto v = parse_arg("--harts", argv[++i], 1, 8);
+      if (!v) return 2;
+      g_fleet.harts = static_cast<unsigned>(*v);
     } else if (arg == "--backend" && i + 1 < argc) {
       const auto kind = backend_kind_from(argv[++i]);
       if (!kind) {

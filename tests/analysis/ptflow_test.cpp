@@ -92,16 +92,16 @@ TEST(FlowSpec, BackendSheetsMirrorTheAnnotations) {
 
 TEST(FlowSpec, SecretTaintAndSanctionedDest) {
   const FlowSpec s = FlowSpec::for_backend(BackendKind::kPtauth, kSr, kSrEnd);
-  EXPECT_EQ(s.secret_taint(AbsVal::exact(kMacKey)), kTaintMacKey);
-  EXPECT_EQ(s.secret_taint(AbsVal::exact(kPcb + 8)), kTaintCredential);
-  EXPECT_EQ(s.secret_taint(AbsVal::exact(kScratch)), TaintSet{0});
+  EXPECT_EQ(s.secret_taint(Domain::exact(kMacKey)), kTaintMacKey);
+  EXPECT_EQ(s.secret_taint(Domain::exact(kPcb + 8)), kTaintCredential);
+  EXPECT_EQ(s.secret_taint(Domain::exact(kScratch)), TaintSet{0});
   // Top pointers are not taint sources (imprecision stays a note, not a
   // universal secret).
-  EXPECT_EQ(s.secret_taint(AbsVal::top()), TaintSet{0});
-  EXPECT_TRUE(s.sanctioned_dest(AbsVal::exact(kPcb)));
-  EXPECT_TRUE(s.sanctioned_dest(AbsVal::exact(kMacKey)));
-  EXPECT_FALSE(s.sanctioned_dest(AbsVal::exact(kScratch)));
-  EXPECT_FALSE(s.sanctioned_dest(AbsVal::top()));
+  EXPECT_EQ(s.secret_taint(Domain::top()), TaintSet{0});
+  EXPECT_TRUE(s.sanctioned_dest(Domain::exact(kPcb)));
+  EXPECT_TRUE(s.sanctioned_dest(Domain::exact(kMacKey)));
+  EXPECT_FALSE(s.sanctioned_dest(Domain::exact(kScratch)));
+  EXPECT_FALSE(s.sanctioned_dest(Domain::top()));
 }
 
 // ---- T rules --------------------------------------------------------------

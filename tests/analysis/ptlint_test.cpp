@@ -109,6 +109,22 @@ TEST(PtLint, TopAddressIsNoteNotViolation) {
   }
 }
 
+TEST(PtLint, AlignedTopAddressIsStillANote) {
+  // Known low bits (a scaled or masked unknown index) constrain no address:
+  // the accesses stay notes, as for a plain Top address.
+  const Image img = image_of([](Assembler& a) {
+    a.ld(Reg::kT0, Reg::kA0, 0);
+    a.slli(Reg::kT1, Reg::kT0, 3);
+    a.sd(Reg::kZero, Reg::kT1, 8);
+    a.andi(Reg::kT2, Reg::kT0, -16);
+    a.ld(Reg::kT3, Reg::kT2, 0);
+    a.ebreak();
+  });
+  const LintReport rep = lint_image(img, config());
+  EXPECT_EQ(rep.violation_count(), 0u) << rep.format();
+  EXPECT_EQ(rep.diags.size(), 3u) << rep.format();
+}
+
 TEST(PtLint, PtInsnInsideRegionIsCleanOutsideViolates) {
   const Image inside = image_of([](Assembler& a) {
     a.li(Reg::kT0, kSrBase + 0x40);

@@ -73,7 +73,7 @@ TEST(Taint, EntrySeedsSymbolicArguments) {
     EXPECT_EQ(conc.taint[r], TaintSet{0});
   }
   EXPECT_TRUE(conc.reached);
-  EXPECT_TRUE(conc.regs[0].is_exact());
+  EXPECT_TRUE(conc.regs[0].is_singleton());
 }
 
 TEST(Taint, JoinUnionsTaintAndAndsMustFlags) {
@@ -81,19 +81,20 @@ TEST(Taint, JoinUnionsTaintAndAndsMustFlags) {
   a.taint[10] = kTaintToken;
   a.mediated = true;
   a.cred_written = true;
-  a.regs[10] = AbsVal::exact(0x100);
+  a.regs[10] = Domain::exact(0x100);
 
   FlowState b = FlowState::entry(false);
   b.taint[10] = kTaintMacKey;
   b.mediated = false;
   b.cred_written = true;
-  b.regs[10] = AbsVal::exact(0x200);
+  b.regs[10] = Domain::exact(0x200);
 
   EXPECT_TRUE(a.join_from(b));
   EXPECT_EQ(a.taint[10], static_cast<TaintSet>(kTaintToken | kTaintMacKey));
   EXPECT_FALSE(a.mediated);      // Must-flag: any unmediated path kills it.
   EXPECT_TRUE(a.cred_written);   // Held on both paths.
-  EXPECT_EQ(a.regs[10], AbsVal::range(0x100, 0x200));
+  EXPECT_EQ(a.regs[10].lo, 0x100u);
+  EXPECT_EQ(a.regs[10].hi, 0x200u);
 
   // Joining an unreached state is a no-op.
   FlowState unreached;

@@ -24,11 +24,12 @@
 // (sum-by-stack, also jobs-invariant) profile as ptstore.profile.v1 JSON —
 // feed it to `ptprof flame` / `ptprof profile`.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 
+#include "common/args.h"
 #include "harness/campaign.h"
 #include "harness/fleet.h"
 
@@ -67,16 +68,28 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    // The numeric options: each value must parse whole and in range.
+    const auto number = [&](u64 min, u64 max) {
+      return parse_arg(arg.c_str(), argv[++i], min, max);
+    };
     if (auto kind = campaign_kind_from(arg)) {
       spec.kind = *kind;
     } else if (arg == "--seed" && i + 1 < argc) {
-      spec.seed = std::strtoull(argv[++i], nullptr, 0);
+      const auto v = number(0, ~u64{0});
+      if (!v) return 2;
+      spec.seed = *v;
     } else if (arg == "--shards" && i + 1 < argc) {
-      spec.shards = std::strtoull(argv[++i], nullptr, 0);
+      const auto v = number(1, ~u64{0});
+      if (!v) return 2;
+      spec.shards = *v;
     } else if (arg == "--jobs" && i + 1 < argc) {
-      spec.jobs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 0));
+      const auto v = number(0, std::numeric_limits<unsigned>::max());
+      if (!v) return 2;
+      spec.jobs = static_cast<unsigned>(*v);
     } else if (arg == "--ops" && i + 1 < argc) {
-      spec.ops_per_shard = std::strtoull(argv[++i], nullptr, 0);
+      const auto v = number(0, ~u64{0});
+      if (!v) return 2;
+      spec.ops_per_shard = *v;
       spec.diff.op_count = spec.ops_per_shard;
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
@@ -89,7 +102,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--with-timing") {
       with_timing = true;
     } else if (arg == "--harts" && i + 1 < argc) {
-      spec.nharts = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 0));
+      const auto v = number(1, 8);
+      if (!v) return 2;
+      spec.nharts = static_cast<unsigned>(*v);
       harts_set = true;
     } else if (arg == "--skip-ipi") {
       spec.sabotage_skip_ipi = true;
@@ -111,15 +126,7 @@ int main(int argc, char** argv) {
       return usage(argv[0], arg == "--help" || arg == "-h" ? 0 : 2);
     }
   }
-  if (spec.shards == 0) {
-    std::fprintf(stderr, "--shards must be at least 1\n");
-    return 2;
-  }
   if (spec.kind == CampaignKind::kSmp && !harts_set) spec.nharts = 2;
-  if (spec.nharts < 1 || spec.nharts > 8) {
-    std::fprintf(stderr, "--harts must be 1..8\n");
-    return 2;
-  }
   if (spec.kind == CampaignKind::kSmp && spec.nharts < 2) {
     std::fprintf(stderr, "the smp campaign needs --harts >= 2\n");
     return 2;

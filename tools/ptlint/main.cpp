@@ -43,6 +43,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -55,6 +56,7 @@
 #include "analysis/sarif.h"
 #include "analysis/symexec/ptsym.h"
 #include "attacks/witness_replay.h"
+#include "common/args.h"
 #include "kernel/pagetable.h"
 
 namespace {
@@ -67,16 +69,6 @@ using namespace ptstore::analysis;
 constexpr u64 kDefaultSrEnd = kDramBase + MiB(512);
 constexpr u64 kDefaultSrBase = kDefaultSrEnd - MiB(64);
 constexpr u64 kDefaultImageBase = kUserSpaceBase + MiB(64);
-
-bool parse_u64(const std::string& s, u64* out) {
-  try {
-    size_t pos = 0;
-    *out = std::stoull(s, &pos, 0);
-    return pos == s.size();
-  } catch (...) {
-    return false;
-  }
-}
 
 int usage(int rc = 2) {
   std::fprintf(stderr,
@@ -344,17 +336,20 @@ int main(int argc, char** argv) {
     };
     if (arg == "--base") {
       const char* v = next();
-      if (v == nullptr || !parse_u64(v, &base)) return usage();
+      const auto n = v == nullptr ? std::nullopt : parse_arg("--base", v);
+      if (!n) return usage();
+      base = *n;
     } else if (arg == "--sr") {
       const char* v = next();
       if (v == nullptr) return usage();
       const std::string s(v);
       const size_t colon = s.find(':');
-      if (colon == std::string::npos ||
-          !parse_u64(s.substr(0, colon), &sr_base) ||
-          !parse_u64(s.substr(colon + 1), &sr_end) || sr_base >= sr_end) {
-        return usage();
-      }
+      if (colon == std::string::npos) return usage();
+      const auto lo = parse_arg("--sr", s.substr(0, colon).c_str());
+      const auto hi = parse_arg("--sr", s.substr(colon + 1).c_str());
+      if (!lo || !hi || *lo >= *hi) return usage();
+      sr_base = *lo;
+      sr_end = *hi;
     } else if (arg == "--corpus") {
       const char* v = next();
       if (v == nullptr) return usage();
@@ -373,9 +368,11 @@ int main(int argc, char** argv) {
       wit.enabled = true;
     } else if (arg == "--witness-budget") {
       const char* v = next();
-      u64 n = 0;
-      if (v == nullptr || !parse_u64(v, &n) || n == 0) return usage();
-      wit.budget.solver_splits = static_cast<u32>(n);
+      const auto n = v == nullptr ? std::nullopt
+                                  : parse_arg("--witness-budget", v, 1,
+                                              std::numeric_limits<u32>::max());
+      if (!n) return usage();
+      wit.budget.solver_splits = static_cast<u32>(*n);
     } else if (arg == "--witness-json") {
       const char* v = next();
       if (v == nullptr) return usage();

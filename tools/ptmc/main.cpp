@@ -21,16 +21,15 @@
 //
 // Exit codes: 0 = expectations met, 1 = property/expectation failure,
 // 2 = usage error.
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
 #include <string>
 
 #include "analysis/ptmc.h"
+#include "common/args.h"
 #include "harness/ptmc_replay.h"
 
 namespace {
@@ -84,18 +83,6 @@ bool write_file(const char* what, const std::string& path,
   if (f.good()) return true;
   std::fprintf(stderr, "ptmc: cannot write %s file '%s'\n", what, path.c_str());
   return false;
-}
-
-/// Parses a decimal integer in [1, max]; anything else (empty, signed,
-/// trailing characters, zero, out of range) is rejected.
-bool parse_positive(const char* text, u64 max, u64& out) {
-  if (text[0] < '0' || text[0] > '9') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (errno != 0 || *end != '\0' || v == 0 || v > max) return false;
-  out = v;
-  return true;
 }
 
 /// check(), with its host cost on stderr under -v.
@@ -204,36 +191,27 @@ int main(int argc, char** argv) {
       replay = true;
     } else if (arg == "--prop") {
       const char* n = next("--prop");
-      if (n == nullptr) return usage();
-      prop_filter = std::atoi(n);
-      if (prop_filter < 1 || prop_filter > 4) return usage();
+      const auto v = n == nullptr ? std::nullopt : parse_arg("--prop", n, 1, 4);
+      if (!v) return usage();
+      prop_filter = static_cast<int>(*v);
     } else if (arg == "--depth") {
       const char* n = next("--depth");
-      if (n == nullptr) return usage();
-      u64 v = 0;
-      if (!parse_positive(n, std::numeric_limits<u32>::max(), v)) {
-        std::fprintf(stderr, "ptmc: --depth needs a positive integer, got '%s'\n", n);
-        return usage();
-      }
-      cfg.max_depth = static_cast<u32>(v);
+      const auto v = n == nullptr ? std::nullopt
+                                  : parse_arg("--depth", n, 1, std::numeric_limits<u32>::max());
+      if (!v) return usage();
+      cfg.max_depth = static_cast<u32>(*v);
       depth_set = true;
     } else if (arg == "--states") {
       const char* n = next("--states");
-      if (n == nullptr) return usage();
-      if (!parse_positive(n, std::numeric_limits<u64>::max(), cfg.max_states)) {
-        std::fprintf(stderr, "ptmc: --states needs a positive integer, got '%s'\n", n);
-        return usage();
-      }
+      const auto v = n == nullptr ? std::nullopt : parse_arg("--states", n, 1);
+      if (!v) return usage();
+      cfg.max_states = *v;
       states_set = true;
     } else if (arg == "--harts") {
       const char* n = next("--harts");
-      if (n == nullptr) return usage();
-      const int h = std::atoi(n);
-      if (h < 1 || h > 2) {
-        std::fprintf(stderr, "ptmc: --harts must be 1 or 2\n");
-        return usage();
-      }
-      cfg.nharts = static_cast<unsigned>(h);
+      const auto v = n == nullptr ? std::nullopt : parse_arg("--harts", n, 1, 2);
+      if (!v) return usage();
+      cfg.nharts = static_cast<unsigned>(*v);
     } else if (arg == "--skip-ipi") {
       cfg.ipi = false;
     } else if (arg == "--backend") {

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/args.h"
 #include "telemetry/report.h"
 #include "telemetry/trace.h"
 #include "telemetry/trace_export.h"
@@ -64,7 +65,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--smoke") {
       setenv("PTSTORE_SMOKE", "1", 1);
     } else if (arg == "--top" && i + 1 < argc) {
-      top_n = static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
+      const auto v = parse_arg("--top", argv[++i]);
+      if (!v) return 2;
+      top_n = static_cast<size_t>(*v);
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else if (arg == "--trace" && i + 1 < argc) {

@@ -32,6 +32,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/args.h"
 #include "kernel/kconfig.h"
 #include "telemetry/flamegraph.h"
 #include "telemetry/profile.h"
@@ -284,7 +285,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--label" && i + 1 < argc) {
       a.label = argv[++i];
     } else if (arg == "--top" && i + 1 < argc) {
-      a.top_n = static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
+      const auto v = parse_arg("--top", argv[++i]);
+      if (!v) return 2;
+      a.top_n = static_cast<size_t>(*v);
     } else if (arg == "--json" && i + 1 < argc) {
       a.json_path = argv[++i];
     } else if (arg == "--folded" && i + 1 < argc) {
@@ -300,7 +303,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--title" && i + 1 < argc) {
       a.title = argv[++i];
     } else if (arg == "--width" && i + 1 < argc) {
-      a.width = static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
+      const auto v = parse_arg("--width", argv[++i]);
+      if (!v) return 2;
+      a.width = static_cast<size_t>(*v);
     } else if (arg == "--check" && i + 1 < argc) {
       a.check_pct = std::strtod(argv[++i], nullptr);
     } else if (!arg.empty() && arg[0] == '-') {

@@ -83,16 +83,21 @@ void PhysMem::write_block(PhysAddr pa, const void* in, u64 len) {
 
 void PhysMem::fill(PhysAddr pa, u8 byte, u64 len) {
   assert(is_dram(pa, len));
-  while (len > 0) {
+  for (u64 chunk; len > 0; pa += chunk, len -= chunk) {
     const u64 off = (pa - dram_base_) & kPageMask;
-    const u64 chunk = std::min<u64>(len, kPageSize - off);
-    Frame* f = frame_for(pa);
+    chunk = std::min<u64>(len, kPageSize - off);
+    Frame* f = find_frame(pa);
+    if (f == nullptr) {
+      // An untouched frame already reads as zero, so a zero fill leaves it
+      // unmaterialized: no allocation, no write generation, no checkpoint.
+      if (byte == 0) continue;
+      f = materialize((pa - dram_base_) >> kPageShift);
+    }
+    ++f->write_gen;
     // Zero bytes into a known-zero frame change nothing; a whole-frame zero
     // fill makes the frame known-zero.
     if (byte != 0 || !f->known_zero) std::memset(f->data + off, byte, chunk);
     f->known_zero = byte == 0 && (f->known_zero || chunk == kPageSize);
-    pa += chunk;
-    len -= chunk;
   }
 }
 

@@ -1,7 +1,9 @@
 // Sparse physical memory model. DRAM frames are allocated lazily so a
 // multi-GiB simulated machine costs only what it touches: a two-level frame
 // table maps a frame number to its frame, and a leaf of that table exists
-// only once a frame inside its 2 MiB span has been written. Every frame
+// only once a frame inside its 2 MiB span has been written with data. A
+// zero fill never materializes a frame (untouched memory reads as zero), so
+// scrubbing memory that was never written costs no allocation. Every frame
 // carries a write generation (the decode cache's content guard) and a
 // known-zero bit that lets is_zero() skip the byte scan. MMIO devices can
 // be attached to address windows outside DRAM (used by the generality demo
@@ -100,6 +102,11 @@ class PhysMem {
   /// Bulk helpers for loaders and the kernel model.
   void read_block(PhysAddr pa, void* out, u64 len);
   void write_block(PhysAddr pa, const void* in, u64 len);
+  /// Sets [pa, pa+len) to `byte`. A zero fill skips every unmaterialized
+  /// frame (it already reads as zero): it never materializes a frame, so
+  /// those frames get no write_gen and stay out of snapshots. Each
+  /// materialized frame it touches has its write_gen bumped once, and a
+  /// whole-frame zero fill makes that frame known-zero.
   void fill(PhysAddr pa, u8 byte, u64 len);
 
   /// True if every byte of [pa, pa+len) is zero. Used by the PTStore kernel's
@@ -113,7 +120,7 @@ class PhysMem {
 
   /// Pointer to the write-generation counter of the frame containing `pa`,
   /// or nullptr if the address is not DRAM or the frame has never been
-  /// written (unmaterialized). The counter is bumped on every write into the
+  /// written with data (unmaterialized; a zero fill does not count). The counter is bumped on every write into the
   /// frame, letting consumers (the decode cache) detect content changes
   /// without snooping individual stores. The pointer stays valid until
   /// restore_frames() rebuilds the table — watch frame_table_gen() for that.
@@ -174,17 +181,12 @@ class PhysMem {
     const Leaf* leaf = dir_[frame >> kLeafShift].get();
     return leaf == nullptr ? nullptr : (*leaf)[frame & (kLeafFrames - 1)].get();
   }
-  /// The frame holding DRAM address `pa`, materialized if needed. Every
-  /// caller is a write path, so this bumps the frame's write_gen.
-  Frame* frame_for(PhysAddr pa) {
+  /// Data of the frame holding DRAM address `pa`, materialized if needed,
+  /// about to receive arbitrary bytes: bumps its write_gen once.
+  u8* written_bytes(PhysAddr pa) {
     Frame* f = find_frame(pa);
     if (f == nullptr) f = materialize((pa - dram_base_) >> kPageShift);
     ++f->write_gen;
-    return f;
-  }
-  /// Data of frame_for(pa), about to receive arbitrary bytes.
-  u8* written_bytes(PhysAddr pa) {
-    Frame* f = frame_for(pa);
     f->known_zero = false;
     return f->data;
   }

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/pt_audit.h"
 #include "kernel/system.h"
 
 namespace ptstore {
@@ -109,6 +110,38 @@ TEST(KernelAdjust, DonatedPagesAreScrubbed) {
   }
   ASSERT_TRUE(sys.sbi().sr_get().contains(below, kPageSize));
   EXPECT_TRUE(sys.mem().is_zero(below, kPageSize));  // Scrubbed on donation.
+}
+
+// The §V-E3 zero-check end to end: a grow scrubs the donated chunk with a
+// zero fill, which leaves untouched pages unmaterialized (they read as zero
+// already), yet every donated page passes pt_bulk_is_zero, the secure
+// region audits clean, and a page holding stale normal-zone data is still
+// scrubbed.
+TEST(KernelAdjust, GrowScrubsWithoutMaterializingUntouchedPages) {
+  SystemConfig cfg = SystemConfig::cfi_ptstore();
+  cfg.dram_size = MiB(512);
+  cfg.kernel.secure_region_init = MiB(16);
+  cfg.kernel.adjustment_chunk_pages = 256;
+  System sys(cfg);
+  Kernel& k = sys.kernel();
+  const PhysAddr old_base = sys.sbi().sr_get().base;
+  const PhysAddr stale = old_base - 3 * kPageSize;
+  sys.mem().write_u64(stale + 128, 0xD1D1D1D1);
+  const size_t resident = sys.mem().resident_frames();
+
+  ASSERT_TRUE(k.grow_secure_region(0));
+  const PhysAddr new_base = sys.sbi().sr_get().base;
+  ASSERT_EQ(old_base - new_base, cfg.kernel.adjustment_chunk_pages * kPageSize);
+  ASSERT_TRUE(sys.sbi().sr_get().contains(stale, kPageSize));
+  EXPECT_EQ(sys.mem().resident_frames(), resident);  // Only the stale page was.
+  EXPECT_EQ(sys.mem().read_u64(stale + 128), 0u);
+  for (PhysAddr page = new_base; page < old_base; page += kPageSize) {
+    const KAccess z = k.kmem().pt_bulk_is_zero(page);
+    ASSERT_TRUE(z.ok) << std::hex << page;
+    EXPECT_EQ(z.value, 1u) << std::hex << page;
+  }
+  const analysis::AuditReport rep = analysis::audit_secure_region(k, sys.mem());
+  EXPECT_TRUE(rep.ok()) << rep.format();
 }
 
 TEST(KernelSyscall, AllPlainSyscallsSucceed) {

@@ -76,6 +76,35 @@ TEST_F(PhysMemTest, FillAndIsZero) {
   EXPECT_FALSE(mem_.is_zero(a, kPageSize));
 }
 
+// A zero fill never materializes a frame: untouched memory already reads
+// as zero, so it gets no allocation, no write generation and no snapshot
+// entry. A materialized frame in the span is still written and bumped once.
+TEST_F(PhysMemTest, ZeroFillLeavesUntouchedFramesUnmaterialized) {
+  const PhysAddr a = kDramBase + 10 * kPageSize;
+  mem_.fill(a, 0, 4 * kPageSize);
+  mem_.fill(a + 5 * kPageSize + 100, 0, 200);  // Partial, also untouched.
+  EXPECT_EQ(mem_.resident_frames(), 0u);
+  for (u64 i = 0; i < 6; ++i) EXPECT_EQ(mem_.frame_write_gen(a + i * kPageSize), nullptr);
+  EXPECT_TRUE(mem_.snapshot_frames().empty());
+  EXPECT_TRUE(mem_.is_zero(a, 6 * kPageSize));
+
+  // Straddle a materialized frame (a, holding data) and an untouched one.
+  mem_.write_u64(a + kPageSize - 8, 0x1234);
+  ASSERT_EQ(mem_.resident_frames(), 1u);
+  const u64* gen = mem_.frame_write_gen(a);
+  ASSERT_NE(gen, nullptr);
+  const u64 g0 = *gen;
+  mem_.fill(a + kPageSize - 16, 0, 32);
+  EXPECT_EQ(mem_.resident_frames(), 1u);
+  EXPECT_EQ(*gen, g0 + 1);
+  EXPECT_EQ(mem_.frame_write_gen(a + kPageSize), nullptr);
+  EXPECT_EQ(mem_.read_u64(a + kPageSize - 8), 0u);
+  EXPECT_TRUE(mem_.is_zero(a, 2 * kPageSize));
+  const auto frames = mem_.snapshot_frames();
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].first, 10u);
+}
+
 TEST_F(PhysMemTest, SparseResidency) {
   mem_.write_u8(kDramBase, 1);
   mem_.write_u8(kDramBase + MiB(32), 1);
@@ -228,10 +257,13 @@ TEST_F(PhysMemTest, RandomizedReadbackProperty) {
   PhysMem mem(kDramBase, MiB(4));
   std::map<u64, std::vector<u8>> shadow;  // Materialized frame -> bytes.
   std::map<u64, u64> gens;                // Materialized frame -> write_gen.
-  // Every write op bumps each frame it touches once.
-  auto write_shadow = [&](u64 off, u64 len, auto byte_at) {
+  // Every write op bumps each frame it touches once, except that a zero
+  // fill leaves out the frames the shadow has no entry for: they already
+  // read as zero, so it neither materializes them nor bumps a generation.
+  auto write_shadow = [&](u64 off, u64 len, auto byte_at, bool zero_fill = false) {
     for (u64 i = 0; i < len; ++i) {
       const u64 frame = (off + i) >> kPageShift;
+      if (zero_fill && shadow.count(frame) == 0) continue;
       std::vector<u8>& bytes = shadow[frame];
       if (bytes.empty()) bytes.assign(kPageSize, 0);
       if (i == 0 || ((off + i) & kPageMask) == 0) ++gens[frame];
@@ -261,7 +293,7 @@ TEST_F(PhysMemTest, RandomizedReadbackProperty) {
       case 1: {  // fill, zero half the time.
         const u8 byte = rng.chance(0.5) ? 0 : static_cast<u8>(1 + rng.next_below(255));
         mem.fill(pa, byte, len);
-        write_shadow(off, len, [byte](u64) { return byte; });
+        write_shadow(off, len, [byte](u64) { return byte; }, byte == 0);
         break;
       }
       case 2: {  // write_block, possibly across frames.

@@ -23,7 +23,6 @@
 // `flame` renders a saved ptstore.profile.v1 JSON as a self-contained SVG
 // flamegraph; --folded output is flamegraph.pl-compatible.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
@@ -307,7 +306,9 @@ int main(int argc, char** argv) {
       if (!v) return 2;
       a.width = static_cast<size_t>(*v);
     } else if (arg == "--check" && i + 1 < argc) {
-      a.check_pct = std::strtod(argv[++i], nullptr);
+      const auto v = parse_real_arg("--check", argv[++i], 0.0, 100.0);
+      if (!v) return 2;
+      a.check_pct = *v;
     } else if (!arg.empty() && arg[0] == '-') {
       return usage(argv[0], arg == "--help" || arg == "-h" ? 0 : 2);
     } else if (cmd == "flame" && a.file_a.empty()) {

@@ -280,6 +280,57 @@ std::vector<CorpusEntry> violation_corpus(u64 sr_base, u64 sr_end) {
   // counterexample becomes a guest image whose attack step ptlint must flag.
   append_ptmc_entries(corpus, sr_base);
 
+  // 11. Stack spill into the region: a kernel stack carved out of the secure
+  //     region, at a 16-aligned offset loaded from memory, takes a frame and
+  //     spills ra below it — a regular store into page-table memory. It also
+  //     reaches three rules of the shared Domain that no other image does:
+  //     - `addi sp, sp, -32` and `sd ra, -8(sp)` wrap both ends of the
+  //       stack interval, which add keeps exact;
+  //     - the loop header loses one known bit of t2 on each of four back
+  //       edges before the fifth moves sp to the second stack; joins that
+  //       only drop known bits do not count toward widening, so sp keeps
+  //       its interval;
+  //     - a scaled index built from a loaded value (`slli`, `andi -16`) is
+  //       an aligned unknown pointer, as unconstrained as Top: the store
+  //       through it is a note, not a violation.
+  corpus.push_back({"stack_spill_secure",
+                    "ra spilled below an sp that lies in the secure region",
+                    build([&](Assembler& a, std::vector<Symbol>&) {
+                      auto loop = a.make_label();
+                      Assembler::Label edge[5] = {a.make_label(), a.make_label(),
+                                                  a.make_label(), a.make_label(),
+                                                  a.make_label()};
+                      a.ld(Reg::kT1, Reg::kA0, 0);
+                      a.andi(Reg::kT1, Reg::kT1, 0xF0);
+                      a.li(Reg::kSp, sr_base + 0x1000);
+                      a.add(Reg::kSp, Reg::kSp, Reg::kT1);
+                      a.addi(Reg::kS1, Reg::kSp, 0x100);  // The second stack.
+                      a.li(Reg::kT2, 0x100);
+                      a.beqz(Reg::kA1, loop);
+                      a.li(Reg::kT2, 0xF00);  // t2: [0x100, 0xF00], bits 0-7 zero.
+                      a.bind(loop);
+                      a.addi(Reg::kSp, Reg::kSp, -32);
+                      a.sd(Reg::kRa, Reg::kSp, -8);  // The seeded violation.
+                      a.addi(Reg::kSp, Reg::kSp, 32);
+                      a.ld(Reg::kT3, Reg::kA2, 0);
+                      a.slli(Reg::kT3, Reg::kT3, 3);
+                      a.andi(Reg::kT3, Reg::kT3, -16);
+                      a.sd(Reg::kZero, Reg::kT3, 0);  // Unconstrained: a note.
+                      const Reg conds[5] = {Reg::kA3, Reg::kA4, Reg::kA5, Reg::kA6,
+                                            Reg::kA7};
+                      for (unsigned i = 0; i < 5; ++i) a.bnez(conds[i], edge[i]);
+                      a.ebreak();
+                      for (unsigned bit = 0; bit < 4; ++bit) {
+                        a.bind(edge[bit]);
+                        a.li(Reg::kT2, 0x100 | (u64{1} << bit));
+                        a.j(loop);
+                      }
+                      a.bind(edge[4]);
+                      a.mv(Reg::kSp, Reg::kS1);
+                      a.j(loop);
+                    }),
+                    false, DiagKind::kRegularTouchesSecure});
+
   return corpus;
 }
 

@@ -19,9 +19,9 @@ LintConfig config() {
   return cfg;
 }
 
-TEST(Corpus, HasTenEntriesWithExpectedShapes) {
+TEST(Corpus, HasElevenEntriesWithExpectedShapes) {
   const auto corpus = violation_corpus(kSrBase, kSrEnd);
-  ASSERT_EQ(corpus.size(), 10u);
+  ASSERT_EQ(corpus.size(), 11u);
   size_t clean = 0;
   for (const CorpusEntry& e : corpus) {
     EXPECT_FALSE(e.image.words.empty()) << e.name;

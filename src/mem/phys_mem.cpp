@@ -83,7 +83,7 @@ void PhysMem::write_block(PhysAddr pa, const void* in, u64 len) {
 
 void PhysMem::fill(PhysAddr pa, u8 byte, u64 len) {
   assert(is_dram(pa, len));
-  for (u64 chunk; len > 0; pa += chunk, len -= chunk) {
+  for (u64 chunk = 0; len > 0; pa += chunk, len -= chunk) {
     const u64 off = (pa - dram_base_) & kPageMask;
     chunk = std::min<u64>(len, kPageSize - off);
     Frame* f = find_frame(pa);

@@ -297,9 +297,8 @@ std::vector<CorpusEntry> violation_corpus(u64 sr_base, u64 sr_end) {
                     "ra spilled below an sp that lies in the secure region",
                     build([&](Assembler& a, std::vector<Symbol>&) {
                       auto loop = a.make_label();
-                      Assembler::Label edge[5] = {a.make_label(), a.make_label(),
-                                                  a.make_label(), a.make_label(),
-                                                  a.make_label()};
+                      Assembler::Label edge[5];
+                      for (auto& e : edge) e = a.make_label();
                       a.ld(Reg::kT1, Reg::kA0, 0);
                       a.andi(Reg::kT1, Reg::kT1, 0xF0);
                       a.li(Reg::kSp, sr_base + 0x1000);
@@ -307,7 +306,8 @@ std::vector<CorpusEntry> violation_corpus(u64 sr_base, u64 sr_end) {
                       a.addi(Reg::kS1, Reg::kSp, 0x100);  // The second stack.
                       a.li(Reg::kT2, 0x100);
                       a.beqz(Reg::kA1, loop);
-                      a.li(Reg::kT2, 0xF00);  // t2: [0x100, 0xF00], bits 0-7 zero.
+                      // t2: [0x100, 0xF00], bits 0-7 known zero.
+                      a.li(Reg::kT2, 0xF00);
                       a.bind(loop);
                       a.addi(Reg::kSp, Reg::kSp, -32);
                       a.sd(Reg::kRa, Reg::kSp, -8);  // The seeded violation.
@@ -316,9 +316,11 @@ std::vector<CorpusEntry> violation_corpus(u64 sr_base, u64 sr_end) {
                       a.slli(Reg::kT3, Reg::kT3, 3);
                       a.andi(Reg::kT3, Reg::kT3, -16);
                       a.sd(Reg::kZero, Reg::kT3, 0);  // Unconstrained: a note.
-                      const Reg conds[5] = {Reg::kA3, Reg::kA4, Reg::kA5, Reg::kA6,
-                                            Reg::kA7};
-                      for (unsigned i = 0; i < 5; ++i) a.bnez(conds[i], edge[i]);
+                      const Reg conds[5] = {Reg::kA3, Reg::kA4, Reg::kA5,
+                                            Reg::kA6, Reg::kA7};
+                      for (unsigned i = 0; i < 5; ++i) {
+                        a.bnez(conds[i], edge[i]);
+                      }
                       a.ebreak();
                       for (unsigned bit = 0; bit < 4; ++bit) {
                         a.bind(edge[bit]);

@@ -26,8 +26,8 @@ std::optional<u64> parse_arg(const char* opt, const char* text, u64 min, u64 max
   return std::nullopt;
 }
 
-std::optional<double> parse_real_arg(const char* opt, const char* text, double min,
-                                     double max) {
+std::optional<double> parse_real_arg(const char* opt, const char* text,
+                                     double min, double max) {
   const std::string_view s(text);
   double v = 0;
   // from_chars takes no whitespace, '+' or hex prefix in the general format.
@@ -36,8 +36,8 @@ std::optional<double> parse_real_arg(const char* opt, const char* text, double m
       v >= min && v <= max) {
     return v;
   }
-  std::fprintf(stderr, "%s needs a number in [%g, %g], got '%s'\n", opt, min, max,
-               text);
+  std::fprintf(stderr, "%s needs a number in [%g, %g], got '%s'\n", opt, min,
+               max, text);
   return std::nullopt;
 }
 

@@ -21,7 +21,7 @@ std::optional<u64> parse_arg(const char* opt, const char* text, u64 min = 0,
 /// [min, max] ("90", "99.5", "1e1"). Empty text, whitespace, a '+' sign,
 /// inf/nan, hexadecimal, trailing characters and out-of-range values are
 /// rejected the same way.
-std::optional<double> parse_real_arg(const char* opt, const char* text, double min,
-                                     double max);
+std::optional<double> parse_real_arg(const char* opt, const char* text,
+                                     double min, double max);
 
 }  // namespace ptstore

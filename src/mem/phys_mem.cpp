@@ -88,9 +88,7 @@ void PhysMem::fill(PhysAddr pa, u8 byte, u64 len) {
     chunk = std::min<u64>(len, kPageSize - off);
     Frame* f = find_frame(pa);
     if (f == nullptr) {
-      // An untouched frame already reads as zero, so a zero fill leaves it
-      // unmaterialized: no allocation, no write generation, no checkpoint.
-      if (byte == 0) continue;
+      if (byte == 0) continue;  // An untouched frame already reads as zero.
       f = materialize((pa - dram_base_) >> kPageShift);
     }
     ++f->write_gen;

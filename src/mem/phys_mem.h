@@ -102,11 +102,10 @@ class PhysMem {
   /// Bulk helpers for loaders and the kernel model.
   void read_block(PhysAddr pa, void* out, u64 len);
   void write_block(PhysAddr pa, const void* in, u64 len);
-  /// Sets [pa, pa+len) to `byte`. A zero fill skips every unmaterialized
-  /// frame (it already reads as zero): it never materializes a frame, so
-  /// those frames get no write_gen and stay out of snapshots. Each
-  /// materialized frame it touches has its write_gen bumped once, and a
-  /// whole-frame zero fill makes that frame known-zero.
+  /// Sets [pa, pa+len) to `byte`. A zero fill skips unmaterialized frames
+  /// (no write_gen, no snapshot entry); every materialized frame it touches
+  /// gets one write_gen bump, and a whole-frame zero fill makes it
+  /// known-zero.
   void fill(PhysAddr pa, u8 byte, u64 len);
 
   /// True if every byte of [pa, pa+len) is zero. Used by the PTStore kernel's
@@ -119,11 +118,12 @@ class PhysMem {
   size_t resident_frames() const { return resident_; }
 
   /// Pointer to the write-generation counter of the frame containing `pa`,
-  /// or nullptr if the address is not DRAM or the frame has never been
-  /// written with data (unmaterialized; a zero fill does not count). The counter is bumped on every write into the
-  /// frame, letting consumers (the decode cache) detect content changes
-  /// without snooping individual stores. The pointer stays valid until
-  /// restore_frames() rebuilds the table — watch frame_table_gen() for that.
+  /// or nullptr if the address is not DRAM or the frame is unmaterialized
+  /// (never written, or only zero-filled). The counter is bumped on every
+  /// write into the frame, letting consumers (the decode cache) detect
+  /// content changes without snooping individual stores. The pointer stays
+  /// valid until restore_frames() rebuilds the table — watch
+  /// frame_table_gen() for that.
   const u64* frame_write_gen(PhysAddr pa) const {
     if (!is_dram(pa)) return nullptr;
     const Frame* f = find_frame(pa);

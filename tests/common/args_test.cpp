@@ -21,8 +21,8 @@ TEST(ParseRealArg, AcceptsOnlyAFiniteNumberInRange) {
   EXPECT_EQ(parse_real_arg("--check", "1e1", 0, 100), 10.0);
   EXPECT_EQ(parse_real_arg("--check", "0", 0, 100), 0.0);
   EXPECT_EQ(parse_real_arg("--check", "100", 0, 100), 100.0);
-  for (const char* bad : {"", "abc", "101", "-0.5", "90x", " 90", "+90", "nan", "inf",
-                          "0x10", "1e400"}) {
+  for (const char* bad : {"", "abc", "101", "-0.5", "90x", " 90", "+90",
+                          "nan", "inf", "0x10", "1e400"}) {
     EXPECT_FALSE(parse_real_arg("--check", bad, 0, 100)) << "'" << bad << "'";
   }
 }

@@ -84,7 +84,9 @@ TEST_F(PhysMemTest, ZeroFillLeavesUntouchedFramesUnmaterialized) {
   mem_.fill(a, 0, 4 * kPageSize);
   mem_.fill(a + 5 * kPageSize + 100, 0, 200);  // Partial, also untouched.
   EXPECT_EQ(mem_.resident_frames(), 0u);
-  for (u64 i = 0; i < 6; ++i) EXPECT_EQ(mem_.frame_write_gen(a + i * kPageSize), nullptr);
+  for (u64 i = 0; i < 6; ++i) {
+    EXPECT_EQ(mem_.frame_write_gen(a + i * kPageSize), nullptr);
+  }
   EXPECT_TRUE(mem_.snapshot_frames().empty());
   EXPECT_TRUE(mem_.is_zero(a, 6 * kPageSize));
 
@@ -260,7 +262,8 @@ TEST_F(PhysMemTest, RandomizedReadbackProperty) {
   // Every write op bumps each frame it touches once, except that a zero
   // fill leaves out the frames the shadow has no entry for: they already
   // read as zero, so it neither materializes them nor bumps a generation.
-  auto write_shadow = [&](u64 off, u64 len, auto byte_at, bool zero_fill = false) {
+  auto write_shadow = [&](u64 off, u64 len, auto byte_at,
+                          bool zero_fill = false) {
     for (u64 i = 0; i < len; ++i) {
       const u64 frame = (off + i) >> kPageShift;
       if (zero_fill && shadow.count(frame) == 0) continue;

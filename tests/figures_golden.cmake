@@ -1,13 +1,13 @@
-# Figure golden gate: a bench driver's smoke-scale output must match its
+# Figure golden gate: a bench's smoke-scale output must match its
 # committed golden in tests/golden/figures/ byte for byte. A golden named
-# *.json is the driver's schema-v1 --json report (it holds no host fields);
-# any other golden is the driver's stdout without its "[<bench>] wall ..."
+# *.json is the bench's schema-v1 --json report (it holds no host fields);
+# any other golden is the bench's stdout without its "[<bench>] wall ..."
 # footer line, which reports host time and the run scale. On a mismatch the
 # actual output stays in ACTUAL_DIR, so drift reads as a diff against the
 # golden; copy it over only for an intended change of simulated results.
 #
 # Invoked by ctest as:
-#   cmake -DBENCH=<driver> -DGOLDEN=<golden file> -DACTUAL_DIR=<dir>
+#   cmake -DBENCH=<bench executable> -DGOLDEN=<golden file> -DACTUAL_DIR=<dir>
 #         [-DHARTS=<n>] -P figures_golden.cmake
 if(NOT DEFINED BENCH OR NOT DEFINED GOLDEN OR NOT DEFINED ACTUAL_DIR)
   message(FATAL_ERROR

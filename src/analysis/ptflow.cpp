@@ -104,8 +104,11 @@ class FlowVerifier {
   }
 
   /// One engine run over `fn`'s owned blocks from `entry_state`. In check
-  /// mode diags are emitted; calling contexts of callees are recorded in
-  /// `ctx_out` when non-null. Returns the function's exit accumulator.
+  /// mode, once the fixpoint has converged, each reached block is walked
+  /// once more from its fixpoint entry state (in first-visit order) and
+  /// that walk alone emits diags, so every store is judged once, on the
+  /// converged state. Calling contexts of callees are recorded in `ctx_out`
+  /// when non-null. Returns the function's exit accumulator.
   ExitAcc analyze(const Function& fn, const FlowState& entry_state,
                   bool check_mode, std::map<u64, FlowState>* ctx_out) {
     const std::set<u64> owned(fn.blocks.begin(), fn.blocks.end());
@@ -115,11 +118,14 @@ class FlowVerifier {
     FlowState seed = entry_state;
     if (self.is_mediation) seed.mediated = true;
     df.seed(fn.entry, seed);
+    bool judging = false;  // The post-fixpoint check walk is running.
+    std::set<u64> visited;
+    std::vector<u64> visit_order;
 
     const auto step = [&](u64 pc, const Inst& in, FlowState& st) {
       const Access acc = classify_access(in, st.regs);
       if (acc.store) {
-        if (check_mode) check_store(pc, acc, st);
+        if (judging) check_store(pc, acc, st);
         // M2 bookkeeping: a store provably confined to the credential home
         // commits the credential.
         if (spec_.cred_end > spec_.cred_base &&
@@ -127,7 +133,7 @@ class FlowVerifier {
           st.cred_written = true;
         }
       }
-      if (check_mode && spec_.m2 && self.under_m2 && !st.cred_written &&
+      if (judging && spec_.m2 && self.under_m2 && !st.cred_written &&
           writes_csr(in) && csr_of(in) == isa::csr::kSatp) {
         diag(FlowDiagKind::kCredAfterWalkable, Severity::kViolation, pc,
              "root becomes walkable before the credential is written "
@@ -138,18 +144,31 @@ class FlowVerifier {
       if (acc.load && in.rd != 0) st.taint[in.rd] = spec_.secret_taint(acc.addr);
     };
     const auto propagate = [&](u64 to, const FlowState& st) {
-      if (owned.count(to) != 0) df.propagate(to, st);
+      if (!judging && owned.count(to) != 0) df.propagate(to, st);
     };
-    df.solve(img_, cg_.cfg(), step, [&](const BasicBlock& bb, const FlowState& out) {
+    const auto edges = [&](const BasicBlock& bb, const FlowState& out) {
       const u64 term_pc = bb.end - 4;
       if (const CallSite* cs = fn.call_at(term_pc)) {
-        call_edge(bb, *cs, out, check_mode, ctx_out, exits, propagate);
+        call_edge(bb, *cs, out, judging, ctx_out, exits, propagate);
       } else if (is_return(img_.inst_at(term_pc))) {
         exits.add(out.mediated, out.cred_written, out.taint[10], out.taint[11]);
       } else {
         for (const Edge& e : bb.succs) propagate(e.to, out);
       }
+    };
+    df.solve(img_, cg_.cfg(), step, [&](const BasicBlock& bb, const FlowState& out) {
+      if (check_mode && visited.insert(bb.start).second) visit_order.push_back(bb.start);
+      edges(bb, out);
     });
+    if (check_mode) {
+      judging = true;
+      for (const u64 at : visit_order) {
+        const FlowState* entry = df.state_at(at);
+        if (entry == nullptr) continue;
+        const BasicBlock& bb = *cg_.cfg().block_at(at);
+        edges(bb, Dataflow<FlowState>::interpret(img_, bb, *entry, step));
+      }
+    }
     return exits;
   }
 

@@ -7,8 +7,10 @@
 #include <functional>
 #include <string>
 
+#include "analysis/corpus.h"
 #include "analysis/flow_corpus.h"
 #include "analysis/ptflow.h"
+#include "analysis/ptlint.h"
 #include "isa/assembler.h"
 #include "isa/csr.h"
 
@@ -216,6 +218,43 @@ TEST(Flow, M1UnmediatedPtStoreFires) {
       });
   EXPECT_EQ(rep.violation_count(), 1u);
   EXPECT_TRUE(has_kind(rep, FlowDiagKind::kUnmediatedPtStore));
+}
+
+// A store is judged once, on the converged fixpoint state: in the corpus
+// image whose spill address is only widened late in the fixpoint, the M1
+// diag names the same address interval ptlint's fixpoint reports for that
+// store, not a pre-widening one.
+TEST(Flow, StoreIsJudgedOnTheFixpointState) {
+  const u64 sr_end = kDramBase + MiB(512), sr_base = sr_end - MiB(64);
+  const auto corpus = violation_corpus(sr_base, sr_end);
+  const CorpusEntry* e = find_entry(corpus, "stack_spill_secure");
+  ASSERT_NE(e, nullptr);
+  LintConfig lcfg;
+  lcfg.sr_base = sr_base;
+  lcfg.sr_end = sr_end;
+  const LintReport lint = lint_image(e->image, lcfg);
+  const FlowReport flow =
+      flow_verify(e->image, FlowSpec::for_backend(BackendKind::kPtstore, sr_base, sr_end));
+  const auto interval = [](const std::string& msg) {
+    const size_t lo = msg.find('['), hi = msg.find(']');
+    return lo == std::string::npos || hi == std::string::npos ? std::string()
+                                                              : msg.substr(lo, hi - lo + 1);
+  };
+  std::string lint_addr, flow_addr;
+  for (const auto& d : lint.diags) {
+    if (d.kind == DiagKind::kRegularTouchesSecure && d.sev == Severity::kViolation) {
+      lint_addr = interval(d.message);
+    }
+  }
+  int m1 = 0;
+  for (const auto& d : flow.diags) {
+    if (d.kind != FlowDiagKind::kUnmediatedPtStore) continue;
+    ++m1;
+    flow_addr = interval(d.message);
+  }
+  EXPECT_EQ(m1, 1);
+  ASSERT_FALSE(lint_addr.empty());
+  EXPECT_EQ(flow_addr, lint_addr);
 }
 
 TEST(Flow, M1MediationFlagFlowsIntoCallees) {

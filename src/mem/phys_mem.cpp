@@ -74,7 +74,12 @@ void PhysMem::write_block(PhysAddr pa, const void* in, u64 len) {
   while (len > 0) {
     const u64 off = (pa - dram_base_) & kPageMask;
     const u64 chunk = std::min<u64>(len, kPageSize - off);
-    std::memcpy(written_bytes(pa) + off, src, chunk);
+    const bool zero =
+        find_frame(pa) == nullptr &&
+        std::all_of(src, src + chunk, [](u8 b) { return b == 0; });
+    if (u8* data = written_bytes(pa, off, chunk, zero)) {
+      std::memcpy(data + off, src, chunk);
+    }
     pa += chunk;
     src += chunk;
     len -= chunk;
@@ -86,16 +91,23 @@ void PhysMem::fill(PhysAddr pa, u8 byte, u64 len) {
   for (u64 chunk = 0; len > 0; pa += chunk, len -= chunk) {
     const u64 off = (pa - dram_base_) & kPageMask;
     chunk = std::min<u64>(len, kPageSize - off);
-    Frame* f = find_frame(pa);
-    if (f == nullptr) {
-      if (byte == 0) continue;  // An untouched frame already reads as zero.
-      f = materialize((pa - dram_base_) >> kPageShift);
+    if (byte != 0) {
+      std::memset(written_bytes(pa, off, chunk, false) + off, byte, chunk);
+      continue;
     }
+    Frame* f = find_frame(pa);
+    if (f == nullptr) continue;  // An untouched frame already reads as zero.
     ++f->write_gen;
-    // Zero bytes into a known-zero frame change nothing; a whole-frame zero
-    // fill makes the frame known-zero.
-    if (byte != 0 || !f->known_zero) std::memset(f->data + off, byte, chunk);
-    f->known_zero = byte == 0 && (f->known_zero || chunk == kPageSize);
+    // Only the dirty extent can hold nonzero bytes: clear its overlap with
+    // the fill, and drop the ends the fill covers from it.
+    const u64 end = off + chunk;
+    const u64 lo = std::max<u64>(off, f->lo);
+    const u64 hi = std::min<u64>(end, f->hi);
+    if (lo >= hi) continue;
+    std::memset(f->data + lo, 0, hi - lo);
+    if (off <= f->lo) f->lo = static_cast<u32>(hi);
+    if (end >= f->hi) f->hi = static_cast<u32>(lo);
+    if (f->lo >= f->hi) f->lo = f->hi = 0;
   }
 }
 
@@ -104,13 +116,15 @@ bool PhysMem::is_zero(PhysAddr pa, u64 len) {
   while (len > 0) {
     const u64 off = (pa - dram_base_) & kPageMask;
     const u64 chunk = std::min<u64>(len, kPageSize - off);
-    // Unmaterialized frames are zero by construction.
-    Frame* f = find_frame(pa);
-    if (f != nullptr && !f->known_zero) {
-      for (u64 i = 0; i < chunk; ++i) {
-        if (f->data[off + i] != 0) return false;
+    // Unmaterialized frames are zero by construction, and so is every byte
+    // outside a frame's dirty extent.
+    if (Frame* f = find_frame(pa)) {
+      const u64 lo = std::max<u64>(off, f->lo);
+      const u64 hi = std::min<u64>(off + chunk, f->hi);
+      for (u64 i = lo; i < hi; ++i) {
+        if (f->data[i] != 0) return false;
       }
-      if (chunk == kPageSize) f->known_zero = true;
+      if (off <= f->lo && off + chunk >= f->hi) f->lo = f->hi = 0;
     }
     pa += chunk;
     len -= chunk;
@@ -136,7 +150,7 @@ void PhysMem::restore_frames(
     assert(bytes.size() == kPageSize && frame < (dram_size_ >> kPageShift));
     Frame* f = materialize(frame);
     std::memcpy(f->data, bytes.data(), kPageSize);
-    f->known_zero = false;
+    f->hi = kPageSize;
   }
 }
 
@@ -149,8 +163,7 @@ u64 PhysMem::content_digest() const {
     }
   };
   for_each_frame([&mix](u64 frame, const Frame& f) {
-    if (f.known_zero || std::all_of(f.data, f.data + kPageSize,
-                                    [](u8 b) { return b == 0; })) {
+    if (std::all_of(f.data + f.lo, f.data + f.hi, [](u8 b) { return b == 0; })) {
       return;
     }
     const u8 idx[8] = {

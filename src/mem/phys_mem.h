@@ -1,15 +1,18 @@
 // Sparse physical memory model. DRAM frames are allocated lazily so a
 // multi-GiB simulated machine costs only what it touches: a two-level frame
 // table maps a frame number to its frame, and a leaf of that table exists
-// only once a frame inside its 2 MiB span has been written with data. A
-// zero fill never materializes a frame (untouched memory reads as zero), so
-// scrubbing memory that was never written costs no allocation. Every frame
-// carries a write generation (the decode cache's content guard) and a
-// known-zero bit that lets is_zero() skip the byte scan. MMIO devices can
-// be attached to address windows outside DRAM (used by the generality demo
-// in examples/bare_metal_guard).
+// only once a frame inside its 2 MiB span has been written with data.
+// Storing zeros never materializes a frame: an all-zero write, block write
+// or fill into an untouched frame is a no-op (untouched memory reads as
+// zero), so scrubbing memory that was never written costs no allocation.
+// Every frame carries a write generation (the decode cache's content guard)
+// and a dirty byte extent [lo, hi) outside which it is known to be zero, so
+// a whole-frame zero fill clears only the extent and is_zero() scans only
+// what the extent covers. MMIO devices can be attached to address windows
+// outside DRAM (used by the generality demo in examples/bare_metal_guard).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cstring>
@@ -90,28 +93,35 @@ class PhysMem {
     }
     return read_slow(pa, size);
   }
+  /// Storing zero into an untouched frame changes nothing and leaves the
+  /// frame unmaterialized (no write_gen, no snapshot entry).
   void write(PhysAddr pa, unsigned size, u64 value) {
     assert(size == 1 || size == 2 || size == 4 || size == 8);
     if (in_one_dram_frame(pa, size)) {
-      std::memcpy(written_bytes(pa) + ((pa - dram_base_) & kPageMask), &value, size);
+      const u64 off = (pa - dram_base_) & kPageMask;
+      const bool zero = (value & mask_lo(8 * size)) == 0;
+      if (u8* data = written_bytes(pa, off, size, zero)) {
+        std::memcpy(data + off, &value, size);
+      }
       return;
     }
     write_slow(pa, size, value);
   }
 
-  /// Bulk helpers for loaders and the kernel model.
+  /// Bulk helpers for loaders and the kernel model. A write_block skips
+  /// each untouched frame whose part of `in` is all zero.
   void read_block(PhysAddr pa, void* out, u64 len);
   void write_block(PhysAddr pa, const void* in, u64 len);
   /// Sets [pa, pa+len) to `byte`. A zero fill skips unmaterialized frames
-  /// (no write_gen, no snapshot entry); every materialized frame it touches
-  /// gets one write_gen bump, and a whole-frame zero fill makes it
-  /// known-zero.
+  /// (no write_gen, no snapshot entry) and clears only the part of a
+  /// materialized frame's dirty extent it covers; every materialized frame
+  /// it touches gets one write_gen bump.
   void fill(PhysAddr pa, u8 byte, u64 len);
 
   /// True if every byte of [pa, pa+len) is zero. Used by the PTStore kernel's
   /// zero-check defence against allocator-metadata attacks (paper §V-E3).
-  /// Frames known to be zero (never written, or last written by a
-  /// whole-frame fill(0)) answer without a scan.
+  /// Only the bytes inside a frame's dirty extent are scanned; untouched
+  /// frames and frames whose extent is empty answer without a scan.
   bool is_zero(PhysAddr pa, u64 len);
 
   /// Number of DRAM frames materialized so far (for memory-pressure stats).
@@ -119,7 +129,7 @@ class PhysMem {
 
   /// Pointer to the write-generation counter of the frame containing `pa`,
   /// or nullptr if the address is not DRAM or the frame is unmaterialized
-  /// (never written, or only zero-filled). The counter is bumped on every
+  /// (never written with a nonzero byte). The counter is bumped on every
   /// write into the frame, letting consumers (the decode cache) detect
   /// content changes without snooping individual stores. The pointer stays
   /// valid until restore_frames() rebuilds the table — watch
@@ -157,11 +167,25 @@ class PhysMem {
 
   struct Frame {
     u64 write_gen = 0;
-    /// Every byte is zero. Set at materialization and by a whole-frame
-    /// fill(0) (or a scan that finds the frame zero); every other write
-    /// clears it.
-    bool known_zero = true;
+    /// Dirty extent: every byte outside [lo, hi) is zero (lo == hi: the
+    /// whole frame is). Writes widen it; zero fills and is_zero() scans
+    /// that find zeros at its ends shrink it.
+    u32 lo = 0;
+    u32 hi = 0;
     u8 data[kPageSize] = {};
+
+    /// Bytes [off, end) are about to be written: one write_gen bump, and
+    /// the extent grows to cover them.
+    void touch(u64 off, u64 end) {
+      ++write_gen;
+      if (lo == hi) {
+        lo = static_cast<u32>(off);
+        hi = static_cast<u32>(end);
+      } else {
+        lo = std::min(lo, static_cast<u32>(off));
+        hi = std::max(hi, static_cast<u32>(end));
+      }
+    }
   };
 
   // Frame table: dir_[frame >> kLeafShift] points at a leaf of kLeafFrames
@@ -181,13 +205,17 @@ class PhysMem {
     const Leaf* leaf = dir_[frame >> kLeafShift].get();
     return leaf == nullptr ? nullptr : (*leaf)[frame & (kLeafFrames - 1)].get();
   }
-  /// Data of the frame holding DRAM address `pa`, materialized if needed,
-  /// about to receive arbitrary bytes: bumps its write_gen once.
-  u8* written_bytes(PhysAddr pa) {
+  /// Data of the frame holding DRAM address `pa` about to receive bytes
+  /// [off, off+len) of the frame: touches the frame, materializing it
+  /// first unless the bytes are all `zero`. Null when the write is a no-op
+  /// (zeros into an untouched frame).
+  u8* written_bytes(PhysAddr pa, u64 off, u64 len, bool zero) {
     Frame* f = find_frame(pa);
-    if (f == nullptr) f = materialize((pa - dram_base_) >> kPageShift);
-    ++f->write_gen;
-    f->known_zero = false;
+    if (f == nullptr) {
+      if (zero) return nullptr;
+      f = materialize((pa - dram_base_) >> kPageShift);
+    }
+    f->touch(off, off + len);
     return f->data;
   }
   Frame* materialize(u64 frame);

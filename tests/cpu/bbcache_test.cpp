@@ -69,6 +69,34 @@ TEST(BBCache, FenceIFlushesAndCounts) {
   EXPECT_GE(s.get("bbcache.invalidations"), 1u);
 }
 
+// Storing zero never materializes an untouched frame, but code lives in a
+// materialized one: a zero store over a cached block must still bump the
+// frame's write generation and evict the block. The store clears the
+// immediate of `addi a0, zero, 7`, so the second call returns 0.
+TEST(BBCache, ZeroStoreOverCachedCodeEvictsTheBlock) {
+  Machine m;
+  const PhysAddr base = m.core.config().reset_pc;
+  m.run_program([](Assembler& a) {
+    auto func = a.make_label();
+    a.jal(Reg::kRa, func);           // word 0
+    a.mv(Reg::kS1, Reg::kA0);        // word 1
+    a.auipc(Reg::kT0, 0);            // word 2: t0 = base + 8
+    a.addi(Reg::kT0, Reg::kT0, 28);  // word 3: t0 = &func (word 9)
+    a.sh(Reg::kZero, Reg::kT0, 2);   // word 4: imm[11:0] of func's addi = 0
+    a.jal(Reg::kRa, func);           // word 5
+    a.mv(Reg::kS2, Reg::kA0);        // word 6
+    a.ebreak();                      // word 7
+    a.nop();                         // word 8
+    a.bind(func);                    // word 9: base + 36
+    a.addi(Reg::kA0, Reg::kZero, 7);
+    a.jalr(Reg::kZero, Reg::kRa, 0);
+  });
+  EXPECT_EQ(m.reg(Reg::kS1), 7u);
+  EXPECT_EQ(m.reg(Reg::kS2), 0u);
+  EXPECT_EQ(m.mem.read_u32(base + 36), 0x513u);  // addi a0, zero, 0
+  EXPECT_GE(m.core.merged_stats().get("bbcache.misses"), 3u);
+}
+
 TEST(BBCache, HitsAccumulateOnReexecution) {
   Machine m;
   m.run_program([](Assembler& a) {

@@ -95,6 +95,32 @@ TEST_F(KmemTest, BulkZeroEquivalentToLoop) {
   EXPECT_TRUE(sys_->mem().is_zero(b, kPageSize));
 }
 
+// Zeroing a page that was never written stores only zeros, so neither the
+// probe store nor the fill materializes its frame; a page holding data is
+// still scrubbed.
+TEST_F(KmemTest, BulkZeroOfUntouchedPageMaterializesNothing) {
+  PhysMem& mem = sys_->mem();
+  const PhysAddr user = normal_page() + 7 * kPageSize;
+  const PhysAddr pt = secure_page() + 9 * kPageSize;
+  ASSERT_EQ(mem.frame_write_gen(user), nullptr);
+  ASSERT_EQ(mem.frame_write_gen(pt), nullptr);
+  const size_t resident = mem.resident_frames();
+  ASSERT_TRUE(km().bulk_zero(user).ok);
+  ASSERT_TRUE(km().pt_bulk_zero(pt).ok);
+  EXPECT_EQ(mem.resident_frames(), resident);
+  EXPECT_EQ(mem.frame_write_gen(user), nullptr);
+  EXPECT_EQ(mem.frame_write_gen(pt), nullptr);
+  EXPECT_EQ(km().pt_bulk_is_zero(pt).value, 1u);
+
+  mem.write_u64(user + 0x300, 0x77);
+  mem.write_u64(pt + 0x10, 0x99);
+  ASSERT_TRUE(km().bulk_zero(user).ok);
+  ASSERT_TRUE(km().pt_bulk_zero(pt).ok);
+  EXPECT_EQ(mem.resident_frames(), resident + 2);
+  EXPECT_TRUE(mem.is_zero(user, kPageSize));
+  EXPECT_EQ(km().pt_bulk_is_zero(pt).value, 1u);
+}
+
 TEST_F(KmemTest, BulkCopyEquivalentToLoop) {
   const PhysAddr src = secure_page();
   const PhysAddr d1 = secure_page() + kPageSize;

@@ -107,6 +107,90 @@ TEST_F(PhysMemTest, ZeroFillLeavesUntouchedFramesUnmaterialized) {
   EXPECT_EQ(frames[0].first, 10u);
 }
 
+// Every all-zero write is a no-op on an untouched frame: scalar stores of
+// any width (bytes above `size` do not count), block writes and fills, also
+// across frame borders. A frame that holds data still takes zero stores as
+// writes.
+TEST_F(PhysMemTest, ZeroStoresLeaveUntouchedFramesUnmaterialized) {
+  const PhysAddr a = kDramBase + 20 * kPageSize;
+  mem_.write_u8(a + 1, 0);
+  mem_.write_u16(a + 2, 0);
+  mem_.write_u32(a + 4, 0);
+  mem_.write_u64(a + 8, 0);
+  mem_.write(a + 16, 4, 0xFFFF'FFFF'0000'0000ULL);  // Only the low 4 bytes land.
+  mem_.write_u64(a + kPageSize - 4, 0);              // Crosses into frame 21.
+  const std::vector<u8> zeros(3 * kPageSize, 0);
+  mem_.write_block(a + 100, zeros.data(), zeros.size());
+  EXPECT_EQ(mem_.resident_frames(), 0u);
+  for (u64 i = 0; i < 4; ++i) EXPECT_EQ(mem_.frame_write_gen(a + i * kPageSize), nullptr);
+  EXPECT_TRUE(mem_.snapshot_frames().empty());
+
+  // A block write materializes only the frames its nonzero bytes land in.
+  std::vector<u8> in(2 * kPageSize, 0);
+  in[kPageSize + 5] = 0x42;
+  mem_.write_block(a, in.data(), in.size());
+  EXPECT_EQ(mem_.resident_frames(), 1u);
+  EXPECT_EQ(mem_.frame_write_gen(a), nullptr);
+  ASSERT_NE(mem_.frame_write_gen(a + kPageSize), nullptr);
+  EXPECT_EQ(mem_.read_u8(a + kPageSize + 5), 0x42);
+
+  const u64 g0 = *mem_.frame_write_gen(a + kPageSize);
+  mem_.write_u64(a + kPageSize, 0);
+  EXPECT_EQ(*mem_.frame_write_gen(a + kPageSize), g0 + 1);
+  mem_.write_u8(a + kPageSize + 5, 0);
+  EXPECT_EQ(*mem_.frame_write_gen(a + kPageSize), g0 + 2);
+  EXPECT_TRUE(mem_.is_zero(a, 2 * kPageSize));
+}
+
+// The dirty extent bounds what zero fills clear and what is_zero scans; it
+// must never hide a nonzero byte. Small writes and fills inside two frames
+// move its ends around; contents and is_zero of random sub-spans are
+// checked against a byte shadow after every op.
+TEST_F(PhysMemTest, DirtyExtentNeverHidesData) {
+  constexpr u64 kSpan = 2 * kPageSize;
+  const PhysAddr base = kDramBase + 30 * kPageSize;
+  std::vector<u8> shadow(kSpan, 0);
+  Rng rng(7);
+  // Offsets cluster near a few anchors (frame starts, ends and middles), so
+  // ops often begin or end a few bytes from the extent's ends.
+  const u64 anchors[] = {0, 40, kPageSize / 2, kPageSize - 48, kPageSize, kPageSize + 8,
+                         kSpan - 64};
+  for (int step = 0; step < 6000; ++step) {
+    const u64 off = rng.chance(0.3)
+                        ? rng.next_below(kSpan)
+                        : std::min(kSpan - 1, anchors[rng.next_below(7)] + rng.next_below(24));
+    const u64 len = std::min<u64>(kSpan - off, 1 + rng.next_below(rng.chance(0.2) ? kSpan : 40));
+    switch (rng.next_below(4)) {
+      case 0: {  // Scalar write, zero a third of the time.
+        const unsigned size = 1u << rng.next_below(4);
+        if (off + size > kSpan) break;
+        const u64 v = rng.chance(0.3) ? 0 : rng.next_u64();
+        mem_.write(base + off, size, v);
+        for (unsigned i = 0; i < size; ++i) shadow[off + i] = static_cast<u8>(v >> (8 * i));
+        break;
+      }
+      case 1: {  // Fill, mostly zero; sometimes whole frames.
+        const u8 byte = rng.chance(0.7) ? 0 : static_cast<u8>(1 + rng.next_below(255));
+        const u64 o = rng.chance(0.2) ? align_down(off, kPageSize) : off;
+        const u64 n = o == off ? len : kPageSize;
+        mem_.fill(base + o, byte, n);
+        std::fill(shadow.begin() + static_cast<std::ptrdiff_t>(o),
+                  shadow.begin() + static_cast<std::ptrdiff_t>(o + n), byte);
+        break;
+      }
+      default: {  // is_zero of a sub-span and a full read-back.
+        bool want = true;
+        for (u64 i = off; i < off + len; ++i) want = want && shadow[i] == 0;
+        ASSERT_EQ(mem_.is_zero(base + off, len), want) << step;
+        std::vector<u8> out(kSpan);
+        mem_.read_block(base, out.data(), kSpan);
+        ASSERT_EQ(out, shadow) << step;
+        break;
+      }
+    }
+  }
+}
+
 TEST_F(PhysMemTest, SparseResidency) {
   mem_.write_u8(kDramBase, 1);
   mem_.write_u8(kDramBase + MiB(32), 1);
@@ -259,18 +343,21 @@ TEST_F(PhysMemTest, RandomizedReadbackProperty) {
   PhysMem mem(kDramBase, MiB(4));
   std::map<u64, std::vector<u8>> shadow;  // Materialized frame -> bytes.
   std::map<u64, u64> gens;                // Materialized frame -> write_gen.
-  // Every write op bumps each frame it touches once, except that a zero
-  // fill leaves out the frames the shadow has no entry for: they already
-  // read as zero, so it neither materializes them nor bumps a generation.
-  auto write_shadow = [&](u64 off, u64 len, auto byte_at,
-                          bool zero_fill = false) {
-    for (u64 i = 0; i < len; ++i) {
+  // Every write op bumps each frame it touches once, except that storing
+  // only zeros into a frame the shadow has no entry for is a no-op: the
+  // frame already reads as zero, so no op (fill, write_block or scalar
+  // write) materializes it or bumps a generation.
+  auto write_shadow = [&](u64 off, u64 len, auto byte_at) {
+    for (u64 i = 0, next = 0; i < len; i = next) {
       const u64 frame = (off + i) >> kPageShift;
-      if (zero_fill && shadow.count(frame) == 0) continue;
+      next = std::min(len, ((frame + 1) << kPageShift) - off);
+      bool zero = true;
+      for (u64 j = i; j < next; ++j) zero = zero && byte_at(j) == 0;
+      if (zero && shadow.count(frame) == 0) continue;
       std::vector<u8>& bytes = shadow[frame];
       if (bytes.empty()) bytes.assign(kPageSize, 0);
-      if (i == 0 || ((off + i) & kPageMask) == 0) ++gens[frame];
-      bytes[(off + i) & kPageMask] = byte_at(i);
+      ++gens[frame];
+      for (u64 j = i; j < next; ++j) bytes[(off + j) & kPageMask] = byte_at(j);
     }
   };
   auto shadow_byte = [&](u64 off) -> u8 {
@@ -296,7 +383,7 @@ TEST_F(PhysMemTest, RandomizedReadbackProperty) {
       case 1: {  // fill, zero half the time.
         const u8 byte = rng.chance(0.5) ? 0 : static_cast<u8>(1 + rng.next_below(255));
         mem.fill(pa, byte, len);
-        write_shadow(off, len, [byte](u64) { return byte; }, byte == 0);
+        write_shadow(off, len, [byte](u64) { return byte; });
         break;
       }
       case 2: {  // write_block, possibly across frames.

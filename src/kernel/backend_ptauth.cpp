@@ -9,8 +9,12 @@
 // walk. What the scheme does NOT give — and the attack battery records —
 // is protection for translations already cached in the TLB (the walker
 // never runs) or for the allocator's free-page metadata.
-#include <map>
-#include <set>
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cassert>
+#include <unordered_map>
+#include <vector>
 
 #include "common/bits.h"
 #include "kernel/isolation.h"
@@ -31,15 +35,13 @@ class PtauthBackend : public IsolationBackend, public WalkVerifier {
     // empty (all-zero) shadow.
     const KAccess z = kmem().pt_bulk_zero(page);
     if (!z.ok) return PtStatus{false, false, false, z.fault};
-    tracked_.insert(page);
-    erase_shadow(page);
+    pages_[page].clear();
     return PtStatus::success();
   }
 
   void release_pt_page(PhysAddr page) override {
     core().mem().fill(page, 0, kPageSize);
-    tracked_.erase(page);
-    erase_shadow(page);
+    pages_.erase(page);
   }
 
   bool bind_root(Process& proc, PhysAddr root, PtStatus* st) override;
@@ -56,21 +58,24 @@ class PtauthBackend : public IsolationBackend, public WalkVerifier {
   // Mediated PT writes are signed into the shadow; the signing cycles ride
   // on the pt_write_extra charge in KernelMem.
   void on_pt_write(VirtAddr va, u64 v) override {
-    if (tracked_.count(page_of(va)) == 0) return;
+    PageShadow* s = shadow_of(va);
+    if (s == nullptr) return;
     if (v == 0) {
-      shadow_.erase(va);
+      s->erase(slot_of(va));
     } else {
-      shadow_[va] = v;
+      s->set(slot_of(va), v);
     }
   }
-  void on_pt_page_zeroed(VirtAddr page_va) override { erase_shadow(page_of(page_va)); }
+  void on_pt_page_zeroed(VirtAddr page_va) override {
+    if (PageShadow* s = shadow_of(page_va)) s->clear();
+  }
   void on_pt_page_copied(VirtAddr dst_page, VirtAddr src_page) override {
-    const PhysAddr dst = page_of(dst_page);
-    if (tracked_.count(dst) == 0) return;
-    erase_shadow(dst);
-    for (u64 off = 0; off < kPageSize; off += 8) {
-      const u64 v = core().mem().read_u64(src_page + off);
-      if (v != 0) shadow_[dst + off] = v;
+    PageShadow* s = shadow_of(dst_page);
+    if (s == nullptr) return;
+    s->clear();
+    for (unsigned slot = 0; slot < kSlots; ++slot) {
+      const u64 v = core().mem().read_u64(src_page + 8 * slot);
+      if (v != 0) s->set(slot, v);
     }
   }
 
@@ -79,36 +84,91 @@ class PtauthBackend : public IsolationBackend, public WalkVerifier {
   // not this unit's to judge — the MAC check in switch_mm already refused
   // to install such a root.
   bool check_pte_fetch(PhysAddr pte_addr, u64 pte, Cycles* cost) override {
-    if (tracked_.count(page_of(pte_addr)) == 0) return true;
+    const PageShadow* s = shadow_of(pte_addr);
+    if (s == nullptr) return true;
     *cost += iso_.mac_cost;
-    const auto it = shadow_.find(pte_addr);
-    const u64 expect = it == shadow_.end() ? 0 : it->second;
-    return pte == expect;
+    const u64* signed_pte = s->find(slot_of(pte_addr));
+    return pte == (signed_pte == nullptr ? 0 : *signed_pte);
   }
   void on_hw_pte_update(PhysAddr pte_addr, u64 pte) override {
     // Hardware A/D writeback re-signs the updated entry.
-    if (tracked_.count(page_of(pte_addr)) == 0) return;
-    shadow_[pte_addr] = pte;
+    if (PageShadow* s = shadow_of(pte_addr)) s->set(slot_of(pte_addr), pte);
   }
 
   BackendState save_state() const override {
     BackendState st;
-    st.pages.assign(tracked_.begin(), tracked_.end());
-    st.shadow.assign(shadow_.begin(), shadow_.end());
+    for (const auto& [page, s] : pages_) st.pages.push_back(page);
+    std::sort(st.pages.begin(), st.pages.end());
+    for (const PhysAddr page : st.pages) {
+      const PageShadow& s = pages_.at(page);
+      for (unsigned slot = 0, i = 0; slot < kSlots; ++slot) {
+        if (s.has(slot)) st.shadow.emplace_back(page + 8 * slot, s.values[i++]);
+      }
+    }
     return st;
   }
   void restore_state(const BackendState& st) override {
-    tracked_.clear();
-    tracked_.insert(st.pages.begin(), st.pages.end());
-    shadow_.clear();
-    shadow_.insert(st.shadow.begin(), st.shadow.end());
+    pages_.clear();
+    for (const PhysAddr page : st.pages) pages_[page];
+    for (const auto& [pte_addr, v] : st.shadow) {
+      if (PageShadow* s = shadow_of(pte_addr)) s->set(slot_of(pte_addr), v);
+    }
   }
 
  private:
-  static PhysAddr page_of(PhysAddr a) { return align_down(a, kPageSize); }
+  static constexpr unsigned kSlots = kPageSize / 8;
 
-  void erase_shadow(PhysAddr page) {
-    shadow_.erase(shadow_.lower_bound(page), shadow_.lower_bound(page + kPageSize));
+  /// The signed PTEs of one tracked PT page: bit i of `present` marks slot
+  /// i signed, and `values` holds the signed slots' PTEs in slot order.
+  /// Page tables are sparse, so this stays small where a full 4 KiB copy
+  /// per page would not.
+  struct PageShadow {
+    std::array<u64, kSlots / 64> present{};
+    std::vector<u64> values;
+
+    bool has(unsigned slot) const { return (present[slot / 64] >> (slot % 64)) & 1; }
+    /// Index into `values` of `slot`: the signed slots below it.
+    size_t rank(unsigned slot) const {
+      size_t r = 0;
+      for (unsigned w = 0; w < slot / 64; ++w) r += std::popcount(present[w]);
+      return r + std::popcount(present[slot / 64] & mask_lo(slot % 64));
+    }
+    const u64* find(unsigned slot) const {
+      return has(slot) ? &values[rank(slot)] : nullptr;
+    }
+    void set(unsigned slot, u64 v) {
+      if (has(slot)) {
+        values[rank(slot)] = v;
+        return;
+      }
+      values.insert(values.begin() + static_cast<std::ptrdiff_t>(rank(slot)), v);
+      present[slot / 64] |= u64{1} << (slot % 64);
+    }
+    void erase(unsigned slot) {
+      if (!has(slot)) return;
+      values.erase(values.begin() + static_cast<std::ptrdiff_t>(rank(slot)));
+      present[slot / 64] &= ~(u64{1} << (slot % 64));
+    }
+    void clear() {
+      present.fill(0);
+      values.clear();
+    }
+  };
+
+  /// The shadow of the tracked PT page holding `a`, or null if untracked.
+  PageShadow* shadow_of(PhysAddr a) {
+    const auto it = pages_.find(align_down(a, kPageSize));
+    return it == pages_.end() ? nullptr : &it->second;
+  }
+  const PageShadow* shadow_of(PhysAddr a) const {
+    const auto it = pages_.find(align_down(a, kPageSize));
+    return it == pages_.end() ? nullptr : &it->second;
+  }
+  /// PTE slot of `a` in its page; mediated PT writes and walker fetches
+  /// are 8-byte aligned.
+  static unsigned slot_of(PhysAddr a) {
+    assert(is_aligned(a, 8));
+    return static_cast<unsigned>((a & kPageMask) >> 3);
   }
 
   /// MAC over (root, pid): a splitmix64-shaped keyed mix standing in for
@@ -127,8 +187,9 @@ class PtauthBackend : public IsolationBackend, public WalkVerifier {
   /// the battery don't try to compute MACs, they replay/forge pointers.
   static constexpr u64 kMacKey = 0xA5C3'9D01'7E66'D0F1ull;
 
-  std::set<PhysAddr> tracked_;        ///< PT pages under authentication.
-  std::map<PhysAddr, u64> shadow_;    ///< slot -> last signed (nonzero) PTE.
+  /// PT pages under authentication -> their last signed PTEs (hashed:
+  /// only save_state() needs page order, and it sorts).
+  std::unordered_map<PhysAddr, PageShadow> pages_;
 };
 
 bool PtauthBackend::bind_root(Process& proc, PhysAddr root, PtStatus* st) {

@@ -1,17 +1,97 @@
 #include "kernel/buddy.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "common/bits.h"
 
 namespace ptstore {
 
+namespace {
+constexpr u64 kMaxBlock = u64{1} << kMaxOrder;  // Pages in a max-order block.
+}  // namespace
+
 BuddyZone::BuddyZone(std::string name, PhysAddr base, u64 size)
     : name_(std::move(name)), base_(base), end_(base + size) {
   assert(is_aligned(base, kPageSize) && is_aligned(size, kPageSize));
+  cover(pfn(base_), pfn(end_));
   seed_range(pfn(base_), pfn(end_));
 }
+
+// ---- per-order bitmaps ----
+
+bool BuddyZone::is_free(unsigned order, u64 p) const {
+  if (p < origin_ || p >= limit_) return false;
+  const u64 i = (p - origin_) >> order;
+  return (free_[order].words[i / 64] >> (i % 64)) & 1;
+}
+
+void BuddyZone::add(unsigned order, u64 p) {
+  cover(p, p + (u64{1} << order));
+  FreeList& fl = free_[order];
+  const u64 i = (p - origin_) >> order;
+  u64& w = fl.words[i / 64];
+  if ((w >> (i % 64)) & 1) return;
+  if (w == 0) fl.summary[i / 4096] |= u64{1} << (i / 64 % 64);
+  w |= u64{1} << (i % 64);
+  ++fl.count;
+}
+
+void BuddyZone::remove(unsigned order, u64 p) {
+  if (!is_free(order, p)) return;
+  FreeList& fl = free_[order];
+  const u64 i = (p - origin_) >> order;
+  u64& w = fl.words[i / 64];
+  w &= ~(u64{1} << (i % 64));
+  if (w == 0) fl.summary[i / 4096] &= ~(u64{1} << (i / 64 % 64));
+  --fl.count;
+}
+
+std::optional<u64> BuddyZone::lowest(unsigned order) const {
+  const FreeList& fl = free_[order];
+  if (fl.count == 0) return std::nullopt;
+  u64 s = 0;
+  while (fl.summary[s] == 0) ++s;
+  const u64 w = 64 * s + std::countr_zero(fl.summary[s]);
+  const u64 i = 64 * w + std::countr_zero(fl.words[w]);
+  return origin_ + (i << order);
+}
+
+std::optional<u64> BuddyZone::next_free(unsigned order, u64 lo, u64 hi) const {
+  lo = std::max(lo, origin_);
+  hi = std::min(hi, limit_);
+  if (lo >= hi) return std::nullopt;
+  const FreeList& fl = free_[order];
+  const u64 step = u64{1} << order;
+  const u64 first = (lo - origin_ + step - 1) >> order;  // Blocks at >= lo.
+  const u64 last = (hi - origin_ + step - 1) >> order;   // Blocks at < hi.
+  for (u64 w = first / 64; w < (last + 63) / 64; ++w) {
+    u64 bits = fl.words[w];
+    if (w == first / 64) bits &= ~mask_lo(first % 64);
+    if (w == last / 64) bits &= mask_lo(last % 64);
+    if (bits != 0) return origin_ + ((64 * w + std::countr_zero(bits)) << order);
+  }
+  return std::nullopt;
+}
+
+void BuddyZone::cover(u64 lo, u64 hi) {
+  if (lo >= origin_ && hi <= limit_) return;
+  const std::vector<std::pair<PhysAddr, unsigned>> blocks = free_blocks();
+  if (limit_ > origin_) {
+    lo = std::min(lo, origin_);
+    hi = std::max(hi, limit_);
+  }
+  origin_ = align_down(lo, kMaxBlock);
+  limit_ = align_up(hi, kMaxBlock);
+  for (unsigned o = 0; o <= kMaxOrder; ++o) {
+    const u64 nwords = ((limit_ - origin_) >> o) / 64 + 1;
+    free_[o] = FreeList{std::vector<u64>(nwords), std::vector<u64>(nwords / 64 + 1), 0};
+  }
+  for (const auto& [pa, o] : blocks) add(o, pfn(pa));
+}
+
+// ---- buddy algorithm ----
 
 void BuddyZone::seed_range(u64 lo, u64 hi) {
   // Greedy cover with the largest naturally-aligned blocks that fit.
@@ -31,17 +111,15 @@ void BuddyZone::insert_free(u64 p, unsigned order) {
   // Coalesce upward while the buddy is also free.
   while (order < kMaxOrder) {
     const u64 buddy = p ^ (u64{1} << order);
-    auto& lvl = free_[order];
-    auto it = lvl.find(buddy);
-    if (it == lvl.end()) break;
+    if (!is_free(order, buddy)) break;
     // Buddy must be wholly inside the zone to merge.
     const u64 merged = p & ~(u64{1} << order);
     if (pa_of(merged) < base_ || pa_of(merged + (u64{2} << order)) > end_) break;
-    lvl.erase(it);
+    remove(order, buddy);
     p = merged;
     ++order;
   }
-  free_[order].insert(p);
+  add(order, p);
 }
 
 std::optional<PhysAddr> BuddyZone::alloc_pages(unsigned order) {
@@ -56,28 +134,25 @@ std::optional<PhysAddr> BuddyZone::alloc_pages(unsigned order) {
   // Find the smallest suitable order with a free block; prefer the lowest
   // address across candidate orders to keep high memory free.
   unsigned best_order = 0;
-  bool found = false;
-  u64 best_pfn = 0;
+  std::optional<u64> best_pfn;
   for (unsigned o = order; o <= kMaxOrder; ++o) {
-    if (free_[o].empty()) continue;
-    const u64 candidate = *free_[o].begin();
-    if (!found || candidate < best_pfn) {
-      found = true;
+    const std::optional<u64> candidate = lowest(o);
+    if (candidate && (!best_pfn || *candidate < *best_pfn)) {
       best_pfn = candidate;
       best_order = o;
     }
   }
-  if (!found) return std::nullopt;
+  if (!best_pfn) return std::nullopt;
 
-  free_[best_order].erase(best_pfn);
+  remove(best_order, *best_pfn);
   // Split down to the requested order, returning the low half each time.
   unsigned o = best_order;
   while (o > order) {
     --o;
-    free_[o].insert(best_pfn + (u64{1} << o));  // High half stays free.
+    add(o, *best_pfn + (u64{1} << o));  // High half stays free.
   }
   free_count_ -= u64{1} << order;
-  return pa_of(best_pfn);
+  return pa_of(*best_pfn);
 }
 
 void BuddyZone::free_pages(PhysAddr pa, unsigned order) {
@@ -89,10 +164,7 @@ void BuddyZone::free_pages(PhysAddr pa, unsigned order) {
 bool BuddyZone::page_is_free(PhysAddr pa) const {
   const u64 p = pfn(pa);
   for (unsigned o = 0; o <= kMaxOrder; ++o) {
-    for (auto it = free_[o].begin(); it != free_[o].end(); ++it) {
-      if (p >= *it && p < *it + (u64{1} << o)) return true;
-      if (*it > p) break;  // Sets are ordered; no later block can cover p.
-    }
+    if (is_free(o, p & ~((u64{1} << o) - 1))) return true;
   }
   return false;
 }
@@ -102,31 +174,26 @@ bool BuddyZone::alloc_range(PhysAddr pa, u64 pages) {
   const u64 lo = pfn(pa);
   const u64 hi = lo + pages;
 
-  // Pass 1: verify full coverage by free blocks.
+  // The free blocks overlapping [lo, hi) start in [lo rounded down to the
+  // block size, hi); verify they cover the range fully.
   u64 covered = 0;
   for (unsigned o = 0; o <= kMaxOrder; ++o) {
-    for (const u64 b : free_[o]) {
-      const u64 b_end = b + (u64{1} << o);
-      if (b_end <= lo || b >= hi) continue;
-      covered += std::min(b_end, hi) - std::max(b, lo);
+    const u64 size = u64{1} << o;
+    for (auto b = next_free(o, lo & ~(size - 1), hi); b; b = next_free(o, *b + size, hi)) {
+      covered += std::min(*b + size, hi) - std::max(*b, lo);
     }
   }
   if (covered != pages) return false;
 
-  // Pass 2: remove overlapping blocks; re-seed the portions outside range.
+  // Remove them, order by order and in address order; re-seed the portions
+  // outside the range.
   for (unsigned o = 0; o <= kMaxOrder; ++o) {
-    auto& lvl = free_[o];
-    for (auto it = lvl.begin(); it != lvl.end();) {
-      const u64 b = *it;
-      const u64 b_end = b + (u64{1} << o);
-      if (b_end <= lo || b >= hi) {
-        ++it;
-        continue;
-      }
-      it = lvl.erase(it);
-      free_count_ -= u64{1} << o;
-      if (b < lo) seed_range(b, lo);
-      if (b_end > hi) seed_range(hi, b_end);
+    const u64 size = u64{1} << o;
+    for (auto b = next_free(o, lo & ~(size - 1), hi); b; b = next_free(o, *b + size, hi)) {
+      remove(o, *b);
+      free_count_ -= size;
+      if (*b < lo) seed_range(*b, lo);
+      if (*b + size > hi) seed_range(hi, *b + size);
     }
   }
   return true;
@@ -150,9 +217,7 @@ BuddyZone::State BuddyZone::save_state() const {
   st.base = base_;
   st.end = end_;
   st.free_count = free_count_;
-  for (unsigned o = 0; o <= kMaxOrder; ++o) {
-    for (const u64 b : free_[o]) st.free.emplace_back(b, o);
-  }
+  for (const auto& [pa, o] : free_blocks()) st.free.emplace_back(pfn(pa), o);
   return st;
 }
 
@@ -161,16 +226,23 @@ void BuddyZone::restore_state(const State& st) {
   end_ = st.end;
   free_count_ = st.free_count;
   forced_.reset();
-  for (auto& lvl : free_) lvl.clear();
+  for (FreeList& fl : free_) {
+    std::fill(fl.words.begin(), fl.words.end(), 0);
+    std::fill(fl.summary.begin(), fl.summary.end(), 0);
+    fl.count = 0;
+  }
   // Insert directly — the saved lists are already maximally coalesced, and
   // insert_free would double-count free_count_.
-  for (const auto& [p, o] : st.free) free_[o].insert(p);
+  for (const auto& [p, o] : st.free) add(o, p);
 }
 
 std::vector<std::pair<PhysAddr, unsigned>> BuddyZone::free_blocks() const {
   std::vector<std::pair<PhysAddr, unsigned>> out;
   for (unsigned o = 0; o <= kMaxOrder; ++o) {
-    for (const u64 b : free_[o]) out.emplace_back(pa_of(b), o);
+    const u64 size = u64{1} << o;
+    for (auto b = next_free(o, origin_, limit_); b; b = next_free(o, *b + size, limit_)) {
+      out.emplace_back(pa_of(*b), o);
+    }
   }
   return out;
 }
@@ -182,22 +254,22 @@ bool BuddyZone::check_invariants(std::string* why) const {
   };
   u64 counted = 0;
   std::vector<std::pair<u64, u64>> spans;  // [lo, hi) pfn spans
-  for (unsigned o = 0; o <= kMaxOrder; ++o) {
-    for (const u64 b : free_[o]) {
-      if ((b & ((u64{1} << o) - 1)) != 0) return fail("misaligned free block");
-      const u64 b_end = b + (u64{1} << o);
-      if (pa_of(b) < base_ || pa_of(b_end) > end_) return fail("block outside zone");
-      counted += u64{1} << o;
-      spans.emplace_back(b, b_end);
-      // Buddies free at the same order should have merged.
-      if (o < kMaxOrder) {
-        const u64 buddy = b ^ (u64{1} << o);
-        const u64 merged = b & ~(u64{1} << o);
-        const bool mergeable =
-            pa_of(merged) >= base_ && pa_of(merged + (u64{2} << o)) <= end_;
-        if (mergeable && free_[o].count(buddy) != 0 && buddy > b) {
-          return fail("unmerged buddies");
-        }
+  // Blocks are aligned to their size by construction (bit i of an order's
+  // bitmap is the block at origin_ + (i << order)).
+  for (const auto& [pa, o] : free_blocks()) {
+    const u64 b = pfn(pa);
+    const u64 b_end = b + (u64{1} << o);
+    if (pa_of(b) < base_ || pa_of(b_end) > end_) return fail("block outside zone");
+    counted += u64{1} << o;
+    spans.emplace_back(b, b_end);
+    // Buddies free at the same order should have merged.
+    if (o < kMaxOrder) {
+      const u64 buddy = b ^ (u64{1} << o);
+      const u64 merged = b & ~(u64{1} << o);
+      const bool mergeable =
+          pa_of(merged) >= base_ && pa_of(merged + (u64{2} << o)) <= end_;
+      if (mergeable && is_free(o, buddy) && buddy > b) {
+        return fail("unmerged buddies");
       }
     }
   }

@@ -11,11 +11,16 @@
 // corrupt. The attack harness models that with force_next_alloc(), which
 // makes the allocator hand out an arbitrary (possibly in-use) page — the
 // §V-E3 scenario PTStore's zero-check defeats.
+//
+// Each order's free list is a bitmap over the zone's naturally aligned
+// blocks of that order, with one summary bit per nonzero bitmap word, so
+// membership (buddy coalescing) is one bit test and the lowest free block
+// is a short summary scan. The bitmaps are laid out afresh when the zone
+// grows below the range they cover (donate_front, restore_state).
 #pragma once
 
 #include <array>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -75,9 +80,9 @@ class BuddyZone {
   State save_state() const;
   void restore_state(const State& st);
 
-  /// Invariant checks for property tests: free blocks are block-aligned,
-  /// inside the zone, non-overlapping, and no pair of buddies is free at the
-  /// same order (they would have merged).
+  /// Invariant checks for property tests: free blocks are inside the zone,
+  /// non-overlapping, and no pair of buddies is free at the same order (they
+  /// would have merged).
   bool check_invariants(std::string* why = nullptr) const;
 
   /// Free blocks as (pa, order) pairs, for tests.
@@ -93,11 +98,31 @@ class BuddyZone {
   /// Seed [lo, hi) page range into the free lists with maximal blocks.
   void seed_range(u64 lo_pfn, u64 hi_pfn);
 
+  /// The free blocks of one order: bit i of `words` is the block at pfn
+  /// origin_ + (i << order), and bit j of `summary` is set iff words[j]
+  /// is nonzero.
+  struct FreeList {
+    std::vector<u64> words;
+    std::vector<u64> summary;
+    u64 count = 0;
+  };
+  bool is_free(unsigned order, u64 pfn_v) const;
+  void add(unsigned order, u64 pfn_v);
+  void remove(unsigned order, u64 pfn_v);
+  /// Lowest free block of `order`, if any.
+  std::optional<u64> lowest(unsigned order) const;
+  /// Lowest free block of `order` starting in pfns [lo, hi), if any.
+  std::optional<u64> next_free(unsigned order, u64 lo_pfn, u64 hi_pfn) const;
+  /// Re-lay the bitmaps so they cover pfns [lo, hi), keeping every block.
+  void cover(u64 lo_pfn, u64 hi_pfn);
+
   std::string name_;
   PhysAddr base_ = 0;
   PhysAddr end_ = 0;
   u64 free_count_ = 0;
-  std::array<std::set<u64>, kMaxOrder + 1> free_;
+  u64 origin_ = 0;  ///< First pfn the bitmaps cover (2^kMaxOrder aligned).
+  u64 limit_ = 0;   ///< End of the covered pfns (2^kMaxOrder aligned).
+  std::array<FreeList, kMaxOrder + 1> free_;
   std::optional<PhysAddr> forced_;
 };
 

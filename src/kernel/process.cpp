@@ -1,5 +1,6 @@
 #include "kernel/process.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/bits.h"
@@ -384,6 +385,7 @@ ProcessManager::State ProcessManager::save_state() const {
   for (const auto& [pid, proc] : procs_) st.procs.push_back(*proc);
   st.current_pid = current_ != nullptr ? current_->pid : 0;
   st.page_refs.assign(page_refs_.begin(), page_refs_.end());
+  std::sort(st.page_refs.begin(), st.page_refs.end());
   st.next_pid = next_pid_;
   st.next_asid = next_asid_;
   return st;

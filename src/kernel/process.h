@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "kernel/isolation.h"
@@ -115,7 +116,7 @@ class ProcessManager {
   struct State {
     std::vector<Process> procs;  ///< Ascending pid order.
     u64 current_pid = 0;
-    std::vector<std::pair<PhysAddr, u32>> page_refs;
+    std::vector<std::pair<PhysAddr, u32>> page_refs;  ///< Ascending address.
     u64 next_pid = 1;
     u16 next_asid = 1;
   };
@@ -144,7 +145,9 @@ class ProcessManager {
 
   std::map<u64, std::unique_ptr<Process>> procs_;
   Process* current_ = nullptr;
-  std::map<PhysAddr, u32> page_refs_;  ///< Shared user-page reference counts.
+  /// Shared user-page reference counts. Hashed: only save_state() needs
+  /// them in address order, and it sorts.
+  std::unordered_map<PhysAddr, u32> page_refs_;
   u64 next_pid_ = 1;
   u16 next_asid_ = 1;
 

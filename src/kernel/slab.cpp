@@ -1,5 +1,7 @@
 #include "kernel/slab.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "common/bits.h"
@@ -10,6 +12,7 @@ KmemCache::KmemCache(std::string name, u64 obj_size, Gfp gfp, PageAllocator& pag
                      KernelMem& kmem, Ctor ctor)
     : name_(std::move(name)),
       obj_size_(align_up(obj_size, 8)),
+      per_page_(kPageSize / obj_size_),
       gfp_(gfp),
       pages_(pages),
       kmem_(kmem),
@@ -17,15 +20,98 @@ KmemCache::KmemCache(std::string name, u64 obj_size, Gfp gfp, PageAllocator& pag
   assert(obj_size_ >= 8 && obj_size_ <= kPageSize);
 }
 
+size_t KmemCache::slab_of(PhysAddr page) const {
+  const auto it = std::lower_bound(
+      slabs_.begin(), slabs_.end(), page,
+      [](const Slab& s, PhysAddr p) { return s.page < p; });
+  return it != slabs_.end() && it->page == page
+             ? static_cast<size_t>(it - slabs_.begin())
+             : slabs_.size();
+}
+
+KmemCache::Where KmemCache::locate(PhysAddr pa) const {
+  const PhysAddr page = align_down(pa, kPageSize);
+  const size_t slab = slab_of(page);
+  const u64 off = pa - page;
+  if (slab == slabs_.size() || off % obj_size_ != 0 || off / obj_size_ >= per_page_) {
+    return {slabs_.size()};
+  }
+  return {slab, static_cast<unsigned>(off / obj_size_)};
+}
+
+void KmemCache::mark(PhysAddr pa, bool live) {
+  const Where w = locate(pa);
+  if (w.slab == slabs_.size()) {
+    (live ? stray_live_ : stray_free_).insert(pa);
+    return;
+  }
+  Slab& s = slabs_[w.slab];
+  SlotBits& bits = live ? s.live : s.free;
+  if (has(bits, w.slot)) return;
+  bits[w.slot / 64] |= u64{1} << (w.slot % 64);
+  if (!live) {
+    ++s.nfree;
+    first_free_ = std::min(first_free_, w.slab);
+  }
+}
+
+void KmemCache::unmark(PhysAddr pa, bool live) {
+  const Where w = locate(pa);
+  if (w.slab == slabs_.size()) {
+    (live ? stray_live_ : stray_free_).erase(pa);
+    return;
+  }
+  Slab& s = slabs_[w.slab];
+  SlotBits& bits = live ? s.live : s.free;
+  if (!has(bits, w.slot)) return;
+  bits[w.slot / 64] &= ~(u64{1} << (w.slot % 64));
+  if (!live) --s.nfree;
+}
+
+std::optional<PhysAddr> KmemCache::lowest_free() {
+  while (first_free_ < slabs_.size() && slabs_[first_free_].nfree == 0) ++first_free_;
+  std::optional<PhysAddr> best;
+  if (first_free_ < slabs_.size()) {
+    const Slab& s = slabs_[first_free_];
+    unsigned w = 0;
+    while (s.free[w] == 0) ++w;
+    best = s.page + (64 * w + std::countr_zero(s.free[w])) * obj_size_;
+  }
+  if (!stray_free_.empty() && (!best || *stray_free_.begin() < *best)) {
+    best = *stray_free_.begin();
+  }
+  return best;
+}
+
 bool KmemCache::grow() {
   const auto page = pages_.alloc_pages(gfp_, 0);
   if (!page) return false;
-  slabs_.insert(*page);
-  const u64 per_page = kPageSize / obj_size_;
-  for (u64 i = 0; i < per_page; ++i) {
+  if (slab_of(*page) == slabs_.size()) {
+    const auto at = std::lower_bound(
+        slabs_.begin(), slabs_.end(), *page,
+        [](const Slab& s, PhysAddr p) { return s.page < p; });
+    const size_t idx = static_cast<size_t>(at - slabs_.begin());
+    slabs_.insert(at, Slab{.page = *page});
+    first_free_ = std::min(first_free_, idx);
+    // Stray objects at the new page's slots become slots.
+    for (std::set<PhysAddr>* stray : {&stray_free_, &stray_live_}) {
+      const bool live = stray == &stray_live_;
+      auto it = stray->lower_bound(*page);
+      while (it != stray->end() && *it < *page + kPageSize) {
+        const PhysAddr pa = *it;
+        if (locate(pa).slab == slabs_.size()) {
+          ++it;
+          continue;
+        }
+        it = stray->erase(it);
+        mark(pa, live);
+      }
+    }
+  }
+  for (u64 i = 0; i < per_page_; ++i) {
     const PhysAddr obj = *page + i * obj_size_;
     if (ctor_) ctor_(kmem_, obj);
-    free_objs_.insert(obj);
+    mark(obj, false);
   }
   return true;
 }
@@ -35,43 +121,62 @@ std::optional<PhysAddr> KmemCache::alloc() {
     // Corrupted-freelist path: hand out the attacker-planted pointer.
     const PhysAddr pa = *forced_;
     forced_.reset();
-    live_objs_.insert(pa);
+    mark(pa, true);
     ++in_use_;
     return pa;
   }
-  if (free_objs_.empty() && !grow()) return std::nullopt;
-  const PhysAddr obj = *free_objs_.begin();
-  free_objs_.erase(free_objs_.begin());
-  live_objs_.insert(obj);
+  std::optional<PhysAddr> obj = lowest_free();
+  if (!obj) {
+    if (!grow()) return std::nullopt;
+    obj = lowest_free();
+  }
+  unmark(*obj, false);
+  mark(*obj, true);
   ++in_use_;
   return obj;
 }
 
 void KmemCache::free(PhysAddr obj) {
-  assert(live_objs_.count(obj) != 0 && "double free or foreign object");
-  live_objs_.erase(obj);
-  free_objs_.insert(obj);
+  assert(is_live_object(obj) && "double free or foreign object");
+  unmark(obj, true);
+  mark(obj, false);
   --in_use_;
 }
 
-bool KmemCache::is_live_object(PhysAddr pa) const { return live_objs_.count(pa) != 0; }
+bool KmemCache::is_live_object(PhysAddr pa) const {
+  const Where w = locate(pa);
+  return w.slab == slabs_.size() ? stray_live_.count(pa) != 0
+                                 : has(slabs_[w.slab].live, w.slot);
+}
 
 KmemCache::State KmemCache::save_state() const {
   State st;
-  st.free_objs.assign(free_objs_.begin(), free_objs_.end());
-  st.live_objs.assign(live_objs_.begin(), live_objs_.end());
-  st.slabs.assign(slabs_.begin(), slabs_.end());
+  for (const bool live : {false, true}) {
+    std::vector<PhysAddr> slots;
+    for (const Slab& s : slabs_) {
+      const SlotBits& bits = live ? s.live : s.free;
+      for (unsigned i = 0; i < per_page_; ++i) {
+        if (has(bits, i)) slots.push_back(s.page + i * obj_size_);
+      }
+    }
+    const std::set<PhysAddr>& stray = live ? stray_live_ : stray_free_;
+    std::vector<PhysAddr>& out = live ? st.live_objs : st.free_objs;
+    std::merge(slots.begin(), slots.end(), stray.begin(), stray.end(),
+               std::back_inserter(out));
+  }
+  for (const Slab& s : slabs_) st.slabs.push_back(s.page);
   st.in_use = in_use_;
   return st;
 }
 
 void KmemCache::restore_state(const State& st) {
-  free_objs_.clear();
-  free_objs_.insert(st.free_objs.begin(), st.free_objs.end());
-  live_objs_.clear();
-  live_objs_.insert(st.live_objs.begin(), st.live_objs.end());
   slabs_.clear();
-  slabs_.insert(st.slabs.begin(), st.slabs.end());
+  for (const PhysAddr page : st.slabs) slabs_.push_back(Slab{.page = page});
+  first_free_ = 0;
+  stray_free_.clear();
+  stray_live_.clear();
+  for (const PhysAddr pa : st.free_objs) mark(pa, false);
+  for (const PhysAddr pa : st.live_objs) mark(pa, true);
   in_use_ = st.in_use;
   forced_.reset();
 }
@@ -81,25 +186,27 @@ bool KmemCache::check_invariants(std::string* why) const {
     if (why != nullptr) *why = msg;
     return false;
   };
-  if (in_use_ != live_objs_.size()) return fail("in_use mismatch");
-  for (const PhysAddr obj : free_objs_) {
-    if (live_objs_.count(obj) != 0) return fail("object both free and live");
-  }
-  const u64 per_page = kPageSize / obj_size_;
-  u64 total = 0;
-  for (const PhysAddr slab : slabs_) {
-    for (u64 i = 0; i < per_page; ++i) {
-      const PhysAddr obj = slab + i * obj_size_;
-      total += (free_objs_.count(obj) != 0 || live_objs_.count(obj) != 0) ? 1 : 0;
+  u64 free_count = stray_free_.size();
+  u64 live_count = stray_live_.size();
+  u64 total = 0;  // Slab slots that are free or live.
+  bool both = false;
+  for (const Slab& s : slabs_) {
+    for (unsigned w = 0; w < s.free.size(); ++w) {
+      free_count += std::popcount(s.free[w]);
+      live_count += std::popcount(s.live[w]);
+      total += std::popcount(s.free[w] | s.live[w]);
+      both = both || (s.free[w] & s.live[w]) != 0;
     }
   }
+  for (const PhysAddr pa : stray_free_) both = both || stray_live_.count(pa) != 0;
+  if (in_use_ != live_count) return fail("in_use mismatch");
+  if (both) return fail("object both free and live");
   // Every slab slot is either free or live (forced attack objects excepted).
   u64 foreign = 0;
-  for (const PhysAddr obj : live_objs_) {
-    const PhysAddr page = align_down(obj, kPageSize);
-    if (slabs_.count(page) == 0) ++foreign;
+  for (const PhysAddr obj : stray_live_) {
+    if (slab_of(align_down(obj, kPageSize)) == slabs_.size()) ++foreign;
   }
-  if (total + foreign != free_objs_.size() + live_objs_.size()) {
+  if (total + foreign != free_count + live_count) {
     return fail("slab slot accounting mismatch");
   }
   return true;

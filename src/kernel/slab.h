@@ -3,12 +3,21 @@
 // constructor run on every new object (§IV-C3). PTStore's token cache is a
 // KmemCache with Gfp::kPtStore whose constructor zeroes tokens through
 // sd.pt — tokens therefore live in the secure region.
+//
+// Bookkeeping is flat: each slab page keeps a free and a live bitmap over
+// its object slots, and alloc() hands out the lowest free address. Objects
+// that are not a slot of one of this cache's slabs (an attacker-forced
+// pointer, or a foreign object freed into the cache) are kept apart in
+// small ordered sets with the same free/live meaning, so the corrupted-
+// freelist semantics are exactly those of plain address sets.
 #pragma once
 
+#include <array>
 #include <functional>
-#include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "kernel/kmem.h"
 #include "kernel/page_alloc.h"
@@ -45,9 +54,9 @@ class KmemCache {
   /// in simulated memory and are restored with the PhysMem frames; restoring
   /// this state never re-runs the constructor.
   struct State {
-    std::vector<PhysAddr> free_objs;
-    std::vector<PhysAddr> live_objs;
-    std::vector<PhysAddr> slabs;
+    std::vector<PhysAddr> free_objs;  ///< Ascending.
+    std::vector<PhysAddr> live_objs;  ///< Ascending.
+    std::vector<PhysAddr> slabs;      ///< Ascending.
     u64 in_use = 0;
   };
   State save_state() const;
@@ -57,18 +66,48 @@ class KmemCache {
   bool check_invariants(std::string* why = nullptr) const;
 
  private:
+  static constexpr unsigned kMaxSlots = kPageSize / 8;
+  using SlotBits = std::array<u64, kMaxSlots / 64>;
+
+  struct Slab {
+    PhysAddr page = 0;
+    SlotBits free{};  ///< Bit i: the object at page + i * obj_size is free.
+    SlotBits live{};  ///< Bit i: ... is live.
+    u64 nfree = 0;    ///< Set bits in `free`.
+  };
+
+  static bool has(const SlotBits& bits, unsigned slot) {
+    return (bits[slot / 64] >> (slot % 64)) & 1;
+  }
+  /// Index into slabs_ of `page`'s slab, or slabs_.size() if none.
+  size_t slab_of(PhysAddr page) const;
+  /// Where an address lives: slot `slot` of slabs_[slab], or (slab ==
+  /// slabs_.size()) outside every slab slot.
+  struct Where {
+    size_t slab = 0;
+    unsigned slot = 0;
+  };
+  Where locate(PhysAddr pa) const;
+  /// Add `pa` to the free (or live) set.
+  void mark(PhysAddr pa, bool live);
+  /// Remove `pa` from the free (or live) set.
+  void unmark(PhysAddr pa, bool live);
+  /// Lowest free object, or nullopt.
+  std::optional<PhysAddr> lowest_free();
   bool grow();
 
   std::string name_;
   u64 obj_size_;
+  u64 per_page_;
   Gfp gfp_;
   PageAllocator& pages_;
   KernelMem& kmem_;
   Ctor ctor_;
 
-  std::set<PhysAddr> free_objs_;
-  std::set<PhysAddr> live_objs_;
-  std::set<PhysAddr> slabs_;
+  std::vector<Slab> slabs_;  ///< Ascending page address.
+  size_t first_free_ = 0;    ///< No slab below this index has a free slot.
+  std::set<PhysAddr> stray_free_;  ///< Free objects outside every slab slot.
+  std::set<PhysAddr> stray_live_;  ///< Live objects outside every slab slot.
   u64 in_use_ = 0;
   std::optional<PhysAddr> forced_;
 };

@@ -1,7 +1,8 @@
 #include "analysis/pt_audit.h"
 
-#include <set>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "kernel/pagetable.h"
 #include "mmu/pte.h"
@@ -14,6 +15,46 @@ std::string hex(u64 v) {
   os << "0x" << std::hex << v;
   return os.str();
 }
+
+/// Open-addressed set of page-table page addresses: one flat probe per
+/// visit instead of a tree node.
+class PageSet {
+ public:
+  /// True if `pa` was not in the set yet.
+  bool insert(PhysAddr pa) {
+    if (pa == kEmpty) return !std::exchange(has_empty_key_, true);
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    if (!place(slots_, pa)) return false;
+    ++size_;
+    return true;
+  }
+
+ private:
+  static constexpr PhysAddr kEmpty = ~PhysAddr{0};
+
+  static bool place(std::vector<PhysAddr>& slots, PhysAddr pa) {
+    const size_t mask = slots.size() - 1;
+    for (size_t i = (pa >> kPageShift) * 0x9E3779B97F4A7C15ull >> 32;; ++i) {
+      PhysAddr& s = slots[i & mask];
+      if (s == pa) return false;
+      if (s == kEmpty) {
+        s = pa;
+        return true;
+      }
+    }
+  }
+  void grow() {
+    std::vector<PhysAddr> next(slots_.empty() ? 64 : 2 * slots_.size(), kEmpty);
+    for (const PhysAddr pa : slots_) {
+      if (pa != kEmpty) place(next, pa);
+    }
+    slots_ = std::move(next);
+  }
+
+  std::vector<PhysAddr> slots_;
+  size_t size_ = 0;
+  bool has_empty_key_ = false;  ///< A (corrupt) root of ~0 was visited.
+};
 
 class Auditor {
  public:
@@ -61,7 +102,7 @@ class Auditor {
  private:
   void walk_table(PhysAddr table, int level, bool kernel_half,
                   const std::string& owner) {
-    if (!visited_.insert(table).second) return;
+    if (!visited_.insert(table)) return;
     ++report_.tables_checked;
     if (!mem_.is_dram(table, kPageSize)) {
       finding(owner + ": page-table page " + hex(table) +
@@ -77,15 +118,17 @@ class Auditor {
       if (!pte::valid(entry)) continue;
       ++report_.ptes_checked;
       const bool khalf = level == 2 ? idx < kUserRootIndex : kernel_half;
-      const std::string at =
-          owner + " L" + std::to_string(level) + "[" + std::to_string(idx) + "]";
+      // Built only for a PTE with a finding.
+      const auto at = [&] {
+        return owner + " L" + std::to_string(level) + "[" + std::to_string(idx) + "]";
+      };
       if (pte::malformed(entry)) {
-        finding(at + ": reserved W-without-R encoding " + hex(entry));
+        finding(at() + ": reserved W-without-R encoding " + hex(entry));
         continue;
       }
       if (pte::is_table(entry)) {
         if (level == 0) {
-          finding(at + ": table pointer at leaf level");
+          finding(at() + ": table pointer at leaf level");
           continue;
         }
         walk_table(pte::pa(entry), level - 1, khalf, owner);
@@ -95,10 +138,10 @@ class Auditor {
       // legitimate, so no DRAM requirement here.
       const u64 leaf_span = u64{1} << (12 + 9 * level);
       if ((pte::pa(entry) & (leaf_span - 1)) != 0) {
-        finding(at + ": misaligned superpage leaf " + hex(entry));
+        finding(at() + ": misaligned superpage leaf " + hex(entry));
       }
       if (khalf && (entry & pte::kU)) {
-        finding(at + ": kernel-half mapping is user-accessible" +
+        finding(at() + ": kernel-half mapping is user-accessible" +
                 std::string((entry & pte::kW) ? " and writable" : "") + " (" +
                 hex(entry) + ")");
       }
@@ -111,7 +154,7 @@ class Auditor {
   SecureRegion sr_;
   bool secure_zone_;
   bool tokens_;
-  std::set<PhysAddr> visited_;
+  PageSet visited_;
   AuditReport report_;
 };
 

@@ -9,8 +9,9 @@
 // without the way scan: that line is valid and MRU, so the scan would hit
 // it. The memo branch (tick, LRU stamp, dirty bit, hit count) and the L1-hit
 // case of hierarchy_access() are inline here, because the interpreter pays
-// them on every fetch parcel and data access; the way scan, miss handling
-// and L2 fallback stay out of line in cache.cpp.
+// them on every data access (its fetch parcels' memo hits are counted and
+// replayed in batches, replay_memo_reads); the way scan, miss handling and
+// L2 fallback stay out of line in cache.cpp.
 #pragma once
 
 #include <cassert>
@@ -68,6 +69,18 @@ class Cache {
       return {true, cfg_.hit_latency};
     }
     return access_scan(block, is_write);
+  }
+
+  /// True when an access to `pa` would take the memo branch of access().
+  bool memo_hit(PhysAddr pa) const {
+    return (pa >> line_shift_) == last_block_ && last_line_ != nullptr;
+  }
+  /// Exactly what `n` reads taking the memo branch do. Callers must know
+  /// memo_hit() held for each and no other access ran in between.
+  void replay_memo_reads(u64 n) {
+    tick_ += n;
+    last_line_->lru_tick = tick_;
+    hits_.add(n);
   }
 
   /// Drop every line (e.g., fence.i on the I-cache).

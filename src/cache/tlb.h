@@ -18,8 +18,8 @@
 // memo_gen() numbers the memo's states: it changes whenever the memo is set
 // or dropped. While it is unchanged, the memo still covers the same (vpn,
 // asid) and the same entry, whose contents only insert() can change. The
-// core's fetch memo keys on it and calls replay_memo_hit() in place of a
-// lookup, with the identical effect.
+// core's fetch memo keys on it and calls replay_memo_hits(n) in place of n
+// lookups, with the identical effect.
 #pragma once
 
 #include <optional>
@@ -66,18 +66,18 @@ class Tlb {
     // Repeat of the previous hit: no insert/flush ran since (those drop the
     // memo), so the same entry is still the scan's first match.
     if (last_entry_ != nullptr && vpn == last_vpn_ && asid == last_asid_) {
-      return replay_memo_hit();
+      return replay_memo_hits(1);
     }
     return lookup_scan(vpn, asid);
   }
 
-  /// Exactly what lookup() does on its memo branch. Callers must know the
-  /// memo covers their (vpn, asid): memo_gen() unchanged since a lookup of
-  /// that pair hit.
-  const TlbEntry* replay_memo_hit() {
-    ++tick_;
+  /// Exactly what `n` lookups taking the memo branch do. Callers must know
+  /// the memo covers their (vpn, asid): memo_gen() unchanged since a lookup
+  /// of that pair hit.
+  const TlbEntry* replay_memo_hits(u64 n) {
+    tick_ += n;
     last_entry_->lru_tick = tick_;
-    hits_.add();
+    hits_.add(n);
     return last_entry_;
   }
 

@@ -1,11 +1,14 @@
-// Decoded basic-block cache: build + per-step dispatch (see bbcache.h for
-// the coherence story). The invariant throughout: every simulated effect —
-// cycles, TLB/PTW/cache counters, trap behaviour — happens in exactly the
-// order and quantity the classic fetch/decode path (step_fetch_decode)
-// would produce. Only host work with no simulated trace (the PMP way scan
-// when it allows, the physical parcel reads, decode_any, and the MMU call of
-// a fetch the fetch memo replays) is skipped, and each skip is justified by
-// a generation guard checked *before* the skip.
+// Decoded basic-block cache: build and the block-granular dispatch loop (see
+// bbcache.h for the coherence story). The invariant throughout: every
+// simulated effect — cycles, TLB/PTW/cache counters, trap behaviour, the
+// step at which an interrupt is taken — happens in exactly the order and
+// quantity a sequence of classic steps (step_fetch_decode) would produce.
+// Only host work with no simulated trace is skipped (the PMP way scan when it
+// allows, the physical parcel reads, decode_any, the MMU call of a fetch the
+// fetch memo replays, and per-step checks that cannot change inside a run),
+// and each skip is justified by a guard checked *before* the skip.
+#include <array>
+
 #include "common/bits.h"
 #include "cpu/core.h"
 #include "telemetry/trace.h"
@@ -14,12 +17,13 @@ namespace ptstore {
 
 using isa::Inst;
 using isa::Op;
+using isa::TrapCause;
 
 namespace {
 
-/// Ops that end a straight-line run. Purely a block-shaping heuristic:
-/// dispatch revalidates everything each step, so correctness never depends
-/// on where a block ends.
+/// Ops that end a straight-line run. They decide where blocks end, and so
+/// the bbcache.* counts; correctness never depends on it, because every run
+/// also stops after the last entry of its block.
 bool ends_block(const Inst& in) {
   switch (in.op) {
     case Op::kJal: case Op::kJalr:
@@ -34,6 +38,22 @@ bool ends_block(const Inst& in) {
   }
 }
 
+/// BBEntry::flags of `in`. Stopping entries are the ones that can change
+/// what the per-step checks read: CSRs (interrupt enables and pending bits,
+/// mtimecmp, satp, PMP), the privilege, the TLBs and the block cache.
+u8 entry_flags(const Inst& in) {
+  switch (in.op) {
+    case Op::kCsrrw: case Op::kCsrrs: case Op::kCsrrc:
+    case Op::kCsrrwi: case Op::kCsrrsi: case Op::kCsrrci:
+    case Op::kEcall: case Op::kEbreak:
+    case Op::kMret: case Op::kSret: case Op::kWfi:
+    case Op::kSfenceVma: case Op::kFenceI:
+      return BBEntry::kStops;
+    default:
+      return in.is_load() || in.is_store() || in.is_amo() ? BBEntry::kWritesMem : 0;
+  }
+}
+
 }  // namespace
 
 bool Core::bb_fetch_pmp_allowed(PhysAddr pa) const {
@@ -45,20 +65,26 @@ bool Core::bb_fetch_pmp_allowed(PhysAddr pa) const {
   return pd.allowed;
 }
 
-// Inline: step_cached() below is the only caller, and the memo hit is its
-// common case.
-inline TranslateResult Core::fetch_translate(VirtAddr va) {
+bool Core::fetch_identity() const {
+  return priv_ == Privilege::kMachine ||
+         isa::satp::mode(mmu_.satp()) == isa::satp::kModeBare;
+}
+
+bool Core::fetch_memo_covers(VirtAddr va) const {
+  return (va >> kPageShift) == fetch_vpage_ && priv_ == fetch_priv_ &&
+         mmu_.satp() == fetch_satp_ && mmu_.itlb().memo_gen() == fetch_itlb_gen_;
+}
+
+TranslateResult Core::fetch_translate(VirtAddr va) {
   TranslateResult res;
-  const u64 satp = mmu_.satp();
-  if (priv_ == Privilege::kMachine || isa::satp::mode(satp) == isa::satp::kModeBare) {
+  if (fetch_identity()) {
     // Identity map; Mmu::translate touches no TLB or counter here.
     res.ok = true;
     res.pa = va;
     return res;
   }
-  if ((va >> kPageShift) == fetch_vpage_ && priv_ == fetch_priv_ && satp == fetch_satp_ &&
-      mmu_.itlb().memo_gen() == fetch_itlb_gen_) {
-    mmu_.itlb().replay_memo_hit();
+  if (fetch_memo_covers(va)) {
+    mmu_.itlb().replay_memo_hits(1);
     res.ok = true;
     res.tlb_hit = true;
     res.pa = fetch_pa_page_ | (va & kPageMask);
@@ -96,8 +122,13 @@ BBlock* Core::bb_build(PhysAddr pa0) {
   blk->frame_gen = fgen;
   blk->frame_gen_at_build = *fgen;
 
+  // Decoded on the stack first, so each block holds exactly its entries.
+  std::array<BBEntry, BlockCache::kMaxEntries> buf;
+  size_t n = 0;
   PhysAddr pa = pa0;
-  while (blk->entries.size() < BlockCache::kMaxEntries) {
+  const unsigned line_shift = log2_exact(icache_.config().line_bytes);
+  u64 prev_line = ~u64{0};  // L1I line of the previous entry's last parcel.
+  while (n < buf.size()) {
     const u64 off = pa - blk->page_pa;
     if (off + 2 > kPageSize) break;
     if (!bb_fetch_pmp_allowed(pa)) break;
@@ -112,12 +143,19 @@ BBlock* Core::bb_build(PhysAddr pa0) {
     const Inst in = isa::decode_any(word);
     if (in.op == Op::kIllegal) break;
     if (in.is_pt_access() && !cfg_.ptstore_enabled) break;
-    blk->entries.push_back(BBEntry{in, static_cast<u16>(off)});
+    const u64 line = pa >> line_shift;
+    const u64 last_line = (pa + in.len - 2) >> line_shift;
+    const u8 same_line =
+        line == prev_line && last_line == line ? BBEntry::kSameLine : 0;
+    prev_line = last_line;
+    buf[n++] = BBEntry{in, handler_for(in.op), static_cast<u16>(off),
+                       static_cast<u8>(entry_flags(in) | same_line)};
     if (ends_block(in)) break;
     pa += in.len;
   }
 
-  if (blk->entries.empty()) return nullptr;
+  if (n == 0) return nullptr;
+  blk->entries.assign(buf.begin(), buf.begin() + n);
   if (telemetry::EventRing* tr = telemetry::tracing()) {
     tr->instant(telemetry::Subsystem::kBBCache, "bb_fill", cycles_, instret_,
                 static_cast<u8>(priv_), pa0);
@@ -125,7 +163,19 @@ BBlock* Core::bb_build(PhysAddr pa0) {
   return bbcache_.insert(std::move(blk));
 }
 
-StepResult Core::step_cached() {
+StepResult Core::run_block(u64& budget) {
+  assert(budget != 0);
+  return trace_hook_ ? run_block_impl<true>(budget) : run_block_impl<false>(budget);
+}
+
+template <bool kTraced>
+StepResult Core::run_block_impl(u64& budget) {
+  // ---- The first step: what every step does before its fetch. ----
+  --budget;
+  if (maybe_take_interrupt()) return {StopReason::kTrapped, TrapCause::kNone};
+  cycles_ += cfg_.timing.base_cpi;
+  if (!cfg_.decode_cache) return step_fetch_decode(nullptr);
+
   // Deferred whole-cache flushes: fence.i, and checkpoint restores that
   // rebuilt the frame table (dangling frame_gen pointers).
   if (bb_flush_pending_ || bb_table_gen_ != mem_.frame_table_gen()) {
@@ -137,26 +187,35 @@ StepResult Core::step_cached() {
 
   if (!is_aligned(pc_, 2)) return step_fetch_decode(nullptr);
 
-  // The per-step translation. This is what keeps satp writes, sfence.vma,
-  // ASID switches, and remaps hook-free: the physical PC is re-derived every
-  // step with full TLB/PTW stat effects (replayed, on a fetch-memo hit).
-  TranslateResult t0 = fetch_translate(pc_);
+  // The entry translation. This is what keeps satp writes, sfence.vma, ASID
+  // switches, and remaps hook-free: the physical PC is re-derived at every
+  // block entry (and every fetch inside the run) with full TLB/PTW stat
+  // effects (replayed, on a fetch-memo hit).
+  const TranslateResult t0 = fetch_translate(pc_);
   cycles_ += t0.cycles;
   if (!t0.ok) {
     bb_cur_ = nullptr;
     return raise(t0.fault, pc_);
   }
 
-  // Locate the block: the cursor from the previous step if it still points
-  // at this exact physical PC and privilege, else a map lookup.
+  // Locate the block: the cursor if it points at this exact physical PC and
+  // privilege, else the previous block's successor if it does, else the map.
+  const u64 epoch0 = bbcache_.epoch();
+  BBlock* prev = bb_prev_epoch_ == epoch0 ? bb_prev_ : nullptr;
+  const unsigned slot = bb_prev_slot_;
+  bb_prev_ = nullptr;
   BBlock* blk = nullptr;
   size_t idx = 0;
-  bool from_cache = true;
+  BBlock* succ = prev != nullptr ? bbcache_.successor(prev, slot) : nullptr;
   if (bb_cur_ != nullptr && bb_cur_->priv == priv_ &&
       bb_idx_ < bb_cur_->entries.size() &&
       bb_cur_->page_pa + bb_cur_->entries[bb_idx_].page_off == t0.pa) {
     blk = bb_cur_;
     idx = bb_idx_;
+    prev = nullptr;
+  } else if (succ != nullptr && succ->start_pa == t0.pa && succ->priv == priv_) {
+    blk = succ;  // The map holds exactly this block for the key.
+    prev = nullptr;
   } else {
     blk = bbcache_.find(t0.pa, priv_);
   }
@@ -173,57 +232,179 @@ StepResult Core::step_cached() {
     blk = nullptr;
     idx = 0;
   }
+  u64 hit = 1;
   if (blk == nullptr) {
     bbcache_.note_miss();
     blk = bb_build(t0.pa);
     if (blk == nullptr) return step_fetch_decode(&t0);
-    idx = 0;
-    from_cache = false;
+    hit = 0;
   }
-  if (from_cache) bbcache_.note_hit();
+  if (prev != nullptr && bbcache_.epoch() == epoch0) bbcache_.link(prev, slot, blk);
 
-  // By value: a hook inside execute() may restore a checkpoint and flush the
-  // cache, which would dangle a reference into blk->entries.
-  const Inst in = blk->entries[idx].inst;
+  // ---- The run: one entry per step, from idx on, through the block and
+  // the linked successors it chains to. ----
+  // Inside it nothing the skipped per-step checks read can change: the
+  // interrupt state, satp, privilege and PMP only through stopping entries
+  // (and traps, which end the run), the frame only through memory-writing
+  // entries (re-checked below), and MTIP only when cycles_ reaches
+  // mtimecmp_ while the entry test left it clear.
+  constexpr u64 kMtip = u64{1} << isa::csr::irq::kMti;
+  const Cycles deadline = (mip_ & kMtip) != 0 ? ~Cycles{0} : mtimecmp_;
+  Cache* const l2 = l2_ ? &*l2_ : nullptr;
+  const u64 epoch = bbcache_.epoch();
+  size_t size = blk->entries.size();
+  u64 left = budget;
+  PhysAddr pa = t0.pa;
 
-  // Timing of the fetch the classic path would perform. Blocks only cover
-  // DRAM (frame_gen != nullptr implies is_dram), so the MMIO branch of
-  // access_with is unreachable here.
-  Cache* l2 = l2_ ? &*l2_ : nullptr;
-  cycles_ += Cache::hierarchy_access(icache_, l2, t0.pa, /*is_write=*/false);
-  if (in.len == 4) {
-    // The high parcel lies in the same page (builds reject straddlers), so
-    // this translation sees the same leaf: it cannot fault, and its TLB/
-    // I-cache effects replay the classic path's second-parcel fetch. After
-    // t0 the ITLB memo covers the page, so this is a fetch-memo hit unless
-    // t0 walked.
-    const TranslateResult t1 = fetch_translate(pc_ + 2);
-    cycles_ += t1.cycles;
-    if (!t1.ok) return raise(t1.fault, pc_ + 2);
-    assert(t1.pa == t0.pa + 2);
-    cycles_ += Cache::hierarchy_access(icache_, l2, t1.pa, /*is_write=*/false);
+  // How the run's parcels translate. The fetch memo's key (page, privilege,
+  // satp) is fixed inside a run (it chains to another page only under the
+  // identity map), and the ITLB memo changes only through
+  // fetch_translate_mmu() (data accesses use the DTLB; sfence.vma and traps
+  // commit first and end the run), so once the memo covers the page every
+  // later parcel replays it.
+  const bool identity = fetch_identity();
+  bool replay = !identity && fetch_memo_covers(pc_);
+  isa::TrapCause fault = TrapCause::kNone;
+  // The translation of in-run parcel `va` (physical `p`); false when it
+  // faulted.
+  const auto translate = [&](VirtAddr va, [[maybe_unused]] PhysAddr p) {
+    if (identity) return true;
+    if (replay) {
+      assert(fetch_memo_covers(va));
+      ++fetch_batch_.itlb;
+      return true;
+    }
+    commit_fetch_batch();
+    const TranslateResult t = fetch_translate_mmu(va);
+    cycles_ += t.cycles;
+    if (!t.ok) {
+      fault = t.fault;
+      return false;
+    }
+    // Same page, so the same leaf as the entry translation.
+    assert(t.pa == p);
+    replay = fetch_memo_covers(va);
+    return true;
+  };
+  // The L1I read of parcel `p`: a line-memo hit is counted into the batch.
+  const auto read_line = [&](PhysAddr p) {
+    if (icache_.memo_hit(p)) {
+      ++fetch_batch_.l1i;
+    } else {
+      commit_fetch_batch();
+      cycles_ += Cache::hierarchy_access(icache_, l2, p, /*is_write=*/false);
+    }
+  };
+
+  bool first = true;  // The next entry is the first of its block this run.
+  for (;;) {
+    const BBEntry& e = blk->entries[idx];
+    fetch_batch_.bb_hits += hit;
+    hit = 1;
+    // Blocks only cover DRAM (frame_gen != nullptr implies is_dram), so the
+    // MMIO branch of access_with is unreachable here. Past the run's first
+    // entry, only the previous entry touched the L1I since.
+    const bool same_line = !first && (e.flags & BBEntry::kSameLine) != 0;
+    first = false;
+    if (same_line) {
+      fetch_batch_.l1i += e.inst.len / 2;
+    } else {
+      read_line(pa);
+    }
+    if (e.inst.len == 4) {
+      // The high parcel lies in the same page (builds reject straddlers), so
+      // it sees the same leaf and cannot fault; after the first parcel the
+      // ITLB memo covers the page unless that parcel walked.
+      if (!translate(pc_ + 2, pa + 2)) {
+        budget = left;
+        return raise(fault, pc_ + 2);
+      }
+      if (!same_line) read_line(pa + 2);
+    }
+
+    // The handler may trap, and a trap hook may restore a checkpoint and
+    // flush the cache; every handler returns straight after raise(), so the
+    // entry is not read after that, and nothing of it is read here after the
+    // call.
+    const u8 flags = e.flags;
+    const u8 len = e.inst.len;
+    if (flags & BBEntry::kStops) commit_fetch_batch();
+    if constexpr (kTraced) {
+      commit_fetch_batch();
+      trace_hook_(*this, pc_, e.inst);
+    }
+    // Illegal and disabled-pt encodings never enter a block, so the classic
+    // path's post-decode checks are compile-time-true here.
+    const u64 prev_pc = pc_;
+    const StepResult r = e.handler(*this, e.inst);
+    if (r.stop != StopReason::kTrapped) ++instret_;
+    ++idx;
+    if (r.stop != StopReason::kNone) {
+      commit_fetch_batch();
+      budget = left;
+      return r;
+    }
+    const bool stop = (flags & BBEntry::kStops) != 0 || left == 0 ||
+                      cycles_ >= deadline ||
+                      ((flags & BBEntry::kWritesMem) != 0 &&
+                       *blk->frame_gen != blk->frame_gen_at_build);
+    if (!stop && idx == size) {
+      // Run to its end: follow the linked successor when the next step's
+      // lookup would find it and its translation is known without effects
+      // (the identity map, or the fetch memo's page). Of its entry checks
+      // only the frame guard can fail: a link is made only to a block that
+      // just passed its guards, PMP writes end runs, and so a run reaches
+      // only blocks checked at the current PMP generation.
+      const unsigned next_slot = pc_ == prev_pc + len ? 0 : 1;
+      BBlock* next = bbcache_.successor(blk, next_slot);
+      const PhysAddr next_pa =
+          identity ? pc_ : fetch_pa_page_ | (pc_ & kPageMask);
+      if (next != nullptr && is_aligned(pc_, 2) &&
+          (identity || (replay && fetch_memo_covers(pc_))) &&
+          next->start_pa == next_pa && next->priv == priv_ &&
+          *next->frame_gen == next->frame_gen_at_build) {
+        assert(next->pmp_gen == pmp_.write_gen());
+        --left;
+        cycles_ += cfg_.timing.base_cpi;
+        if (!identity) ++fetch_batch_.itlb;
+        blk = next;
+        size = next->entries.size();
+        idx = 0;
+        pa = next_pa;
+        first = true;
+        continue;
+      }
+    }
+    if (stop || idx == size) {
+      commit_fetch_batch();
+      budget = left;
+      // The epoch check proves no block was destroyed meanwhile, so blk is
+      // still safe to keep. Left mid-way on the fall-through path, the run
+      // arms the cursor (the next entry re-checks the guards); run to its
+      // end, it becomes the next lookup's predecessor.
+      if (bbcache_.epoch() == epoch) {
+        const bool fell_through = pc_ == prev_pc + len;
+        if (idx < size && fell_through && priv_ == blk->priv) {
+          bb_cur_ = blk;
+          bb_idx_ = idx;
+        } else if (idx == size || !fell_through) {
+          bb_prev_ = blk;
+          bb_prev_slot_ = fell_through ? 0 : 1;
+          bb_prev_epoch_ = epoch;
+        }
+      }
+      return r;
+    }
+
+    // The next step, from its base CPI and fetch translation on.
+    --left;
+    cycles_ += cfg_.timing.base_cpi;
+    pa = blk->page_pa + blk->entries[idx].page_off;
+    if (!translate(pc_, pa)) {
+      budget = left;
+      return raise(fault, pc_);
+    }
   }
-
-  if (trace_hook_) trace_hook_(*this, pc_, in);
-  // Illegal and disabled-pt encodings never enter a block, so the classic
-  // path's post-decode checks are compile-time-true here.
-
-  const u64 prev_pc = pc_;
-  const u64 drops_before = bbcache_.drops();
-  const StepResult r = execute(in);
-  if (r.stop != StopReason::kTrapped) ++instret_;
-
-  // Arm the cursor when execution fell through to the next entry. The
-  // drop-count check proves no block was destroyed during
-  // execute() (e.g. a checkpoint restore inside a trap hook), so blk is
-  // still safe to dereference.
-  if (r.stop == StopReason::kNone && bbcache_.drops() == drops_before &&
-      idx + 1 < blk->entries.size() && pc_ == prev_pc + in.len &&
-      priv_ == blk->priv) {
-    bb_cur_ = blk;
-    bb_idx_ = idx + 1;
-  }
-  return r;
 }
 
 }  // namespace ptstore

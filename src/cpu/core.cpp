@@ -343,6 +343,7 @@ void Core::restore_arch_state(const CoreArchState& st) {
   reservation_.reset();
   bbcache_.flush_all();
   bb_cur_ = nullptr;
+  bb_prev_ = nullptr;
   bb_flush_pending_ = false;
   bb_table_gen_ = mem_.frame_table_gen();
 }
@@ -438,6 +439,8 @@ void Core::take_interrupt(unsigned code, bool to_supervisor) {
 }
 
 void Core::take_trap(TrapCause cause, u64 tval) {
+  // A trap inside a block run: the hooks below must see its fetches.
+  commit_fetch_batch();
   const u64 code = static_cast<u64>(cause);
   const bool delegate = priv_ != Privilege::kMachine && (medeleg_ >> code) & 1;
   cycles_ += cfg_.timing.trap_entry;
@@ -509,8 +512,9 @@ StepResult Core::raise(TrapCause cause, u64 tval) {
 }
 
 StepResult Core::run(u64 max_insts) {
-  for (u64 i = 0; i < max_insts; ++i) {
-    const StepResult r = step();
+  u64 budget = max_insts;
+  while (budget != 0) {
+    const StepResult r = run_block(budget);
     if (r.stop == StopReason::kEbreakHalt || r.stop == StopReason::kWfi) return r;
   }
   return {StopReason::kInstLimit, TrapCause::kNone};

@@ -157,9 +157,24 @@ class Core {
   const CoreConfig& config() const { return cfg_; }
 
   // ---- execution ----
+  // A *step* takes a pending interrupt, or fetches and executes one
+  // instruction (which may trap). run_block() is the one dispatch loop;
+  // step() and run() drive it.
+
+  /// One step: run_block() with a budget of one.
   StepResult step();
-  /// Run until a halt condition or `max_insts` instructions retire.
+  /// Run until a halt condition or `max_insts` steps pass.
   StepResult run(u64 max_insts);
+  /// Run from pc() through a decoded block and the linked successors it
+  /// chains to (or one classic step when the decode cache is off or cannot
+  /// cover the PC), taking at most `budget` steps (> 0) and subtracting
+  /// those taken. Stops at a block end with no usable link, after a trap,
+  /// an interrupt, a halt, an entry that stops runs (Zicsr, xRET,
+  /// sfence.vma, fence.i, wfi), a store into the block's own frame, or when
+  /// cycles() reaches mtimecmp(). Returns the last step's result; every
+  /// step before it retired one instruction. Stepping the same number of
+  /// steps one at a time reaches the identical state.
+  StepResult run_block(u64& budget);
 
   Cycles cycles() const { return cycles_; }
   void add_cycles(Cycles c) { cycles_ += c; }
@@ -244,23 +259,45 @@ class Core {
   /// Fetch + decode + execute one instruction (the classic interpreter
   /// path). `pre` as in access_with, for the decode-cache fallback.
   StepResult step_fetch_decode(const TranslateResult* pre);
-  /// Dispatch one instruction through the decoded-block cache.
-  StepResult step_cached();
-  /// Instruction-fetch translation of `va` for step_cached(), with exactly
-  /// the simulated effects of mmu_.translate(va, kExecute, kRegular,
-  /// ctx_for(priv_)). See the fetch memo below.
+  /// run_block() with the trace hook called (kTraced) or compiled out.
+  template <bool kTraced>
+  StepResult run_block_impl(u64& budget);
+  /// Instruction-fetch translation of `va`, with exactly the simulated
+  /// effects of mmu_.translate(va, kExecute, kRegular, ctx_for(priv_)). See
+  /// the fetch memo below.
   TranslateResult fetch_translate(VirtAddr va);
+  /// Fetches are the identity map (M-mode, or satp Bare).
+  bool fetch_identity() const;
+  /// The fetch memo covers `va`: its ITLB lookup would replay the memo.
+  bool fetch_memo_covers(VirtAddr va) const;
   /// fetch_translate() past the memo: the MMU call, which may arm the memo.
   TranslateResult fetch_translate_mmu(VirtAddr va);
+  /// Write fetch_batch_ into the ITLB, L1I and bbcache counters and clear
+  /// it (see cpu/bbcache.h).
+  void commit_fetch_batch() {
+    if (fetch_batch_.itlb != 0) mmu_.itlb().replay_memo_hits(fetch_batch_.itlb);
+    if (fetch_batch_.l1i != 0) icache_.replay_memo_reads(fetch_batch_.l1i);
+    if (fetch_batch_.bb_hits != 0) bbcache_.note_hits(fetch_batch_.bb_hits);
+    fetch_batch_ = {};
+  }
   /// Decode a straight-line run starting at physical `pa` into the cache.
   /// Returns nullptr if not even one instruction could be cached.
   BBlock* bb_build(PhysAddr pa);
   /// The PMP fetch check exactly as access_with performs it (including the
   /// baseline-core S-bit fixup), without stats or faults.
   bool bb_fetch_pmp_allowed(PhysAddr pa) const;
-  StepResult execute(const isa::Inst& in);
+  /// The execute handler of `op`'s instruction class; execute() and every
+  /// decoded-block entry dispatch through it.
+  static ExecHandler handler_for(isa::Op op);
+  template <StepResult (Core::*kExec)(const isa::Inst&)>
+  static StepResult dispatch(Core& core, const isa::Inst& in) {
+    return (core.*kExec)(in);
+  }
+  StepResult execute(const isa::Inst& in) { return handler_for(in.op)(*this, in); }
+  template <isa::Op kOp>
   StepResult exec_alu(const isa::Inst& in);
-  StepResult exec_mem(const isa::Inst& in, bool store);
+  template <bool kStore>
+  StepResult exec_mem(const isa::Inst& in);
   StepResult exec_amo(const isa::Inst& in);
   StepResult exec_system(const isa::Inst& in);
   StepResult raise(isa::TrapCause cause, u64 tval);
@@ -333,10 +370,21 @@ class Core {
 
   // Decoded basic-block cache state (cfg_.decode_cache).
   BlockCache bbcache_;
-  BBlock* bb_cur_ = nullptr;       ///< Block the previous step executed from.
+  BBlock* bb_cur_ = nullptr;       ///< Block left mid-way by the last run.
   size_t bb_idx_ = 0;              ///< Next entry within bb_cur_.
+  BBlock* bb_prev_ = nullptr;      ///< Block the last run ran to its end.
+  unsigned bb_prev_slot_ = 0;      ///< 1 if it ended with a taken transfer.
+  u64 bb_prev_epoch_ = 0;          ///< bbcache_.epoch() when it ended.
   bool bb_flush_pending_ = false;  ///< fence.i seen; flush before next fetch.
   u64 bb_table_gen_ = 0;           ///< PhysMem::frame_table_gen() last seen.
+
+  /// Fetch memo hits counted but not yet written (commit_fetch_batch()).
+  struct FetchBatch {
+    u64 itlb = 0;     ///< ITLB memo replays.
+    u64 l1i = 0;      ///< L1I line-memo reads.
+    u64 bb_hits = 0;  ///< Instructions dispatched from cached blocks.
+  };
+  FetchBatch fetch_batch_;
 
   // Fetch memo: the page of the last Sv39 fetch translation that hit the
   // ITLB. While the key (virtual page, privilege, satp, ITLB memo_gen()) is

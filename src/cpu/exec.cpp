@@ -41,12 +41,8 @@ i64 rem_signed(i64 a, i64 b) {
 }  // namespace
 
 StepResult Core::step() {
-  if (maybe_take_interrupt()) {
-    return {StopReason::kTrapped, TrapCause::kNone};
-  }
-  cycles_ += cfg_.timing.base_cpi;
-  if (cfg_.decode_cache) return step_cached();
-  return step_fetch_decode(nullptr);
+  u64 budget = 1;
+  return run_block(budget);
 }
 
 StepResult Core::step_fetch_decode(const TranslateResult* pre) {
@@ -78,31 +74,49 @@ StepResult Core::step_fetch_decode(const TranslateResult* pre) {
   return r;
 }
 
-StepResult Core::execute(const Inst& in) {
-  switch (in.op) {
+// Every op exec_alu implements: one handler each.
+#define PTSTORE_ALU_OPS(X)                                                    \
+  X(kLui) X(kAuipc) X(kJal) X(kJalr) X(kBeq) X(kBne) X(kBlt) X(kBge)         \
+  X(kBltu) X(kBgeu) X(kAddi) X(kSlti) X(kSltiu) X(kXori) X(kOri) X(kAndi)    \
+  X(kSlli) X(kSrli) X(kSrai) X(kAdd) X(kSub) X(kSll) X(kSlt) X(kSltu)        \
+  X(kXor) X(kSrl) X(kSra) X(kOr) X(kAnd) X(kAddiw) X(kSlliw) X(kSrliw)       \
+  X(kSraiw) X(kAddw) X(kSubw) X(kSllw) X(kSrlw) X(kSraw) X(kMul) X(kMulh)    \
+  X(kMulhsu) X(kMulhu) X(kDiv) X(kDivu) X(kRem) X(kRemu) X(kMulw) X(kDivw)   \
+  X(kDivuw) X(kRemw) X(kRemuw)
+
+ExecHandler Core::handler_for(Op op) {
+  switch (op) {
     case Op::kLb: case Op::kLh: case Op::kLw: case Op::kLd:
     case Op::kLbu: case Op::kLhu: case Op::kLwu: case Op::kLdPt:
-      return exec_mem(in, /*store=*/false);
+      return &dispatch<&Core::exec_mem<false>>;
     case Op::kSb: case Op::kSh: case Op::kSw: case Op::kSd: case Op::kSdPt:
-      return exec_mem(in, /*store=*/true);
+      return &dispatch<&Core::exec_mem<true>>;
     case Op::kLrW: case Op::kScW: case Op::kAmoSwapW: case Op::kAmoAddW:
     case Op::kAmoXorW: case Op::kAmoAndW: case Op::kAmoOrW:
     case Op::kLrD: case Op::kScD: case Op::kAmoSwapD: case Op::kAmoAddD:
     case Op::kAmoXorD: case Op::kAmoAndD: case Op::kAmoOrD:
-      return exec_amo(in);
+      return &dispatch<&Core::exec_amo>;
     case Op::kEcall:
     case Op::kEbreak:
     case Op::kCsrrw: case Op::kCsrrs: case Op::kCsrrc:
     case Op::kCsrrwi: case Op::kCsrrsi: case Op::kCsrrci:
     case Op::kMret: case Op::kSret: case Op::kWfi:
     case Op::kSfenceVma: case Op::kFence: case Op::kFenceI:
-      return exec_system(in);
+      return &dispatch<&Core::exec_system>;
+#define PTSTORE_ALU_HANDLER(op) \
+  case Op::op:                     \
+    return &dispatch<&Core::exec_alu<Op::op>>;
+    PTSTORE_ALU_OPS(PTSTORE_ALU_HANDLER)
+#undef PTSTORE_ALU_HANDLER
     default:
-      return exec_alu(in);
+      return &dispatch<&Core::exec_alu<Op::kIllegal>>;  // Raises illegal.
   }
 }
+#undef PTSTORE_ALU_OPS
 
+template <Op kOp>
 StepResult Core::exec_alu(const Inst& in) {
+  // kOp is a constant: each instantiation compiles to its one case.
   const u64 rs1 = reg(in.rs1);
   const u64 rs2 = reg(in.rs2);
   const u64 imm = static_cast<u64>(in.imm);
@@ -110,7 +124,7 @@ StepResult Core::exec_alu(const Inst& in) {
   bool write_rd = true;
   u64 next_pc = pc_ + in.len;
 
-  switch (in.op) {
+  switch (kOp) {
     case Op::kLui: rd = imm; break;
     case Op::kAuipc: rd = pc_ + imm; break;
     case Op::kJal:
@@ -142,7 +156,7 @@ StepResult Core::exec_alu(const Inst& in) {
     case Op::kBeq: case Op::kBne: case Op::kBlt:
     case Op::kBge: case Op::kBltu: case Op::kBgeu: {
       bool taken = false;
-      switch (in.op) {
+      switch (kOp) {
         case Op::kBeq: taken = rs1 == rs2; break;
         case Op::kBne: taken = rs1 != rs2; break;
         case Op::kBlt: taken = static_cast<i64>(rs1) < static_cast<i64>(rs2); break;
@@ -246,7 +260,8 @@ StepResult Core::exec_alu(const Inst& in) {
   return {};
 }
 
-StepResult Core::exec_mem(const Inst& in, bool store) {
+template <bool kStore>
+StepResult Core::exec_mem(const Inst& in) {
   const VirtAddr va = reg(in.rs1) + static_cast<u64>(in.imm);
   unsigned size = 8;
   bool sign = false;
@@ -267,7 +282,7 @@ StepResult Core::exec_mem(const Inst& in, bool store) {
     return raise(TrapCause::kIllegalInst, in.raw);
   }
 
-  if (store) {
+  if constexpr (kStore) {
     const MemAccessResult r = access(va, size, AccessType::kWrite, kind, reg(in.rs2));
     cycles_ += r.cycles;
     if (!r.ok) return raise(r.fault, va);
@@ -411,8 +426,8 @@ StepResult Core::exec_system(const Inst& in) {
       return {};
     case Op::kFenceI:
       cycles_ += cfg_.timing.fence_extra;
-      // Deferred so a block currently dispatching stays alive; applied at
-      // the top of the next cached step.
+      // Deferred so the block currently dispatching stays alive; applied at
+      // the next block entry (fence.i ends every block).
       bb_flush_pending_ = true;
       pc_ += in.len;
       return {};

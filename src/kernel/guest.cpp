@@ -157,9 +157,13 @@ GuestResult GuestRunner::run_common(Process& proc, u64 max_insts) {
 
   core.set_priv(Privilege::kUser);
   const u64 inst_start = core.instret();
+  // Every step but the last of a run_block() retires one instruction and
+  // runs no hook, so a budget of the instructions left stops exactly where
+  // stepping would, and the flags are set only by the hooks of a last step.
   while (!res.exited && !res.faulted && !res.preempted &&
          core.instret() - inst_start < max_insts) {
-    const StepResult r = core.step();
+    u64 budget = max_insts - (core.instret() - inst_start);
+    const StepResult r = core.run_block(budget);
     if (r.stop == StopReason::kEbreakHalt) {
       // Bare ebreak: treated as exit with a0 as the code (test convention).
       res.exited = true;

@@ -85,11 +85,10 @@ class PhysMem {
   u64 read(PhysAddr pa, unsigned size) {
     assert(size == 1 || size == 2 || size == 4 || size == 8);
     if (in_one_dram_frame(pa, size)) {
-      u64 v = 0;  // Reads never materialize frames: untouched memory is zero.
-      if (const Frame* f = find_frame(pa)) {
-        std::memcpy(&v, f->data + ((pa - dram_base_) & kPageMask), size);
-      }
-      return v;
+      // Reads never materialize frames: untouched memory is zero.
+      const Frame* f = find_frame(pa);
+      if (f == nullptr) return 0;
+      return load_le(f->data + ((pa - dram_base_) & kPageMask), size);
     }
     return read_slow(pa, size);
   }
@@ -101,7 +100,7 @@ class PhysMem {
       const u64 off = (pa - dram_base_) & kPageMask;
       const bool zero = (value & mask_lo(8 * size)) == 0;
       if (u8* data = written_bytes(pa, off, size, zero)) {
-        std::memcpy(data + off, &value, size);
+        store_le(data + off, size, value);
       }
       return;
     }
@@ -196,6 +195,24 @@ class PhysMem {
   static constexpr u64 kLeafFrames = u64{1} << kLeafShift;
   using Leaf = std::array<std::unique_ptr<Frame>, kLeafFrames>;
 
+  // Fixed-size copies, one per access size, so the compiler emits plain
+  // loads and stores instead of a memcpy call with a run-time length.
+  static u64 load_le(const u8* p, unsigned size) {
+    switch (size) {
+      case 1: return *p;
+      case 2: { u16 v; std::memcpy(&v, p, 2); return v; }
+      case 4: { u32 v; std::memcpy(&v, p, 4); return v; }
+      default: { u64 v; std::memcpy(&v, p, 8); return v; }
+    }
+  }
+  static void store_le(u8* p, unsigned size, u64 value) {
+    switch (size) {
+      case 1: *p = static_cast<u8>(value); break;
+      case 2: { const u16 v = static_cast<u16>(value); std::memcpy(p, &v, 2); break; }
+      case 4: { const u32 v = static_cast<u32>(value); std::memcpy(p, &v, 4); break; }
+      default: std::memcpy(p, &value, 8); break;
+    }
+  }
   bool in_one_dram_frame(PhysAddr pa, unsigned size) const {
     return is_dram(pa, size) && ((pa - dram_base_) & kPageMask) + size <= kPageSize;
   }

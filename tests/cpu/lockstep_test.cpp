@@ -1,18 +1,19 @@
-// Lockstep oracle for the decode-cache step path. Two machines get the same
-// memory image, CSRs and start state; one core runs with the decode cache
-// (fetch memo, block dispatch) and one runs the classic fetch/decode path.
-// After every step both must agree on the step result, the architectural
-// state and every merged_stats() counter (bbcache.* aside: only the
-// decode-cache core publishes those). The scenarios aim at what the fetch
-// memo and the block guards key on: ITLB eviction, superpages, satp/ASID
-// switches, sfence.vma, interrupts, RVC and page-straddling parcels,
-// self-modifying code, PMP writes and checkpoint restores.
+// Lockstep oracle for the block-granular dispatch path (harness/lockstep.h).
+// A decode-cache core runs whole blocks through Core::run_block(), a
+// classic core and a one-step decode-cache core step alongside, and after
+// every return the step result, the architectural state and every counter
+// must agree. The fixed scenarios aim at what the fetch memo, the block
+// guards and the run's stop rules key on: ITLB eviction, superpages,
+// satp/ASID switches, sfence.vma, interrupts, RVC and page-straddling
+// parcels, self-modifying code, PMP writes and checkpoint restores. The
+// seeded programs mix loads, stores, branches, calls, in-block code patches
+// and timer interrupts in M, S and U mode.
 #include <functional>
 #include <map>
 #include <string>
-#include <tuple>
 
 #include "cpu_test_util.h"
+#include "harness/lockstep.h"
 #include "isa/csr.h"
 #include "mmu/pte.h"
 
@@ -45,171 +46,30 @@ u32 encode(const std::function<void(Assembler&)>& one) {
   return a.finish().at(0);
 }
 
-auto arch_fields(const CoreArchState& s) {
-  return std::tie(s.regs, s.pc, s.priv, s.cycles, s.instret, s.mstatus, s.mtvec,
-                  s.medeleg, s.mideleg, s.mie, s.mip, s.mscratch, s.mepc, s.mcause,
-                  s.mtval, s.stvec, s.sscratch, s.sepc, s.scause, s.stval, s.satp,
-                  s.mtimecmp, s.pmp_cfg, s.pmp_addr);
-}
-
-std::map<std::string, u64> hw_counters(const Core& core) {
-  std::map<std::string, u64> c = core.merged_stats().counters();
-  std::erase_if(c, [](const auto& kv) { return kv.first.rfind("bbcache.", 0) == 0; });
-  return c;
-}
-
-std::string first_difference(const std::map<std::string, u64>& fast,
-                             const std::map<std::string, u64>& classic) {
-  std::map<std::string, std::pair<u64, u64>> all;
-  for (const auto& [k, v] : fast) all[k].first = v;
-  for (const auto& [k, v] : classic) all[k].second = v;
-  for (const auto& [k, v] : all) {
-    if (v.first != v.second) {
-      return k + ": decode cache " + std::to_string(v.first) + ", classic " +
-             std::to_string(v.second);
-    }
-  }
-  return "";
-}
-
 class Lockstep : public ::testing::Test {
  protected:
-  struct Side {
-    explicit Side(bool decode_cache)
-        : mem(kDramBase, MiB(64)), core(mem, config(decode_cache)) {}
-    static CoreConfig config(bool decode_cache) {
-      CoreConfig cfg;
-      cfg.decode_cache = decode_cache;
-      return cfg;
-    }
-    PhysMem mem;
-    Core core;
-  };
-
-  // ---- identical set-up and events on both machines ----
-  void both(const std::function<void(PhysMem&, Core&)>& f) {
-    f(fast_.mem, fast_.core);
-    f(classic_.mem, classic_.core);
-  }
-  void poke(PhysAddr pa, u64 v) {
-    both([&](PhysMem& m, Core&) { m.write_u64(pa, v); });
-  }
-  void load(PhysAddr pa, const std::vector<u32>& words) {
-    both([&](PhysMem&, Core& c) { c.load_code(pa, words); });
-  }
-  void set_csr(u32 num, u64 v) {
-    both([&](PhysMem&, Core& c) {
-      ASSERT_TRUE(c.write_csr(num, v, Privilege::kMachine));
-    });
-  }
-  void start(VirtAddr pc, Privilege priv) {
-    both([&](PhysMem&, Core& c) {
-      c.set_pc(pc);
-      c.set_priv(priv);
-    });
-  }
-
-  /// A fresh DRAM frame. Consecutive frames are not adjacent, so a
-  /// VA-contiguous mapping is PA-discontiguous.
-  PhysAddr frame() {
-    const PhysAddr f = next_frame_;
-    next_frame_ += 2 * kPageSize;
-    return f;
-  }
-
-  // ---- Sv39 page tables, built in physical memory ----
-  PhysAddr new_table() {
-    const PhysAddr t = next_table_;
-    next_table_ += kPageSize;
-    return t;
-  }
-  /// Physical address of the PTE slot for `va` at `level`, creating the
-  /// intermediate tables on the way.
-  PhysAddr slot(PhysAddr root, VirtAddr va, unsigned level = 0) {
-    PhysAddr table = root;
-    for (unsigned l = 2; l > level; --l) {
-      const PhysAddr s = table + bits(va, 12 + 9 * l, 9) * kPteSize;
-      u64 e = fast_.mem.read_u64(s);
-      if (!pte::valid(e)) {
-        e = pte::make_from_pa(new_table(), pte::kV);
-        poke(s, e);
-      }
-      table = pte::pa(e);
-    }
-    return table + bits(va, 12 + 9 * level, 9) * kPteSize;
-  }
-  void map(PhysAddr root, VirtAddr va, PhysAddr pa, u64 flags, unsigned level = 0) {
-    poke(slot(root, va, level), pte::make_from_pa(pa, flags));
-  }
-  /// Load VA-contiguous code starting at page-aligned `va` into fresh frames,
-  /// one per page, and map each page.
-  void map_code(PhysAddr root, VirtAddr va, const std::vector<u32>& words, u64 flags) {
-    constexpr size_t kWordsPerPage = kPageSize / 4;
-    for (size_t first = 0; first < words.size(); first += kWordsPerPage) {
-      const PhysAddr f = frame();
-      const size_t end = std::min(words.size(), first + kWordsPerPage);
-      load(f, std::vector<u32>(words.begin() + first, words.begin() + end));
-      map(root, va + first * 4, f, flags);
-    }
-  }
-  static u64 sv39(PhysAddr root, u16 asid) {
-    return isa::satp::make(isa::satp::kModeSv39, asid, root >> kPageShift, false);
-  }
-
-  /// Step both cores until one halts or `max_steps` pass, checking after
-  /// every step. Returns the steps taken.
+  /// Run until a halt or `max_steps` steps, comparing after every
+  /// run_block() return. Returns the steps taken.
   u64 run(u64 max_steps) {
-    for (u64 i = 0; i < max_steps; ++i) {
-      const u64 pc = classic_.core.pc();
-      const StepResult f = fast_.core.step();
-      const StepResult c = classic_.core.step();
-      if (!agree(f, c)) {
-        ADD_FAILURE() << "diverged at step " << i << ", pc 0x" << std::hex << pc;
-        return i;
-      }
-      if (c.stop == StopReason::kEbreakHalt || c.stop == StopReason::kWfi) return i + 1;
-    }
-    return max_steps;
+    const harness::Lockstep::Outcome out = ls_.run(max_steps);
+    EXPECT_EQ(out.divergence, "");
+    return out.steps;
   }
 
-  bool agree(const StepResult& f, const StepResult& c) {
-    if (f.stop != c.stop || f.trap != c.trap) {
-      ADD_FAILURE() << "step results differ";
-      return false;
-    }
-    const CoreArchState fs = fast_.core.arch_state();
-    const CoreArchState cs = classic_.core.arch_state();
-    if (arch_fields(fs) != arch_fields(cs)) {
-      ADD_FAILURE() << "architectural state differs (pc 0x" << std::hex << fs.pc
-                    << " vs 0x" << cs.pc << ", cycles " << std::dec << fs.cycles
-                    << " vs " << cs.cycles << ")";
-      return false;
-    }
-    const std::string diff =
-        first_difference(hw_counters(fast_.core), hw_counters(classic_.core));
-    if (!diff.empty()) {
-      ADD_FAILURE() << "counter differs: " << diff;
-      return false;
-    }
-    return true;
-  }
-
-  /// Common end-of-scenario checks: the run halted, memory agrees, and the
-  /// decode-cache core really dispatched from its blocks.
+  /// Common end-of-scenario checks: the run halted and the decode-cache
+  /// core really dispatched from its blocks.
   void expect_halted_and_same(u64 steps, u64 max_steps) {
     EXPECT_LT(steps, max_steps) << "scenario did not halt";
-    EXPECT_EQ(fast_.mem.content_digest(), classic_.mem.content_digest());
-    EXPECT_GT(fast_.core.merged_stats().get("bbcache.hits"), 0u);
+    EXPECT_GT(ls_.fast().core.merged_stats().get("bbcache.hits"), 0u);
   }
 
-  u64 reg(Reg r) const { return classic_.core.reg(isa::regno(r)); }
-  u64 counter(const char* name) const { return classic_.core.merged_stats().get(name); }
-  u64 csr_value(u32 num) { return *classic_.core.read_csr(num, Privilege::kMachine); }
+  u64 reg(Reg r) { return ls_.classic().core.reg(isa::regno(r)); }
+  u64 counter(const char* name) { return ls_.classic().core.merged_stats().get(name); }
+  u64 csr_value(u32 num) {
+    return *ls_.classic().core.read_csr(num, Privilege::kMachine);
+  }
 
-  Side fast_{true};
-  Side classic_{false};
-  PhysAddr next_frame_ = kDramBase + MiB(8);
-  PhysAddr next_table_ = kDramBase + MiB(48);
+  harness::Lockstep ls_;
 };
 
 TEST_F(Lockstep, UserCodeAcrossMoreThan32Pages) {
@@ -217,7 +77,7 @@ TEST_F(Lockstep, UserCodeAcrossMoreThan32Pages) {
   // (the DTLB holds 8), three times round.
   constexpr unsigned kCodePages = 40;
   constexpr unsigned kDataPages = 12;
-  const PhysAddr root = new_table();
+  const PhysAddr root = ls_.new_table();
   Assembler a(kCodeVa);
   std::vector<Assembler::Label> page(kCodePages);
   for (auto& l : page) l = a.make_label();
@@ -238,12 +98,12 @@ TEST_F(Lockstep, UserCodeAcrossMoreThan32Pages) {
   a.j(page[0]);
   a.bind(done);
   a.ebreak();
-  map_code(root, kCodeVa, a.finish(), kUserRx);
+  ls_.map_code(root, kCodeVa, a.finish(), kUserRx);
   for (unsigned d = 0; d < kDataPages; ++d) {
-    map(root, kDataVa + d * kPageSize, frame(), kUserRw);
+    ls_.map(root, kDataVa + d * kPageSize, ls_.frame(), kUserRw);
   }
-  set_csr(csr::kSatp, sv39(root, 1));
-  start(kCodeVa, Privilege::kUser);
+  ASSERT_TRUE(ls_.set_csr(csr::kSatp, harness::Lockstep::sv39(root, 1)));
+  ls_.start(kCodeVa, Privilege::kUser);
 
   const u64 steps = run(50'000);
   expect_halted_and_same(steps, 50'000);
@@ -255,7 +115,7 @@ TEST_F(Lockstep, UserCodeAcrossMoreThan32Pages) {
 TEST_F(Lockstep, SuperpageCodeAndData) {
   // One 2 MiB leaf maps code on three 4 KiB pages plus the data they store.
   constexpr VirtAddr kSuperVa = 0x20'0000;
-  const PhysAddr root = new_table();
+  const PhysAddr root = ls_.new_table();
   Assembler a(kSuperVa);
   auto loop = a.make_label();
   auto f1 = a.make_label();
@@ -279,10 +139,10 @@ TEST_F(Lockstep, SuperpageCodeAndData) {
   a.add(Reg::kS3, Reg::kS3, Reg::kT0);
   a.ret();
   const PhysAddr super_pa = kDramBase + MiB(32);
-  load(super_pa, a.finish());
-  map(root, kSuperVa, super_pa, kUserRwx, /*level=*/1);
-  set_csr(csr::kSatp, sv39(root, 1));
-  start(kSuperVa, Privilege::kUser);
+  ls_.load(super_pa, a.finish());
+  ls_.map(root, kSuperVa, super_pa, kUserRwx, /*level=*/1);
+  ASSERT_TRUE(ls_.set_csr(csr::kSatp, harness::Lockstep::sv39(root, 1)));
+  ls_.start(kSuperVa, Privilege::kUser);
 
   const u64 steps = run(10'000);
   expect_halted_and_same(steps, 10'000);
@@ -298,30 +158,30 @@ TEST_F(Lockstep, SatpSwitchAsidsAndSfenceVma) {
   constexpr VirtAddr kF = 0x20'0000;
   constexpr VirtAddr kD = 0x30'0000;
   constexpr VirtAddr kT = 0x40'0000;  // Window onto root1's leaf table for F.
-  const PhysAddr root1 = new_table();
-  const PhysAddr root2 = new_table();
-  const PhysAddr f1 = frame();
-  const PhysAddr f2 = frame();
+  const PhysAddr root1 = ls_.new_table();
+  const PhysAddr root2 = ls_.new_table();
+  const PhysAddr f1 = ls_.frame();
+  const PhysAddr f2 = ls_.frame();
   for (const auto& [frame_pa, value] : {std::pair{f1, 1}, std::pair{f2, 2}}) {
     Assembler a(kF);
     a.addi(Reg::kA0, Reg::kZero, value);
     a.ret();
-    load(frame_pa, a.finish());
+    ls_.load(frame_pa, a.finish());
   }
-  const PhysAddr d1 = frame();
-  const PhysAddr d2 = frame();
-  poke(d1, 111);
-  poke(d2, 222);
-  map(root1, kF, f1, kKernRx);
-  map(root2, kF, f2, kKernRx);
-  map(root1, kD, d1, kKernRw);
-  map(root2, kD, d2, kKernRw);
-  const PhysAddr f_slot = slot(root1, kF);
-  map(root1, kT, align_down(f_slot, kPageSize), kKernRw);
+  const PhysAddr d1 = ls_.frame();
+  const PhysAddr d2 = ls_.frame();
+  ls_.poke(d1, 111);
+  ls_.poke(d2, 222);
+  ls_.map(root1, kF, f1, kKernRx);
+  ls_.map(root2, kF, f2, kKernRx);
+  ls_.map(root1, kD, d1, kKernRw);
+  ls_.map(root2, kD, d2, kKernRw);
+  const PhysAddr f_slot = ls_.slot(root1, kF);
+  ls_.map(root1, kT, align_down(f_slot, kPageSize), kKernRw);
 
   Assembler a(kCodeVa);
-  a.li(Reg::kT0, sv39(root2, 2));
-  a.li(Reg::kT1, sv39(root1, 1));
+  a.li(Reg::kT0, harness::Lockstep::sv39(root2, 2));
+  a.li(Reg::kT1, harness::Lockstep::sv39(root1, 1));
   a.li(Reg::kT2, pte::make_from_pa(f2, kKernRx));
   a.li(Reg::kT4, kF);
   a.li(Reg::kS7, kD);
@@ -346,12 +206,12 @@ TEST_F(Lockstep, SatpSwitchAsidsAndSfenceVma) {
   a.jalr(Reg::kRa, Reg::kT4, 0);
   a.mv(Reg::kS10, Reg::kA0);                 // 2
   a.ebreak();
-  const PhysAddr code = frame();
-  load(code, a.finish());
-  map(root1, kCodeVa, code, kKernRx);
-  map(root2, kCodeVa, code, kKernRx);
-  set_csr(csr::kSatp, sv39(root1, 1));
-  start(kCodeVa, Privilege::kSupervisor);
+  const PhysAddr code = ls_.frame();
+  ls_.load(code, a.finish());
+  ls_.map(root1, kCodeVa, code, kKernRx);
+  ls_.map(root2, kCodeVa, code, kKernRx);
+  ASSERT_TRUE(ls_.set_csr(csr::kSatp, harness::Lockstep::sv39(root1, 1)));
+  ls_.start(kCodeVa, Privilege::kSupervisor);
 
   const u64 steps = run(1'000);
   expect_halted_and_same(steps, 1'000);
@@ -370,7 +230,7 @@ TEST_F(Lockstep, SretToUserWithinSupervisorPage) {
   // fetch from another page in between: the U-mode fetch must page-fault
   // (delegated to the S-mode handler, which halts) even though the previous
   // fetch of that page, in S-mode, passed.
-  const PhysAddr root = new_table();
+  const PhysAddr root = ls_.new_table();
   Assembler a(kCodeVa);
   auto user = a.make_label();
   a.li(Reg::kT0, kCodeVa + 0x100);
@@ -380,16 +240,17 @@ TEST_F(Lockstep, SretToUserWithinSupervisorPage) {
   a.bind(user);
   a.addi(Reg::kA0, Reg::kZero, 1);
   a.ebreak();
-  map_code(root, kCodeVa, a.finish(), kKernRx);
+  ls_.map_code(root, kCodeVa, a.finish(), kKernRx);
   constexpr VirtAddr kHandlerVa = 0x20'0000;
   Assembler h(kHandlerVa);
   h.csrrs(Reg::kS1, csr::kScause, Reg::kZero);
   h.ebreak();
-  map_code(root, kHandlerVa, h.finish(), kKernRx);
-  set_csr(csr::kSatp, sv39(root, 1));
-  set_csr(csr::kStvec, kHandlerVa);
-  set_csr(csr::kMedeleg, u64{1} << static_cast<u64>(isa::TrapCause::kInstPageFault));
-  start(kCodeVa, Privilege::kSupervisor);
+  ls_.map_code(root, kHandlerVa, h.finish(), kKernRx);
+  ASSERT_TRUE(ls_.set_csr(csr::kSatp, harness::Lockstep::sv39(root, 1)));
+  ASSERT_TRUE(ls_.set_csr(csr::kStvec, kHandlerVa));
+  ASSERT_TRUE(ls_.set_csr(
+      csr::kMedeleg, u64{1} << static_cast<u64>(isa::TrapCause::kInstPageFault)));
+  ls_.start(kCodeVa, Privilege::kSupervisor);
 
   const u64 steps = run(100);
   expect_halted_and_same(steps, 100);
@@ -400,7 +261,7 @@ TEST_F(Lockstep, SretToUserWithinSupervisorPage) {
 TEST_F(Lockstep, TimerInterruptsMidBlock) {
   // A long straight-line U-mode loop body under a timer that the M-mode
   // handler re-arms every 37 cycles, so interrupts land inside blocks.
-  const PhysAddr root = new_table();
+  const PhysAddr root = ls_.new_table();
   Assembler a(kCodeVa);
   auto loop = a.make_label();
   a.li(Reg::kS2, 40);
@@ -413,7 +274,7 @@ TEST_F(Lockstep, TimerInterruptsMidBlock) {
   a.addi(Reg::kS2, Reg::kS2, -1);
   a.bnez(Reg::kS2, loop);
   a.ebreak();  // mtvec is set: traps to the handler, which stops.
-  map_code(root, kCodeVa, a.finish(), kUserRx);
+  ls_.map_code(root, kCodeVa, a.finish(), kUserRx);
 
   Assembler h(kHandler);
   auto stop = h.make_label();
@@ -430,13 +291,13 @@ TEST_F(Lockstep, TimerInterruptsMidBlock) {
   h.addi(Reg::kT6, Reg::kZero, -1);
   h.csrrw(Reg::kZero, csr::kMtimecmp, Reg::kT6);
   h.wfi();
-  load(kHandler, h.finish());
+  ls_.load(kHandler, h.finish());
 
-  set_csr(csr::kSatp, sv39(root, 1));
-  set_csr(csr::kMtvec, kHandler);
-  set_csr(csr::kMie, u64{1} << csr::irq::kMti);
-  set_csr(csr::kMtimecmp, 41);
-  start(kCodeVa, Privilege::kUser);
+  ASSERT_TRUE(ls_.set_csr(csr::kSatp, harness::Lockstep::sv39(root, 1)));
+  ASSERT_TRUE(ls_.set_csr(csr::kMtvec, kHandler));
+  ASSERT_TRUE(ls_.set_csr(csr::kMie, u64{1} << csr::irq::kMti));
+  ASSERT_TRUE(ls_.set_csr(csr::kMtimecmp, 41));
+  ls_.start(kCodeVa, Privilege::kUser);
 
   const u64 steps = run(20'000);
   expect_halted_and_same(steps, 20'000);
@@ -450,7 +311,7 @@ TEST_F(Lockstep, CompressedAndPageStraddlingParcels) {
   // ones that cross a 64 B line and one that straddles two VA pages mapped
   // to non-adjacent frames.
   const u32 add = encode([](Assembler& x) { x.add(Reg::kT1, Reg::kT1, Reg::kA5); });
-  const PhysAddr root = new_table();
+  const PhysAddr root = ls_.new_table();
   Assembler a(kCodeVa);
   auto loop = a.make_label();
   a.li(Reg::kS2, 20);
@@ -468,9 +329,9 @@ TEST_F(Lockstep, CompressedAndPageStraddlingParcels) {
   a.addi(Reg::kS2, Reg::kS2, -1);
   a.bnez(Reg::kS2, loop);
   a.ebreak();
-  map_code(root, kCodeVa, a.finish(), kUserRx);
-  set_csr(csr::kSatp, sv39(root, 1));
-  start(kCodeVa, Privilege::kUser);
+  ls_.map_code(root, kCodeVa, a.finish(), kUserRx);
+  ASSERT_TRUE(ls_.set_csr(csr::kSatp, harness::Lockstep::sv39(root, 1)));
+  ls_.start(kCodeVa, Privilege::kUser);
 
   const u64 steps = run(10'000);
   expect_halted_and_same(steps, 10'000);
@@ -483,8 +344,8 @@ TEST_F(Lockstep, SelfModifyingCodeThroughAlias) {
   // its own (read/execute-only) page; no fence.i.
   constexpr VirtAddr kAliasVa = 0x50'0000;
   constexpr u64 kFnOff = 0x200;
-  const PhysAddr root = new_table();
-  const PhysAddr code = frame();
+  const PhysAddr root = ls_.new_table();
+  const PhysAddr code = ls_.frame();
   Assembler a(kCodeVa);
   auto loop = a.make_label();
   auto fn = a.make_label();
@@ -504,11 +365,11 @@ TEST_F(Lockstep, SelfModifyingCodeThroughAlias) {
   a.bind(fn);
   a.addi(Reg::kA0, Reg::kZero, 7);
   a.ret();
-  load(code, a.finish());
-  map(root, kCodeVa, code, kUserRx);
-  map(root, kAliasVa, code, kUserRw);
-  set_csr(csr::kSatp, sv39(root, 1));
-  start(kCodeVa, Privilege::kUser);
+  ls_.load(code, a.finish());
+  ls_.map(root, kCodeVa, code, kUserRx);
+  ls_.map(root, kAliasVa, code, kUserRw);
+  ASSERT_TRUE(ls_.set_csr(csr::kSatp, harness::Lockstep::sv39(root, 1)));
+  ls_.start(kCodeVa, Privilege::kUser);
 
   const u64 steps = run(1'000);
   expect_halted_and_same(steps, 1'000);
@@ -519,16 +380,16 @@ TEST_F(Lockstep, PmpReprogramming) {
   // U-mode code calls G, whose frame has its own TOR entry. An ecall makes
   // the M-mode handler drop X from that entry; the next call takes an
   // instruction access fault, and the handler restores X and retries it.
-  const PhysAddr root = new_table();
-  const PhysAddr g = frame();
+  const PhysAddr root = ls_.new_table();
+  const PhysAddr g = ls_.frame();
   constexpr VirtAddr kG = 0x20'0000;
   {
     Assembler a(kG);
     a.addi(Reg::kA0, Reg::kZero, 5);
     a.ret();
-    load(g, a.finish());
+    ls_.load(g, a.finish());
   }
-  map(root, kG, g, kUserRx);
+  ls_.map(root, kG, g, kUserRx);
   Assembler a(kCodeVa);
   auto loop = a.make_label();
   a.li(Reg::kS2, 3);
@@ -542,7 +403,7 @@ TEST_F(Lockstep, PmpReprogramming) {
   a.addi(Reg::kS2, Reg::kS2, -1);
   a.bnez(Reg::kS2, loop);
   a.ebreak();
-  map_code(root, kCodeVa, a.finish(), kUserRx);
+  ls_.map_code(root, kCodeVa, a.finish(), kUserRx);
 
   constexpr u64 kTorRwx =
       (u64{1} << pmpcfg::kAShift) | pmpcfg::kR | pmpcfg::kW | pmpcfg::kX;
@@ -572,15 +433,15 @@ TEST_F(Lockstep, PmpReprogramming) {
   h.addi(Reg::kT4, Reg::kT4, 1);
   h.csrrw(Reg::kZero, csr::kMscratch, Reg::kT4);
   h.mret();
-  load(kHandler, h.finish());
+  ls_.load(kHandler, h.finish());
 
-  set_csr(csr::kPmpaddr0, g >> 2);
-  set_csr(csr::kPmpaddr0 + 1, (g + kPageSize) >> 2);
-  set_csr(csr::kPmpaddr0 + 2, fast_.mem.dram_end() >> 2);
-  set_csr(csr::kPmpcfg0, kCfgX);
-  set_csr(csr::kSatp, sv39(root, 1));
-  set_csr(csr::kMtvec, kHandler);
-  start(kCodeVa, Privilege::kUser);
+  ASSERT_TRUE(ls_.set_csr(csr::kPmpaddr0, g >> 2));
+  ASSERT_TRUE(ls_.set_csr(csr::kPmpaddr0 + 1, (g + kPageSize) >> 2));
+  ASSERT_TRUE(ls_.set_csr(csr::kPmpaddr0 + 2, ls_.fast().mem.dram_end() >> 2));
+  ASSERT_TRUE(ls_.set_csr(csr::kPmpcfg0, kCfgX));
+  ASSERT_TRUE(ls_.set_csr(csr::kSatp, harness::Lockstep::sv39(root, 1)));
+  ASSERT_TRUE(ls_.set_csr(csr::kMtvec, kHandler));
+  ls_.start(kCodeVa, Privilege::kUser);
 
   const u64 steps = run(2'000);
   expect_halted_and_same(steps, 2'000);
@@ -591,7 +452,7 @@ TEST_F(Lockstep, PmpReprogramming) {
 TEST_F(Lockstep, RestoreArchStateMidRun) {
   // A checkpoint (frames + arch state) taken mid-run and restored later, as
   // System checkpoints do; both cores resume from cold microarchitecture.
-  const PhysAddr root = new_table();
+  const PhysAddr root = ls_.new_table();
   Assembler a(kCodeVa);
   auto loop = a.make_label();
   a.li(Reg::kS1, kDataVa);
@@ -604,21 +465,21 @@ TEST_F(Lockstep, RestoreArchStateMidRun) {
   a.addi(Reg::kS2, Reg::kS2, -1);
   a.bnez(Reg::kS2, loop);
   a.ebreak();
-  map_code(root, kCodeVa, a.finish(), kUserRx);
-  map(root, kDataVa, frame(), kUserRw);
-  set_csr(csr::kSatp, sv39(root, 1));
-  start(kCodeVa, Privilege::kUser);
+  ls_.map_code(root, kCodeVa, a.finish(), kUserRx);
+  ls_.map(root, kDataVa, ls_.frame(), kUserRw);
+  ASSERT_TRUE(ls_.set_csr(csr::kSatp, harness::Lockstep::sv39(root, 1)));
+  ls_.start(kCodeVa, Privilege::kUser);
 
   ASSERT_EQ(run(100), 100u);
   std::vector<CoreArchState> saved;
   std::vector<std::vector<std::pair<u64, std::vector<u8>>>> frames;
-  both([&](PhysMem& m, Core& c) {
+  ls_.each([&](PhysMem& m, Core& c) {
     saved.push_back(c.arch_state());
     frames.push_back(m.snapshot_frames());
   });
   ASSERT_EQ(run(150), 150u);
   size_t i = 0;
-  both([&](PhysMem& m, Core& c) {
+  ls_.each([&](PhysMem& m, Core& c) {
     m.restore_frames(frames[i]);
     c.restore_arch_state(saved[i]);
     ++i;
@@ -626,6 +487,82 @@ TEST_F(Lockstep, RestoreArchStateMidRun) {
   const u64 steps = run(2'000);
   expect_halted_and_same(steps, 2'000);
   EXPECT_EQ(reg(Reg::kS0), 3u * 60 * 61 / 2);
+}
+
+TEST_F(Lockstep, PatchedSuccessorOnAnotherPage) {
+  // M-mode (bare) code whose loop block X calls Y on the next page, so
+  // after the first round every run chains from X into Y. On the last
+  // round X stores a new first word into Y just before the call: Y's frame
+  // changed but X's did not, so only Y's own guard stops the chain.
+  constexpr PhysAddr kX = kDramBase + MiB(2);
+  constexpr PhysAddr kY = kX + kPageSize;
+  constexpr PhysAddr kData = kDramBase + MiB(3);
+  Assembler y(kY);
+  y.addi(Reg::kA0, Reg::kA0, 1);
+  y.ret();
+  Assembler a(kX);
+  auto loop = a.make_label();
+  a.li(Reg::kS2, 5);
+  a.li(Reg::kS6, encode([](Assembler& x) { x.addi(Reg::kA0, Reg::kA0, 100); }));
+  a.li(Reg::kS7, kY);
+  a.li(Reg::kS8, kData);
+  a.bind(loop);
+  // t5 = kY on the last round (s2 == 1), else kData.
+  a.addi(Reg::kT4, Reg::kS2, -1);
+  a.seqz(Reg::kT4, Reg::kT4);
+  a.neg(Reg::kT4, Reg::kT4);
+  a.sub(Reg::kT5, Reg::kS7, Reg::kS8);
+  a.and_(Reg::kT5, Reg::kT5, Reg::kT4);
+  a.add(Reg::kT5, Reg::kT5, Reg::kS8);
+  a.sw(Reg::kS6, Reg::kT5, 0);
+  a.jalr(Reg::kRa, Reg::kS7, 0);
+  a.addi(Reg::kS2, Reg::kS2, -1);
+  a.bnez(Reg::kS2, loop);
+  a.ebreak();
+  ls_.load(kX, a.finish());
+  ls_.load(kY, y.finish());
+  ls_.start(kX, Privilege::kMachine);
+
+  const u64 steps = run(1'000);
+  expect_halted_and_same(steps, 1'000);
+  EXPECT_EQ(reg(Reg::kA0), 4u + 100);
+}
+
+// Seeded programs, each in lockstep from its first instruction to its halt.
+// The fast core's budget per call, and whether run_block() or Core::run()
+// takes it, vary with the seed, so runs also end on an exhausted budget
+// mid-block and inside Core::run().
+TEST(LockstepSeeded, ProgramsAgreeFromStartToHalt) {
+  constexpr u64 kPrograms = 240;
+  u64 interrupts = 0;
+  u64 invalidations = 0;
+  u64 itlb_hits = 0;
+  std::map<Privilege, unsigned> modes;
+  for (u64 seed = 1; seed <= kPrograms; ++seed) {
+    harness::Lockstep ls;
+    const harness::SeededProgram p = harness::setup_seeded_program(ls, seed);
+    const auto call = seed % 4 == 0 ? harness::Lockstep::Call::kCoreRun
+                                    : harness::Lockstep::Call::kRunBlock;
+    const harness::Lockstep::Outcome out = ls.run(p.max_steps, p.chunk, call);
+    ASSERT_EQ(out.divergence, "") << "seed " << seed;
+    ASSERT_TRUE(out.halted) << "seed " << seed;
+    // It halted at its closing ebreak, not on a stray trap.
+    ASSERT_EQ(*ls.classic().core.read_csr(csr::kMcause, Privilege::kMachine),
+              static_cast<u64>(isa::TrapCause::kBreakpoint))
+        << "seed " << seed;
+    const StatSet s = ls.fast().core.merged_stats();
+    interrupts += s.get("core.interrupts");
+    invalidations += s.get("bbcache.invalidations");
+    itlb_hits += s.get("ITLB.hits");
+    ++modes[p.priv];
+  }
+  // The draws reach what the run's stop rules guard: timers firing inside
+  // blocks, blocks patched while running, and the fetch memo under Sv39.
+  EXPECT_GT(interrupts, kPrograms);
+  EXPECT_GT(invalidations, kPrograms);
+  EXPECT_GT(itlb_hits, 0u);
+  EXPECT_EQ(modes.size(), 3u);
+  for (const auto& [priv, n] : modes) EXPECT_GT(n, kPrograms / 5);
 }
 
 }  // namespace

@@ -41,6 +41,27 @@ TEST_F(PhysMemTest, ReadWriteWidths) {
   EXPECT_EQ(mem_.read_u64(a + 8), 0x0123456789ABCDEFu);
 }
 
+// The in-frame path copies each access size with its own fixed-size load or
+// store: every size round-trips at both edges of a frame, keeps its
+// neighbours intact, and reads back byte by byte in little-endian order.
+TEST_F(PhysMemTest, EachSizeRoundTripsAtBothFrameEdges) {
+  const PhysAddr frame = kDramBase + 5 * kPageSize;
+  for (const unsigned size : {1u, 2u, 4u, 8u}) {
+    for (const PhysAddr pa : {frame, frame + kPageSize - size}) {
+      const u64 value = 0x8877665544332211ull & mask_lo(8 * size);
+      mem_.fill(frame - 8, 0xEE, kPageSize + 16);
+      mem_.write(pa, size, value | ~mask_lo(8 * size));  // Bits above size drop.
+      EXPECT_EQ(mem_.read(pa, size), value)
+          << "size " << size << " at 0x" << std::hex << pa;
+      for (unsigned i = 0; i < size; ++i) {
+        EXPECT_EQ(mem_.read_u8(pa + i), static_cast<u8>(value >> (8 * i)));
+      }
+      EXPECT_EQ(mem_.read_u8(pa - 1), 0xEE);
+      EXPECT_EQ(mem_.read_u8(pa + size), 0xEE);
+    }
+  }
+}
+
 TEST_F(PhysMemTest, LittleEndianComposition) {
   const PhysAddr a = kDramBase + 0x2000;
   mem_.write_u64(a, 0x0807060504030201);

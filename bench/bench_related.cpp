@@ -9,7 +9,7 @@
 // set_pXd traps to an M-mode monitor) rides along as a labeled extra row.
 #include <array>
 
-#include "attacks/scenarios.h"
+#include "harness/battery.h"
 #include "mmu/pte.h"
 #include "workloads/lmbench.h"
 #include "workloads/netserver.h"

@@ -1,9 +1,9 @@
 // Reproduces the §V-E security analysis as an executable defence matrix:
-// all six attack classes against the unprotected baseline, a CFI-only
+// all eight attack scenarios against the unprotected baseline, a CFI-only
 // kernel, and the full CFI+PTStore system.
 #include "analysis/corpus.h"
 #include "analysis/ptlint.h"
-#include "attacks/scenarios.h"
+#include "harness/battery.h"
 #include "workloads/runner.h"
 
 using namespace ptstore;

@@ -4,7 +4,7 @@
 //   $ ./examples/attack_demo
 #include <cstdio>
 
-#include "attacks/scenarios.h"
+#include "harness/battery.h"
 
 using namespace ptstore;
 

@@ -26,23 +26,10 @@ Process* setup_victim(System& sys, u64 prot, VirtAddr va) {
   return victim;
 }
 
-MemAccessResult user_probe(System& sys, VirtAddr va, bool write) {
-  return user_probe(sys.core(), va, write);
-}
-
 MemAccessResult user_probe(Core& core, VirtAddr va, bool write) {
   return core.access_as(va, 8, write ? AccessType::kWrite : AccessType::kRead,
                         AccessKind::kRegular, Privilege::kUser,
                         0x4141414141414141);
-}
-
-void restore_kernel_satp(System& sys) {
-  const u64 satp_v = isa::satp::make(
-      isa::satp::kModeSv39, sys.kernel().config().kernel_asid,
-      sys.kernel().kernel_root() >> kPageShift,
-      sys.kernel().iso().satp_s_bit);
-  sys.core().write_csr(isa::csr::kSatp, satp_v, Privilege::kMachine);
-  sys.core().mmu().sfence(std::nullopt, std::nullopt);
 }
 
 }  // namespace ptstore::attacks

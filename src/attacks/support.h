@@ -1,7 +1,7 @@
 // Shared attack-scenario plumbing: victim setup, the omniscient page-table
-// locator, user-mode probes, and post-attack satp recovery. Extracted from
-// scenarios.cpp so the campaign executor (harness/campaign.h), which also
-// runs ptmc counterexample replay, reuses the same building blocks.
+// locator and user-mode probes. The campaign executor (harness/campaign.h),
+// the attack battery (harness/battery.h) and ptmc counterexample replay all
+// use these building blocks.
 #pragma once
 
 #include <optional>
@@ -25,14 +25,9 @@ std::optional<PhysAddr> find_leaf_slot(System& sys, PhysAddr root, VirtAddr va);
 Process* setup_victim(System& sys, u64 prot = pte::kR | pte::kW,
                       VirtAddr va = kVictimVa);
 
-/// U-mode probe access issued directly (no kernel demand-paging behind it).
-MemAccessResult user_probe(System& sys, VirtAddr va, bool write);
-/// Same, through a specific core — SMP replays probe the hart named by the
-/// counterexample op, not whichever hart the kernel last ran on.
+/// U-mode probe access issued directly on `core` (no kernel demand-paging
+/// behind it). SMP replays probe the hart named by the op, not whichever
+/// hart the kernel last ran on.
 MemAccessResult user_probe(Core& core, VirtAddr va, bool write);
-
-/// Restore a sane address space after an attack wedged satp (harness-only
-/// recovery so later assertions can run; M-mode write bypasses S-mode state).
-void restore_kernel_satp(System& sys);
 
 }  // namespace ptstore::attacks

@@ -10,10 +10,10 @@
 // Replay runs with PMP secure-enforcement off and satp in Bare mode: the
 // point is to demonstrate the *software path* the static analysis flagged
 // actually executes and performs the predicted access, not to re-test the
-// hardware defence that would contain it (attacks/scenarios.cpp covers
-// that side). Addresses the witness touches outside DRAM are backed by
-// scratch MMIO pages so out-of-region stores retire instead of faulting on
-// unbacked memory.
+// hardware defence that would contain it (the attack battery,
+// harness/battery.cpp, covers that side). Addresses the witness touches
+// outside DRAM are backed by scratch MMIO pages so out-of-region stores
+// retire instead of faulting on unbacked memory.
 #pragma once
 
 #include <string>

@@ -66,10 +66,13 @@ std::optional<CampaignKind> campaign_kind_from(std::string_view name) {
 
 const char* to_string(CampaignOp::Kind k) {
   // Indexed by Kind, whose values are append-only (reports carry the names).
-  static const char* const kNames[] = {
+  static constexpr const char* kNames[] = {
       "copy_mm", "alloc_pt", "free_pt", "switch_mm", "exit_mm", "grow",
       "rw_write_leaf", "rw_write_secure", "pcb_rewire", "race_probe",
-      "rw_write", "user_probe", "force_alloc", "satp_write"};
+      "rw_write", "user_probe", "force_alloc", "satp_write", "stale_tlb"};
+  static_assert(std::size(kNames) ==
+                    static_cast<size_t>(CampaignOp::Kind::kLast) + 1,
+                "every CampaignOp::Kind needs a name");
   const auto i = static_cast<size_t>(k);
   return i < std::size(kNames) ? kNames[i] : "?";
 }
@@ -221,7 +224,9 @@ OpResult exec_campaign_op(System& sys, const CampaignOp& op) {
       case CampaignOp::Kind::kUserProbe: {
         const MemAccessResult a =
             attacks::user_probe(sys.core(hart), op.arg, op.arg2 != 0);
-        return access(a.ok, a.fault, "ok");
+        OpResult r = access(a.ok, a.fault, "ok");
+        r.value = a.value;
+        return r;
       }
 
       case CampaignOp::Kind::kForceAlloc: {
@@ -240,6 +245,16 @@ OpResult exec_campaign_op(System& sys, const CampaignOp& op) {
         const bool ok =
             sys.core().write_csr(isa::csr::kSatp, satp, Privilege::kSupervisor);
         return {.status = ok ? "ok" : "blocked", .ok = ok};
+      }
+
+      case CampaignOp::Kind::kStaleTlb: {
+        // A TLB-inconsistency bug (§V-E5): a translation the page tables
+        // never held, or no longer hold, stays cached on this hart.
+        Process* proc = op.pid != 0 ? pm.find(op.pid) : nullptr;
+        if (proc == nullptr) return skipped("no-proc");
+        sys.core(hart).mmu().dtlb().insert(op.arg, proc->asid, /*level=*/0,
+                                           op.arg2, /*global=*/false);
+        return {.status = "ok", .ok = true};
       }
     }
   } catch (const KernelPanic& p) {

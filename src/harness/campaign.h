@@ -24,8 +24,9 @@
 // reproducer (seed + op trace) that replays without the RNG and minimizes
 // by greedy removal. exec_campaign_op is the single executor of concrete
 // protocol ops and attacker primitives; ptmc counterexample replay
-// (harness/ptmc_replay.h) lowers onto the same ops. Reports are schema-v1
-// JSON; with timing excluded they are byte-identical for any --jobs value.
+// (harness/ptmc_replay.h) and the §V-E attack battery (harness/battery.h)
+// run as traces of the same ops. Reports are schema-v1 JSON; with timing
+// excluded they are byte-identical for any --jobs value.
 #pragma once
 
 #include <map>
@@ -69,12 +70,15 @@ struct CampaignOp {
     kUserProbe,      ///< U-mode access to arg on `hart`; arg2 != 0 writes.
     kForceAlloc,     ///< Attack: the PT zone's next allocation returns arg.
     kSatpWrite,      ///< Attack: csr gadget writes satp := Sv39 root arg, S=0.
+    kStaleTlb,       ///< Bug: hart's DTLB maps va arg to PTE arg2 (pid's ASID).
+    kLast = kStaleTlb,  ///< Keep on the final kind (to_string's name table).
   };
   Kind kind = Kind::kSwitchMm;
   u64 pid = 0;  ///< Subject process, 0 when the op has none.
   u64 arg = 0;  ///< va / order / store value or address, depending on kind.
   u8 hart = 0;  ///< Executing hart (SMP campaigns; always 0 single-hart).
-  u64 arg2 = 0; ///< Second operand: rw_write value, user_probe write flag.
+  u64 arg2 = 0; ///< Second operand: rw_write value, user_probe write flag,
+                ///< stale_tlb PTE.
 };
 
 const char* to_string(CampaignOp::Kind k);
@@ -83,13 +87,15 @@ const char* to_string(CampaignOp::Kind k);
 std::string describe(const CampaignOp& op);
 
 /// Outcome of executing one CampaignOp. It carries no verdict: campaigns
-/// and ptmc replay each judge it by their own rule.
+/// judge it by their own rule, ptmc replay and the attack battery
+/// (harness/battery.h) by outcome_of and their witnesses.
 struct OpResult {
   std::string status;  ///< Deterministic label ("ok", "oom", "breach", ...).
   bool skipped = false;  ///< Subject missing ("no-proc", ...): a no-op.
   bool ok = false;  ///< Protocol op returned kOk / the primitive completed.
   ProtoStatus proto = ProtoStatus::kOk;  ///< Protocol ops: kernel verdict.
   isa::TrapCause fault = isa::TrapCause::kNone;  ///< Primitive's access fault.
+  u64 value = 0;      ///< user_probe: the value a completed read loaded.
   u64 pid = 0;        ///< copy_mm: the created child; else the subject.
   PhysAddr root = 0;  ///< Page-table root the protocol op reported.
   bool panic = false; ///< The kernel panicked mid-op (status "panic:...").

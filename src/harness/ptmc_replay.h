@@ -6,7 +6,9 @@
 // driver's bindings (model proc -> pid, model page -> physical page, bound
 // lazily on first touch), all run by exec_campaign_op. The verdict is the
 // violated property's witness (P1 probe, P2 satp root, P3 forged cash-in,
-// P4 watched slot), not the campaign rule.
+// P4 watched slot), not the campaign rule; the trace runner, outcome_of
+// and those witnesses are shared with the attack battery
+// (harness/battery.h).
 //
 //   * replay_counterexample — replay under the counterexample's own
 //     (mutated) ModelConfig; a faithful counterexample must end in
@@ -16,27 +18,18 @@
 //     detect), which is the other half of the matrix argument.
 #pragma once
 
-#include <string>
-#include <vector>
-
 #include "analysis/ptmc.h"
-#include "attacks/scenarios.h"
+#include "harness/battery.h"
 
 namespace ptstore::harness {
 
-struct ReplayReport {
-  attacks::Outcome outcome = attacks::Outcome::kContained;
-  std::string detail;            ///< What decided the outcome.
-  std::vector<std::string> log;  ///< Executed ops: describe(op) -> status.
-  bool defended() const { return outcome != attacks::Outcome::kSucceeded; }
-};
-
 /// Replay `ce` on a System configured from ce.cfg (defence mutations
 /// applied). Reproducing the violation yields Outcome::kSucceeded.
-ReplayReport replay_counterexample(const analysis::ptmc::Counterexample& ce);
+attacks::AttackReport replay_counterexample(
+    const analysis::ptmc::Counterexample& ce);
 
 /// Replay `ce`'s op sequence on a fully-defended System: the report carries
 /// the defence that stopped it.
-ReplayReport replay_on_stock(const analysis::ptmc::Counterexample& ce);
+attacks::AttackReport replay_on_stock(const analysis::ptmc::Counterexample& ce);
 
 }  // namespace ptstore::harness

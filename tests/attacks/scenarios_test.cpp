@@ -1,7 +1,7 @@
 // The paper's §V-E security matrix, asserted exactly: PTStore defends all
 // six attack classes; the unprotected baseline falls to the five that apply
 // to it. Ablations confirm *which* mechanism stops each attack.
-#include "attacks/scenarios.h"
+#include "harness/battery.h"
 
 #include <gtest/gtest.h>
 

@@ -107,7 +107,7 @@ TEST(Checkpoint, MicroarchRestoresCold) {
   // decoded basic-block cache.
   Process* victim = attacks::setup_victim(sys);
   ASSERT_NE(victim, nullptr);
-  ASSERT_TRUE(attacks::user_probe(sys, attacks::kVictimVa, true).ok);
+  ASSERT_TRUE(attacks::user_probe(sys.core(), attacks::kVictimVa, true).ok);
   EXPECT_GT(sys.core().mmu().dtlb().occupancy(), 0u);
 
   const SystemCheckpoint ck = sys.checkpoint();

@@ -24,6 +24,7 @@ namespace ptstore::harness {
 namespace {
 
 namespace ptmc = analysis::ptmc;
+using attacks::AttackReport;
 using attacks::Outcome;
 
 /// The bounds `ptmc --harts N` runs with: the second hart needs the wide
@@ -78,7 +79,7 @@ TEST_P(PtmcReplayMatrix, MatrixCoversAllFourProperties) {
 
 TEST_P(PtmcReplayMatrix, MutatedSystemReproducesEveryCounterexample) {
   for (const ptmc::Counterexample& ce : matrix_counterexamples(GetParam())) {
-    const ReplayReport rep = replay_counterexample(ce);
+    const AttackReport rep = replay_counterexample(ce);
     EXPECT_EQ(rep.outcome, Outcome::kSucceeded)
         << ptmc::prop_name(ce.prop) << ": " << rep.detail;
   }
@@ -86,7 +87,7 @@ TEST_P(PtmcReplayMatrix, MutatedSystemReproducesEveryCounterexample) {
 
 TEST_P(PtmcReplayMatrix, StockSystemStopsEveryCounterexample) {
   for (const ptmc::Counterexample& ce : matrix_counterexamples(GetParam())) {
-    const ReplayReport rep = replay_on_stock(ce);
+    const AttackReport rep = replay_on_stock(ce);
     EXPECT_TRUE(rep.defended())
         << ptmc::prop_name(ce.prop) << " replayed to " << to_string(rep.outcome)
         << " on a fully-defended system: " << rep.detail;
@@ -97,7 +98,7 @@ TEST_P(PtmcReplayMatrix, StockSystemStopsEveryCounterexample) {
 TEST_P(PtmcReplayMatrix, ReplayLogNamesEachOp) {
   const auto& ces = matrix_counterexamples(GetParam());
   ASSERT_FALSE(ces.empty());
-  const ReplayReport rep = replay_counterexample(ces.front());
+  const AttackReport rep = replay_counterexample(ces.front());
   EXPECT_GE(rep.log.size(), ces.front().steps.size());
   // Each line is an executed CampaignOp in ptcampaign's repro format.
   for (const std::string& line : rep.log) {
@@ -119,9 +120,9 @@ TEST(PtmcReplay, StockP1ChainsTheLiveRootToSprayedTables) {
   const ptmc::CheckResult res = ptmc::check(stock_config());
   const ptmc::Counterexample* ce = res.counterexample_for(0);
   ASSERT_NE(ce, nullptr);
-  const ReplayReport mut = replay_counterexample(*ce);
+  const AttackReport mut = replay_counterexample(*ce);
   EXPECT_EQ(mut.outcome, Outcome::kSucceeded) << mut.detail;
-  const ReplayReport stock = replay_on_stock(*ce);
+  const AttackReport stock = replay_on_stock(*ce);
   EXPECT_EQ(stock.outcome, Outcome::kBlockedFault) << stock.detail;
 }
 
@@ -129,8 +130,8 @@ std::string dump_replays(const std::string& label,
                          const ptmc::ModelConfig& cfg) {
   std::ostringstream os;
   for (const ptmc::Counterexample& ce : ptmc::check(cfg).counterexamples) {
-    const ReplayReport mut = replay_counterexample(ce);
-    const ReplayReport stock = replay_on_stock(ce);
+    const AttackReport mut = replay_counterexample(ce);
+    const AttackReport stock = replay_on_stock(ce);
     os << "=== " << label << " " << ptmc::prop_name(ce.prop) << " ===\n"
        << "mutated: " << to_string(mut.outcome) << " | " << mut.detail << "\n"
        << "stock: " << to_string(stock.outcome) << " | " << stock.detail

@@ -10,7 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "attacks/primitive.h"
-#include "attacks/scenarios.h"
+#include "harness/battery.h"
 #include "kernel/isolation.h"
 #include "kernel/protocol.h"
 #include "kernel/system.h"

@@ -124,8 +124,8 @@ void print_result(const mc::CheckResult& res, bool verbose) {
 bool replay_all(const mc::CheckResult& res, bool verbose) {
   bool ok = true;
   for (const auto& ce : res.counterexamples) {
-    const harness::ReplayReport mut = harness::replay_counterexample(ce);
-    const harness::ReplayReport stock = harness::replay_on_stock(ce);
+    const attacks::AttackReport mut = harness::replay_counterexample(ce);
+    const attacks::AttackReport stock = harness::replay_on_stock(ce);
     std::printf("  replay %s: mutated -> %s; stock -> %s\n",
                 mc::prop_name(ce.prop), attacks::to_string(mut.outcome),
                 attacks::to_string(stock.outcome));

@@ -9,13 +9,13 @@ u64 Tlb::vpn_mask(unsigned level) {
   return mask_lo(27) & ~mask_lo(9 * level);
 }
 
-const TlbEntry* Tlb::lookup_scan(u64 vpn, u16 asid) {
+const TlbEntry* Tlb::lookup_scan(VirtAddr va, u16 asid) {
+  const u64 vpn = (va >> kPageShift) & kVpnMask;
   ++tick_;
   for (auto& e : slots_) {
     if (!e.valid) continue;
     if (!e.global && e.asid != asid) continue;
-    const u64 m = vpn_mask(e.level);
-    if ((vpn & m) == (e.vpn & m)) {
+    if (((vpn ^ e.vpn) & e.vpn_mask) == 0) {
       e.lru_tick = tick_;
       hits_.add();
       last_vpn_ = vpn;
@@ -45,6 +45,7 @@ void Tlb::insert(VirtAddr va, u16 asid, unsigned level, u64 pte, bool global) {
                      .asid = asid,
                      .vpn = vpn,
                      .level = level,
+                     .vpn_mask = vpn_mask(level),
                      .pte = pte,
                      .lru_tick = tick_};
   drop_memo();
@@ -60,10 +61,7 @@ void Tlb::flush(std::optional<VirtAddr> va, std::optional<u16> asid) {
     // entries; address-specific flushes match superpage reach.
     if (asid && !e.global && e.asid != *asid) continue;
     if (asid && e.global) continue;
-    if (vpn) {
-      const u64 m = vpn_mask(e.level);
-      if ((*vpn & m) != (e.vpn & m)) continue;
-    }
+    if (vpn && ((*vpn ^ e.vpn) & e.vpn_mask) != 0) continue;
     e.valid = false;
   }
   drop_memo();

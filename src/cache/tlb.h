@@ -13,7 +13,9 @@
 // previous hit's (vpn, asid) without rescanning. Only a real scan hit sets
 // the memo, and insert/flush drop it, so it always returns the entry the
 // scan would, with the same tick and LRU update. The memo branch is inline
-// below; the scan stays out of line in tlb.cpp.
+// below (lookup_memo(), which the MMU's inline translate fast path calls on
+// its own); the scan stays out of line in tlb.cpp, and compares each entry
+// under the VPN mask its insert stored (TlbEntry::vpn_mask).
 //
 // memo_gen() numbers the memo's states: it changes whenever the memo is set
 // or dropped. While it is unchanged, the memo still covers the same (vpn,
@@ -38,6 +40,7 @@ struct TlbEntry {
   u16 asid = 0;
   VirtAddr vpn = 0;  ///< VA >> 12, canonical low 27 bits.
   unsigned level = 0;
+  u64 vpn_mask = 0;  ///< The VPN bits a lookup compares (all but `level`'s).
   u64 pte = 0;  ///< Raw leaf PTE (permissions + PPN).
   u64 lru_tick = 0;
 };
@@ -62,14 +65,24 @@ class Tlb {
   /// Look up virtual address `va` under `asid`. Superpage entries match any
   /// VA within their reach.
   const TlbEntry* lookup(VirtAddr va, u16 asid) {
-    const u64 vpn = (va >> kPageShift) & kVpnMask;
+    if (const TlbEntry* e = lookup_memo(va, asid)) return e;
+    return lookup_scan(va, asid);
+  }
+
+  /// The memo branch of lookup() alone. On a repeat of the previous hit's
+  /// (vpn, asid) it does exactly what lookup() does; otherwise it returns
+  /// nullptr with no effect, and lookup_scan() finishes the lookup.
+  const TlbEntry* lookup_memo(VirtAddr va, u16 asid) {
     // Repeat of the previous hit: no insert/flush ran since (those drop the
     // memo), so the same entry is still the scan's first match.
-    if (last_entry_ != nullptr && vpn == last_vpn_ && asid == last_asid_) {
+    if (last_entry_ != nullptr && ((va >> kPageShift) & kVpnMask) == last_vpn_ &&
+        asid == last_asid_) {
       return replay_memo_hits(1);
     }
-    return lookup_scan(vpn, asid);
+    return nullptr;
   }
+  /// lookup() past the memo: first-match scan of every slot.
+  const TlbEntry* lookup_scan(VirtAddr va, u16 asid);
 
   /// Exactly what `n` lookups taking the memo branch do. Callers must know
   /// the memo covers their (vpn, asid): memo_gen() unchanged since a lookup
@@ -97,8 +110,6 @@ class Tlb {
  private:
   static constexpr u64 kVpnMask = (u64{1} << 27) - 1;  ///< Sv39 VPN bits.
   static u64 vpn_mask(unsigned level);
-  /// lookup() past the memo: first-match scan of every slot.
-  const TlbEntry* lookup_scan(u64 vpn, u16 asid);
   void drop_memo() {
     last_entry_ = nullptr;
     ++memo_gen_;

@@ -57,12 +57,7 @@ u8 entry_flags(const Inst& in) {
 }  // namespace
 
 bool Core::bb_fetch_pmp_allowed(PhysAddr pa) const {
-  const PmpDecision pd =
-      pmp_.check(pa, 2, AccessType::kExecute, AccessKind::kRegular, priv_);
-  // access_with's baseline-core fixup: the S-bit has no meaning there. A
-  // fetch is already a regular access, so its re-check would repeat this one.
-  if (!cfg_.ptstore_enabled && pd.reason == PmpDenyReason::kSecureRegular) return true;
-  return pd.allowed;
+  return pmp_allows(pa, 2, AccessType::kExecute, AccessKind::kRegular, priv_);
 }
 
 bool Core::fetch_identity() const {
@@ -302,7 +297,7 @@ StepResult Core::run_block_impl(u64& budget) {
     fetch_batch_.bb_hits += hit;
     hit = 1;
     // Blocks only cover DRAM (frame_gen != nullptr implies is_dram), so the
-    // MMIO branch of access_with is unreachable here. Past the run's first
+    // MMIO branch of mem_access is unreachable here. Past the run's first
     // entry, only the previous entry touched the L1I since.
     const bool same_line = !first && (e.flags & BBEntry::kSameLine) != 0;
     first = false;

@@ -4,8 +4,19 @@
 // assembler, including the PTStore ld.pt/sd.pt instructions.
 //
 // The kernel model (src/kernel) drives the same access path through
-// access_as_kernel(), so every page-table and token access in the system is
+// access_as(), so every page-table and token access in the system is
 // subject to the identical PMP/MMU checks the guest ISA sees.
+//
+// Memory path. Every load, store, AMO, fetch parcel and kernel-model access
+// runs through one inline function, mem_access(): alignment, the MMU's
+// inline translate fast path (mmu/mmu.h), PMP on the physical address
+// through pmp_allows() (PmpUnit's region map, plus the baseline core's
+// S-bit re-check, which the decode cache's fetch check shares), then one
+// is_dram test choosing cache timing and the frame access, the 20-cycle
+// MMIO access, or an access fault. exec_mem and the classic fetch's first
+// parcel inline it, so its result stays in registers; access_as() (and
+// access(), at the current privilege) is its out-of-line wrapper for the
+// kernel model, the attack code and the colder call sites.
 #pragma once
 
 #include <array>
@@ -224,7 +235,8 @@ class Core {
   // ---- memory path shared with the kernel model ----
   /// Perform one data access exactly as an executed instruction would:
   /// translation, PMP (with AccessKind), cache timing, and the actual
-  /// read/write. Loads return the zero-extended value.
+  /// read/write. Loads return the zero-extended value. A thin wrapper of
+  /// the one inline access path, mem_access().
   MemAccessResult access(VirtAddr va, unsigned size, AccessType type,
                          AccessKind kind, u64 store_value = 0);
 
@@ -247,17 +259,36 @@ class Core {
   void load_code(PhysAddr base, const std::vector<u32>& words);
 
  private:
-  /// Data/fetch path with an optional pre-computed fetch translation. When
-  /// `pre` is non-null the caller has already run (and charged) the MMU
-  /// translation; the access continues from the PMP check.
-  MemAccessResult access_with(VirtAddr va, unsigned size, AccessType type,
-                              AccessKind kind, Privilege priv, u64 store_value,
-                              const TranslateResult* pre);
-  /// access_with() from the PMP check on, for the translated address `pa`.
-  MemAccessResult access_pa(PhysAddr pa, unsigned size, AccessType type,
-                            AccessKind kind, Privilege priv, u64 store_value);
+  /// The one memory-access path of the hart: loads, stores, AMOs, fetch
+  /// parcels and the kernel model's accesses. In order: the alignment
+  /// check, the MMU translation, PMP on the physical address (pmp_allows),
+  /// then one is_dram test that picks cache timing plus the frame access,
+  /// or the 20-cycle uncached MMIO access, or an access fault. Inline, so
+  /// its result stays in registers at each call site. With `pre_pa`
+  /// non-null the caller already ran (and charged) the translation of `va`
+  /// to *pre_pa; the access continues from the PMP check.
+  [[gnu::always_inline]] MemAccessResult mem_access(VirtAddr va, unsigned size,
+                                                    AccessType type, AccessKind kind,
+                                                    Privilege priv, u64 store_value,
+                                                    const PhysAddr* pre_pa = nullptr);
+  /// The PMP verdict of an access at `pa`: PmpUnit::check(), and on the
+  /// baseline core (ptstore_enabled off) the S-bit re-check: the S bit has
+  /// no meaning there, so a secure-region denial is re-run as a regular
+  /// access and only the base R/W/X rules apply.
+  bool pmp_allows(PhysAddr pa, unsigned size, AccessType type, AccessKind kind,
+                  Privilege priv) const {
+    const PmpDecision pd = pmp_.check(pa, size, type, kind, priv);
+    if (pd.allowed || cfg_.ptstore_enabled) return pd.allowed;
+    if (pd.reason != PmpDenyReason::kSecureRegular &&
+        pd.reason != PmpDenyReason::kPtInsnOutsideSecure) {
+      return false;
+    }
+    const PmpDecision regular = pmp_.check(pa, size, type, AccessKind::kRegular, priv);
+    return regular.allowed || regular.reason == PmpDenyReason::kSecureRegular;
+  }
   /// Fetch + decode + execute one instruction (the classic interpreter
-  /// path). `pre` as in access_with, for the decode-cache fallback.
+  /// path). With `pre`, the decode-cache fallback's already charged fetch
+  /// translation of pc_.
   StepResult step_fetch_decode(const TranslateResult* pre);
   /// run_block() with the trace hook called (kTraced) or compiled out.
   template <bool kTraced>
@@ -283,8 +314,8 @@ class Core {
   /// Decode a straight-line run starting at physical `pa` into the cache.
   /// Returns nullptr if not even one instruction could be cached.
   BBlock* bb_build(PhysAddr pa);
-  /// The PMP fetch check exactly as access_with performs it (including the
-  /// baseline-core S-bit fixup), without stats or faults.
+  /// The PMP check of a fetch parcel at `pa` (pmp_allows), without stats
+  /// or faults.
   bool bb_fetch_pmp_allowed(PhysAddr pa) const;
   /// The execute handler of `op`'s instruction class; execute() and every
   /// decoded-block entry dispatch through it.
@@ -409,5 +440,63 @@ class Core {
   telemetry::Counter sd_pt_;
   telemetry::Counter ld_pt_;
 };
+
+inline MemAccessResult Core::mem_access(VirtAddr va, unsigned size, AccessType type,
+                                        AccessKind kind, Privilege priv,
+                                        u64 store_value, const PhysAddr* pre_pa) {
+  MemAccessResult res;
+  PhysAddr pa = 0;
+  if (pre_pa != nullptr) {
+    pa = *pre_pa;
+  } else {
+    if (!is_aligned(va, size)) {
+      res.fault = isa::misaligned_for(type);
+      return res;
+    }
+    const TranslateResult tr = mmu_.translate(va, type, kind, ctx_for(priv));
+    res.cycles = tr.cycles;
+    if (!tr.ok) {
+      res.fault = tr.fault;
+      return res;
+    }
+    pa = tr.pa;
+  }
+  // PMP is checked on the *physical* address of every access — including
+  // TLB hits. This is exactly why PTStore survives TLB-inconsistency
+  // attacks (paper §V-E5): stale virtual permissions cannot bypass it.
+  if (!pmp_allows(pa, size, type, kind, priv)) {
+    res.fault = isa::access_fault_for(type);
+    pmp_faults_.add();
+    return res;
+  }
+  const bool write = type == AccessType::kWrite;
+  if (mem_.is_dram(pa, size)) [[likely]] {
+    // Hit latency is folded into the base CPI; only charge the excess.
+    Cache& cache = (type == AccessType::kExecute) ? icache_ : dcache_;
+    res.cycles += Cache::hierarchy_access(cache, l2_ ? &*l2_ : nullptr, pa, write);
+    if (write) {
+      mem_.write_dram(pa, size, store_value);
+    } else {
+      res.value = mem_.read_dram(pa, size);
+    }
+  } else if (mem_.is_mmio(pa, size)) {
+    res.cycles += 20;  // Uncached MMIO access.
+    if (write) {
+      mem_.write(pa, size, store_value);
+    } else {
+      res.value = mem_.read(pa, size);
+    }
+  } else {
+    res.fault = isa::access_fault_for(type);
+    return res;
+  }
+  // A store to a reserved address breaks the LR/SC reservation.
+  if (write && reservation_ && align_down(*reservation_, 8) == align_down(pa, 8)) {
+    reservation_.reset();
+  }
+  res.ok = true;
+  res.pa = pa;
+  return res;
+}
 
 }  // namespace ptstore

@@ -49,7 +49,8 @@ StepResult Core::step_fetch_decode(const TranslateResult* pre) {
   // With the C extension IALIGN is 16: fetch the low parcel first, and the
   // high parcel only when the low one announces a 32-bit encoding.
   const MemAccessResult lo =
-      access_with(pc_, 2, AccessType::kExecute, AccessKind::kRegular, priv_, 0, pre);
+      mem_access(pc_, 2, AccessType::kExecute, AccessKind::kRegular, priv_, 0,
+                 pre != nullptr ? &pre->pa : nullptr);
   cycles_ += lo.cycles;
   if (!lo.ok) return raise(lo.fault, pc_);
   u32 word = static_cast<u32>(lo.value);
@@ -283,7 +284,8 @@ StepResult Core::exec_mem(const Inst& in) {
   }
 
   if constexpr (kStore) {
-    const MemAccessResult r = access(va, size, AccessType::kWrite, kind, reg(in.rs2));
+    const MemAccessResult r =
+        mem_access(va, size, AccessType::kWrite, kind, priv_, reg(in.rs2));
     cycles_ += r.cycles;
     if (!r.ok) return raise(r.fault, va);
     if (kind == AccessKind::kPtInsn) {
@@ -294,7 +296,7 @@ StepResult Core::exec_mem(const Inst& in) {
       }
     }
   } else {
-    const MemAccessResult r = access(va, size, AccessType::kRead, kind);
+    const MemAccessResult r = mem_access(va, size, AccessType::kRead, kind, priv_, 0);
     cycles_ += r.cycles;
     if (!r.ok) return raise(r.fault, va);
     u64 v = r.value;

@@ -83,21 +83,36 @@ class PhysMem {
   /// but not the DRAM/MMIO boundary. DRAM is tested first (no device
   /// window overlaps it); an access inside one frame is served inline.
   u64 read(PhysAddr pa, unsigned size) {
-    assert(size == 1 || size == 2 || size == 4 || size == 8);
-    if (in_one_dram_frame(pa, size)) {
-      // Reads never materialize frames: untouched memory is zero.
-      const Frame* f = find_frame(pa);
-      if (f == nullptr) return 0;
-      return load_le(f->data + ((pa - dram_base_) & kPageMask), size);
-    }
-    return read_slow(pa, size);
+    return is_dram(pa, size) ? read_dram(pa, size) : read_slow(pa, size);
   }
   /// Storing zero into an untouched frame changes nothing and leaves the
   /// frame unmaterialized (no write_gen, no snapshot entry).
   void write(PhysAddr pa, unsigned size, u64 value) {
+    if (is_dram(pa, size)) {
+      write_dram(pa, size, value);
+    } else {
+      write_slow(pa, size, value);
+    }
+  }
+  /// read()/write() of an access the caller has already found to lie in
+  /// DRAM (is_dram(pa, size)), so the test is not repeated.
+  u64 read_dram(PhysAddr pa, unsigned size) {
     assert(size == 1 || size == 2 || size == 4 || size == 8);
-    if (in_one_dram_frame(pa, size)) {
-      const u64 off = (pa - dram_base_) & kPageMask;
+    assert(is_dram(pa, size));
+    const u64 off = (pa - dram_base_) & kPageMask;
+    if (off + size <= kPageSize) {
+      // Reads never materialize frames: untouched memory is zero.
+      const Frame* f = find_frame(pa);
+      if (f == nullptr) return 0;
+      return load_le(f->data + off, size);
+    }
+    return read_slow(pa, size);
+  }
+  void write_dram(PhysAddr pa, unsigned size, u64 value) {
+    assert(size == 1 || size == 2 || size == 4 || size == 8);
+    assert(is_dram(pa, size));
+    const u64 off = (pa - dram_base_) & kPageMask;
+    if (off + size <= kPageSize) {
       const bool zero = (value & mask_lo(8 * size)) == 0;
       if (u8* data = written_bytes(pa, off, size, zero)) {
         store_le(data + off, size, value);
@@ -212,9 +227,6 @@ class PhysMem {
       case 4: { const u32 v = static_cast<u32>(value); std::memcpy(p, &v, 4); break; }
       default: std::memcpy(p, &value, 8); break;
     }
-  }
-  bool in_one_dram_frame(PhysAddr pa, unsigned size) const {
-    return is_dram(pa, size) && ((pa - dram_base_) & kPageMask) + size <= kPageSize;
   }
   /// The materialized frame holding DRAM address `pa`, or nullptr.
   Frame* find_frame(PhysAddr pa) const {

@@ -6,12 +6,6 @@ namespace ptstore {
 
 namespace {
 
-/// Sv39 virtual addresses must be canonical: bits [63:39] replicate bit 38.
-bool canonical(VirtAddr va) {
-  const i64 s = static_cast<i64>(va);
-  return (s << 25 >> 25) == s;
-}
-
 u64 vpn_index(VirtAddr va, unsigned level) {
   return bits(va, 12 + 9 * level, 9);
 }
@@ -43,67 +37,19 @@ Mmu::Mmu(PhysMem& mem, PmpUnit& pmp, const TlbConfig& itlb_cfg,
       ad_updates_(bank.counter("mmu.ad_updates", "hardware A/D bit writebacks")),
       sfences_(bank.counter("mmu.sfence", "sfence.vma executions")) {}
 
-isa::TrapCause Mmu::leaf_check(u64 leaf, AccessType type,
-                               const TranslationContext& ctx) const {
-  using isa::TrapCause;
-  const bool u_page = (leaf & pte::kU) != 0;
-  if (ctx.priv == Privilege::kUser && !u_page) return isa::page_fault_for(type);
-  if (ctx.priv == Privilege::kSupervisor && u_page) {
-    // SUM allows S-mode loads/stores to U pages, never instruction fetch.
-    if (type == AccessType::kExecute || !ctx.sum) return isa::page_fault_for(type);
-  }
-  switch (type) {
-    case AccessType::kRead: {
-      const bool readable = (leaf & pte::kR) || (ctx.mxr && (leaf & pte::kX));
-      if (!readable) return TrapCause::kLoadPageFault;
-      break;
-    }
-    case AccessType::kWrite:
-      if (!(leaf & pte::kW)) return TrapCause::kStorePageFault;
-      break;
-    case AccessType::kExecute:
-      if (!(leaf & pte::kX)) return TrapCause::kInstPageFault;
-      break;
-  }
-  return TrapCause::kNone;
+TranslateResult Mmu::noncanonical(AccessType type) {
+  TranslateResult res;
+  res.fault = isa::page_fault_for(type);
+  noncanonical_.add();
+  return res;
 }
 
-TranslateResult Mmu::translate(VirtAddr va, AccessType type, AccessKind kind,
-                               const TranslationContext& ctx) {
-  TranslateResult res;
-  if (ctx.priv == Privilege::kMachine ||
-      isa::satp::mode(satp_) == isa::satp::kModeBare) {
-    res.ok = true;
-    res.pa = va;
-    res.level = 0;
-    res.leaf_pte = 0;
-    return res;
-  }
-  if (!canonical(va)) {
-    res.fault = isa::page_fault_for(type);
-    noncanonical_.add();
-    return res;
-  }
-
+TranslateResult Mmu::translate_scan(VirtAddr va, AccessType type, AccessKind kind,
+                                    const TranslationContext& ctx) {
   const u16 asid = static_cast<u16>(isa::satp::asid(satp_));
   Tlb& tlb = (type == AccessType::kExecute) ? itlb_ : dtlb_;
-  if (const TlbEntry* e = tlb.lookup(va, asid)) {
-    const isa::TrapCause fault = leaf_check(e->pte, type, ctx);
-    if (fault != isa::TrapCause::kNone) {
-      res.fault = fault;
-      return res;
-    }
-    // Writes through an entry whose D bit is clear re-walk so hardware can
-    // set D (and so stale-clean entries behave like real TLBs).
-    if (!(type == AccessType::kWrite && !(e->pte & pte::kD))) {
-      const u64 off_mask = mask_lo(12 + 9 * e->level);
-      res.ok = true;
-      res.tlb_hit = true;
-      res.pa = (pte::pa(e->pte) & ~off_mask) | (va & off_mask);
-      res.leaf_pte = e->pte;
-      res.level = e->level;
-      return res;
-    }
+  if (const TlbEntry* e = tlb.lookup_scan(va, asid)) {
+    return translate_hit(*e, va, type, kind, ctx);
   }
   return walk(va, type, kind, ctx);
 }
@@ -167,7 +113,8 @@ TranslateResult Mmu::walk_impl(VirtAddr va, AccessType type, AccessKind kind,
 
     // PTStore: with satp.S set, the walker refuses PTE fetches from outside
     // the PMP secure region — injected page tables are unreachable.
-    const bool nonsecure_pte = !pmp_.is_secure(pte_addr, kPteSize);
+    const PmpUnit::PteFetchView pv = pmp_.pte_fetch(pte_addr, ctx.priv);
+    const bool nonsecure_pte = !pv.secure;
     if (secure_check && nonsecure_pte) {
       res.fault = isa::access_fault_for(type);
       ptw_secure_denied_.add();
@@ -175,19 +122,17 @@ TranslateResult Mmu::walk_impl(VirtAddr va, AccessType type, AccessKind kind,
     }
 
     // Base PMP read check for the walker's own fetch.
-    const PmpDecision pd =
-        pmp_.check(pte_addr, kPteSize, AccessType::kRead, AccessKind::kPtw, ctx.priv);
-    if (!pd.allowed) {
+    if (!pv.allowed) {
       res.fault = isa::access_fault_for(type);
       ptw_pmp_denied_.add();
       return res;
     }
 
-    if (nonsecure_pte && pmp_.any_active()) {
+    if (nonsecure_pte && pv.any_active) {
       res.fetched_nonsecure_pte = true;
       ptw_nonsecure_fetch_.add();
     }
-    u64 entry = mem_.read_u64(pte_addr);
+    u64 entry = mem_.read_dram(pte_addr, kPteSize);
     // PTAuth-style verify-on-walk: the authentication unit checks every
     // fetched PTE before the walker consumes it; a MAC mismatch is an
     // access fault, like the satp.S deny above.

@@ -4,6 +4,13 @@
 // (paper §III-C2 / §IV-A1). This is the mechanism that defeats PT-Injection:
 // a hijacked page-table pointer aimed at attacker-controlled normal memory
 // simply cannot be walked.
+//
+// Host-speed notes. translate() is split: its fast path is inline below
+// (identity map, canonical check, the TLB memo branch, leaf check, D-bit
+// rule, in that order) and runs inside the core's one access path; a memo
+// miss goes out of line to translate_scan() (TLB scan, then walk). The
+// walker asks PmpUnit::pte_fetch() once per level for the secure, PMP and
+// any-active answers, all from one region-map lookup.
 #pragma once
 
 #include "cache/cache.h"
@@ -83,8 +90,30 @@ class Mmu {
   /// Translate `va` for an access of `type` issued by `kind`. Does NOT apply
   /// the PMP check on the final physical address — the core does that per
   /// access (which is what makes PTStore robust to stale TLB entries).
+  ///
+  /// The inline fast path, in this order: the identity map (M-mode or satp
+  /// Bare), the canonical check, the TLB's memo branch, the leaf check and
+  /// the D-bit rule. A memo miss goes to translate_scan() (TLB scan, then
+  /// walk), a store through a clean entry to walk().
   TranslateResult translate(VirtAddr va, AccessType type, AccessKind kind,
-                            const TranslationContext& ctx);
+                            const TranslationContext& ctx) {
+    if (ctx.priv == Privilege::kMachine ||
+        isa::satp::mode(satp_) == isa::satp::kModeBare) {
+      TranslateResult res;
+      res.ok = true;
+      res.pa = va;
+      return res;
+    }
+    if (!canonical(va)) [[unlikely]] {
+      return noncanonical(type);
+    }
+    const u16 asid = static_cast<u16>(isa::satp::asid(satp_));
+    Tlb& tlb = (type == AccessType::kExecute) ? itlb_ : dtlb_;
+    if (const TlbEntry* e = tlb.lookup_memo(va, asid)) {
+      return translate_hit(*e, va, type, kind, ctx);
+    }
+    return translate_scan(va, type, kind, ctx);
+  }
 
   /// sfence.vma: flush both TLBs (all, by address, and/or by ASID).
   void sfence(std::optional<VirtAddr> va, std::optional<u16> asid);
@@ -100,6 +129,36 @@ class Mmu {
                                               const TranslationContext& ctx);
 
  private:
+  /// Sv39 virtual addresses must be canonical: bits [63:39] replicate bit 38.
+  static bool canonical(VirtAddr va) {
+    const i64 s = static_cast<i64>(va);
+    return (s << 25 >> 25) == s;
+  }
+  /// The page fault of a non-canonical `va`, counted.
+  TranslateResult noncanonical(AccessType type);
+  /// translate() for a TLB hit on `e`: the leaf check, then the D-bit rule
+  /// (writes through an entry whose D bit is clear re-walk so hardware can
+  /// set D, and so stale-clean entries behave like real TLBs).
+  TranslateResult translate_hit(const TlbEntry& e, VirtAddr va, AccessType type,
+                                AccessKind kind, const TranslationContext& ctx) {
+    TranslateResult res;
+    const isa::TrapCause fault = leaf_check(e.pte, type, ctx);
+    if (fault != isa::TrapCause::kNone) {
+      res.fault = fault;
+      return res;
+    }
+    if (type == AccessType::kWrite && !(e.pte & pte::kD)) return walk(va, type, kind, ctx);
+    const u64 off_mask = mask_lo(12 + 9 * e.level);
+    res.ok = true;
+    res.tlb_hit = true;
+    res.pa = (pte::pa(e.pte) & ~off_mask) | (va & off_mask);
+    res.leaf_pte = e.pte;
+    res.level = e.level;
+    return res;
+  }
+  /// translate() past the TLB memo: the TLB scan, then the walk on a miss.
+  TranslateResult translate_scan(VirtAddr va, AccessType type, AccessKind kind,
+                                 const TranslationContext& ctx);
   /// walk() wraps walk_impl() in an optional trace span; all PTW logic and
   /// cycle accounting live in walk_impl().
   TranslateResult walk(VirtAddr va, AccessType type, AccessKind kind,
@@ -107,7 +166,30 @@ class Mmu {
   TranslateResult walk_impl(VirtAddr va, AccessType type, AccessKind kind,
                             const TranslationContext& ctx);
   /// Apply leaf-PTE permission rules; returns kNone when access is allowed.
-  isa::TrapCause leaf_check(u64 leaf, AccessType type, const TranslationContext& ctx) const;
+  static isa::TrapCause leaf_check(u64 leaf, AccessType type,
+                                   const TranslationContext& ctx) {
+    using isa::TrapCause;
+    const bool u_page = (leaf & pte::kU) != 0;
+    if (ctx.priv == Privilege::kUser && !u_page) return isa::page_fault_for(type);
+    if (ctx.priv == Privilege::kSupervisor && u_page) {
+      // SUM allows S-mode loads/stores to U pages, never instruction fetch.
+      if (type == AccessType::kExecute || !ctx.sum) return isa::page_fault_for(type);
+    }
+    switch (type) {
+      case AccessType::kRead: {
+        const bool readable = (leaf & pte::kR) || (ctx.mxr && (leaf & pte::kX));
+        if (!readable) return TrapCause::kLoadPageFault;
+        break;
+      }
+      case AccessType::kWrite:
+        if (!(leaf & pte::kW)) return TrapCause::kStorePageFault;
+        break;
+      case AccessType::kExecute:
+        if (!(leaf & pte::kX)) return TrapCause::kInstPageFault;
+        break;
+    }
+    return TrapCause::kNone;
+  }
 
   PhysMem& mem_;
   PmpUnit& pmp_;

@@ -1,6 +1,6 @@
 // The paper's §V-E security matrix, asserted exactly: PTStore defends all
-// six attack classes; the unprotected baseline falls to the five that apply
-// to it. Ablations confirm *which* mechanism stops each attack.
+// eight scenarios of the attack battery; the unprotected baseline falls to
+// all eight. Ablations confirm *which* mechanism stops each attack.
 #include "harness/battery.h"
 
 #include <gtest/gtest.h>

@@ -186,9 +186,16 @@ TEST(Pmp, DescribeListsActiveEntries) {
 // inside pages and on their edges), secure-enforcement toggles, and
 // accesses of every size, type, kind and privilege, the recent ones replayed
 // after each configuration write.
-TEST(Pmp, MemoizedCheckMatchesScan) {
+// The region map (check, is_secure, any_active) against the references it
+// replaces: scan(), the 16-entry is_secure_scan() loop and a scan of the cfg
+// registers. Random configurations over a few pages, plus the largest
+// ranges pmpaddr can express (it holds bits [55:2], so no entry reaches
+// 2^64: the largest NAPOT region is [0, 2^57)) and accesses that wrap past
+// 2^64. The S-bit enforcement is toggled between lookups too.
+TEST(Pmp, RegionMapMatchesScan) {
   constexpr PhysAddr kBase = 0x8000'0000;
   constexpr u64 kPages = 16;
+  constexpr u64 kTopAddr = mask_lo(54);  // Widest pmpaddr value.
   constexpr AccessType kTypes[] = {AccessType::kRead, AccessType::kWrite,
                                    AccessType::kExecute};
   constexpr AccessKind kKinds[] = {AccessKind::kRegular, AccessKind::kPtInsn,
@@ -208,16 +215,27 @@ TEST(Pmp, MemoizedCheckMatchesScan) {
     const PhysAddr page = kBase + rng.next_below(kPages + 1) * kPageSize;
     return rng.chance(0.5) ? page : page + 4 * rng.next_below(kPageSize / 4);
   };
+  // Edges of the largest ranges: the top of pmpaddr's reach (2^56), the end
+  // of the all-ones NAPOT region (2^57), and 2^64 itself.
+  auto high_edge = [&rng]() -> PhysAddr {
+    constexpr PhysAddr kEdges[] = {PhysAddr{1} << 56, PhysAddr{1} << 57, 0};
+    return kEdges[rng.next_below(3)];
+  };
   u64 compared = 0;
   auto expect_same = [&](const PmpUnit& pmp, const Access& a) {
     const PmpDecision want = pmp.scan(a.pa, a.size, a.type, a.kind, a.priv);
-    for (int rep = 0; rep < 2; ++rep) {  // Fill, then (maybe) hit.
-      const PmpDecision got = pmp.check(a.pa, a.size, a.type, a.kind, a.priv);
-      ASSERT_EQ(got.allowed, want.allowed) << std::hex << a.pa << " size " << a.size;
-      ASSERT_EQ(got.reason, want.reason) << std::hex << a.pa << " size " << a.size;
-      ASSERT_EQ(got.entry, want.entry) << std::hex << a.pa << " size " << a.size;
-      ++compared;
+    const PmpDecision got = pmp.check(a.pa, a.size, a.type, a.kind, a.priv);
+    ASSERT_EQ(got.allowed, want.allowed) << std::hex << a.pa << " size " << a.size;
+    ASSERT_EQ(got.reason, want.reason) << std::hex << a.pa << " size " << a.size;
+    ASSERT_EQ(got.entry, want.entry) << std::hex << a.pa << " size " << a.size;
+    ASSERT_EQ(pmp.is_secure(a.pa, a.size), pmp.is_secure_scan(a.pa, a.size))
+        << std::hex << a.pa << " size " << a.size;
+    bool active = false;
+    for (unsigned i = 0; i < kPmpEntryCount; ++i) {
+      active = active || (pmp.cfg(i) & pmpcfg::kAMask) != 0;
     }
+    ASSERT_EQ(pmp.any_active(), active);
+    ++compared;
   };
 
   for (int round = 0; round < 100; ++round) {
@@ -225,7 +243,7 @@ TEST(Pmp, MemoizedCheckMatchesScan) {
     std::vector<Access> recent;
     for (int step = 0; step < 40; ++step) {
       const unsigned idx = static_cast<unsigned>(rng.next_below(kPmpEntryCount));
-      switch (rng.next_below(5)) {
+      switch (rng.next_below(6)) {
         case 0:
         case 1: {
           const auto mode = static_cast<PmpMatch>(rng.next_below(4));
@@ -241,6 +259,9 @@ TEST(Pmp, MemoizedCheckMatchesScan) {
           pmp.set_addr(idx, (align_down(boundary(), size) >> 2) | (size / 8 - 1));
           break;
         }
+        case 4:  // The widest reach: TOR top / NA4 at 2^56 - 4, NAPOT [0, 2^57).
+          pmp.set_addr(idx, rng.chance(0.5) ? kTopAddr : kTopAddr >> 1);
+          break;
         default:
           pmp.set_secure_enforcement(rng.chance(0.5));
           break;
@@ -248,8 +269,18 @@ TEST(Pmp, MemoizedCheckMatchesScan) {
       for (const Access& a : recent) expect_same(pmp, a);
       for (int k = 0; k < 24; ++k) {
         Access a{};
-        a.pa = rng.chance(0.5) ? kBase + rng.next_below(kPages * kPageSize)
-                               : boundary() - 8 + rng.next_below(16);
+        switch (rng.next_below(4)) {
+          case 0:
+          case 1:
+            a.pa = kBase + rng.next_below(kPages * kPageSize);
+            break;
+          case 2:
+            a.pa = boundary() - 8 + rng.next_below(16);
+            break;
+          default:  // Around a high edge; from 2^64 - 8 up, accesses wrap.
+            a.pa = high_edge() - 8 + rng.next_below(16);
+            break;
+        }
         a.size = u64{1} << rng.next_below(4);
         a.type = kTypes[rng.next_below(3)];
         a.kind = kKinds[rng.next_below(3)];
@@ -259,6 +290,13 @@ TEST(Pmp, MemoizedCheckMatchesScan) {
           recent.push_back(a);
         } else {
           recent[rng.next_below(recent.size())] = a;
+        }
+        // Flip the enforcement between two lookups; the next ones (this
+        // access again, then the recent ones) must see it.
+        if (rng.chance(0.05)) {
+          pmp.set_secure_enforcement(!pmp.secure_enforcement());
+          expect_same(pmp, a);
+          for (const Access& r : recent) expect_same(pmp, r);
         }
       }
       if (HasFatalFailure()) return;

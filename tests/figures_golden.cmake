@@ -8,15 +8,21 @@
 #
 # Invoked by ctest as:
 #   cmake -DBENCH=<bench executable> -DGOLDEN=<golden file> -DACTUAL_DIR=<dir>
-#         [-DHARTS=<n>] -P figures_golden.cmake
+#         [-DHARTS=<n> | -DARGS=<arguments>] -P figures_golden.cmake
+# ARGS (space-separated) replaces the default "--smoke [--harts n]", so a
+# tool's stdout can be pinned the same way.
 if(NOT DEFINED BENCH OR NOT DEFINED GOLDEN OR NOT DEFINED ACTUAL_DIR)
   message(FATAL_ERROR
-    "usage: cmake -DBENCH=... -DGOLDEN=... -DACTUAL_DIR=... [-DHARTS=n] -P ${CMAKE_CURRENT_LIST_FILE}")
+    "usage: cmake -DBENCH=... -DGOLDEN=... -DACTUAL_DIR=... [-DHARTS=n | -DARGS=...] -P ${CMAKE_CURRENT_LIST_FILE}")
 endif()
 
-set(args --smoke)
-if(DEFINED HARTS)
-  list(APPEND args --harts ${HARTS})
+if(DEFINED ARGS)
+  separate_arguments(args UNIX_COMMAND "${ARGS}")
+else()
+  set(args --smoke)
+  if(DEFINED HARTS)
+    list(APPEND args --harts ${HARTS})
+  endif()
 endif()
 string(JOIN " " run "${BENCH}" ${args})
 file(MAKE_DIRECTORY "${ACTUAL_DIR}")

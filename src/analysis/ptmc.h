@@ -175,7 +175,7 @@ enum class OpKind : u8 {
   kFreePt,       ///< free_pt: release that page again.
   kGrow,         ///< Secure-region growth: boundary moves down one page.
   kUserAccess,   ///< A user access drives the PTW over the current satp.
-  // Attacker primitives (src/attacks/primitive.h threat model).
+  // Attacker primitives (src/harness/primitive.h threat model).
   kAtkWritePage,         ///< Arbitrary regular write into page a.
   kAtkRedirectPgd,       ///< PCB write: proc a's pgd := page b.
   kAtkRedirectToken,     ///< PCB write: proc a's token pointer := TokenRef b.

@@ -5,7 +5,7 @@
 //   WITNESSED            — a SAT path to the flagged pc was found and
 //                          materialised into a WitnessTrace; the caller must
 //                          still replay it on the concrete System (see
-//                          attacks/witness_replay.h) before printing the
+//                          harness/witness_replay.h) before printing the
 //                          verdict.
 //   BOUNDED-UNREACHABLE  — every path from every analysis root was explored
 //                          to completion (no budget cut, no unresolved

@@ -1,6 +1,6 @@
 #include "harness/battery.h"
 
-#include "attacks/support.h"
+#include "harness/support.h"
 #include "common/bits.h"
 #include "kernel/token.h"
 #include "mmu/pte.h"

@@ -6,8 +6,8 @@
 #include <iterator>
 #include <sstream>
 
-#include "attacks/primitive.h"
-#include "attacks/support.h"
+#include "harness/primitive.h"
+#include "harness/support.h"
 #include "common/rng.h"
 #include "harness/fleet.h"
 #include "telemetry/json.h"

@@ -1,4 +1,4 @@
-#include "attacks/support.h"
+#include "harness/support.h"
 
 #include "common/bits.h"
 #include "mmu/pte.h"

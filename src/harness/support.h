@@ -6,7 +6,7 @@
 
 #include <optional>
 
-#include "attacks/primitive.h"
+#include "harness/primitive.h"
 #include "kernel/system.h"
 
 namespace ptstore::attacks {

@@ -1,4 +1,4 @@
-#include "attacks/witness_replay.h"
+#include "harness/witness_replay.h"
 
 #include <array>
 #include <memory>

@@ -70,7 +70,7 @@ TranslateResult Mmu::walk(VirtAddr va, AccessType type, AccessKind kind,
   if (tr != nullptr) {
     tr->begin(telemetry::Subsystem::kPtw, "ptw", now, instret, priv, va);
   }
-  if (pf != nullptr) pf->push("ptw", now, priv);
+  if (pf != nullptr) pf->push("ptw", telemetry::Subsystem::kPtw, now, priv);
   TranslateResult res = walk_impl(va, type, kind, ctx);
   const u64 end = now + res.cycles;
   if (pf != nullptr) {

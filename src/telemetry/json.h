@@ -1,7 +1,7 @@
 // Dependency-free JSON support for the telemetry layer: a streaming writer
 // (commas/escaping handled centrally so exporters cannot emit malformed
-// documents) and a small recursive-descent parser used by ptperf and the
-// tests to validate what the exporters produced. Numbers parse as double —
+// documents) and a small recursive-descent parser used by ptprof (saved
+// profiles) and the tests to validate what the exporters produced. Numbers parse as double —
 // exact for every counter below 2^53, which is all the schema checks need.
 #pragma once
 

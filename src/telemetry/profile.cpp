@@ -47,6 +47,75 @@ std::vector<std::string_view> split_stack(std::string_view key) {
 
 }  // namespace
 
+const char* to_string(Subsystem s) {
+  switch (s) {
+    case Subsystem::kTrap: return "trap";
+    case Subsystem::kSyscall: return "syscall";
+    case Subsystem::kSwitchMm: return "switch_mm";
+    case Subsystem::kToken: return "token";
+    case Subsystem::kPtw: return "ptw";
+    case Subsystem::kPtInsn: return "pt_insn";
+    case Subsystem::kSecureRegion: return "secure_region";
+    case Subsystem::kBBCache: return "bbcache";
+    case Subsystem::kOther: return "other";
+  }
+  return "?";
+}
+
+std::string render_profile(const CycleProfile& prof) {
+  std::ostringstream os;
+  char line[128];
+
+  struct Row {
+    Subsystem sub;
+    u64 cycles;
+  };
+  std::vector<Row> rows;
+  for (size_t i = 0; i < kSubsystemCount; ++i) {
+    rows.push_back(Row{static_cast<Subsystem>(i), prof.self_cycles[i]});
+  }
+  // Tie-break on the subsystem id: std::sort is unstable, so equal-cycle
+  // subsystems would otherwise swap between runs of an identical simulation.
+  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    if (a.cycles != b.cycles) return a.cycles > b.cycles;
+    return a.sub < b.sub;
+  });
+
+  const double total =
+      prof.total_cycles == 0 ? 1.0 : static_cast<double>(prof.total_cycles);
+  os << "cycle attribution (self-cycles by subsystem)\n";
+  std::snprintf(line, sizeof line, "  %-14s %16s %8s\n", "subsystem", "cycles", "%");
+  os << line;
+  u64 sum = 0;
+  for (const Row& r : rows) {
+    if (r.cycles == 0) continue;
+    sum += r.cycles;
+    std::snprintf(line, sizeof line, "  %-14s %16llu %7.2f%%\n", to_string(r.sub),
+                  static_cast<unsigned long long>(r.cycles),
+                  100.0 * static_cast<double>(r.cycles) / total);
+    os << line;
+  }
+  std::snprintf(line, sizeof line, "  %-14s %16llu %7.2f%%\n", "TOTAL",
+                static_cast<unsigned long long>(sum),
+                100.0 * static_cast<double>(sum) / total);
+  os << line;
+
+  os << "\ncycles by privilege\n";
+  static constexpr const char* kPrivNames[kPrivilegeCount] = {"U-mode", "S-mode",
+                                                              "(res)", "M-mode"};
+  for (size_t p = 0; p < kPrivilegeCount; ++p) {
+    if (prof.priv_cycles[p] == 0) continue;
+    std::snprintf(line, sizeof line, "  %-14s %16llu %7.2f%%\n", kPrivNames[p],
+                  static_cast<unsigned long long>(prof.priv_cycles[p]),
+                  100.0 * static_cast<double>(prof.priv_cycles[p]) / total);
+    os << line;
+  }
+  std::snprintf(line, sizeof line, "  %-14s %16llu\n", "total cycles",
+                static_cast<unsigned long long>(prof.total_cycles));
+  os << line;
+  return os.str();
+}
+
 // ---- FoldedProfile ----
 
 FoldedProfile FoldedProfile::filter_label(std::string_view label) const {
@@ -344,15 +413,17 @@ u32 Profiler::intern_guest(u64 addr) {
   return id;
 }
 
-u32 Profiler::child_node(Tree& t, u32 parent, u32 frame) {
+u32 Profiler::child_node(Tree& t, u32 parent, u32 frame,
+                         std::optional<Subsystem> sub) {
   Node& p = t.nodes[parent];
   const auto it = p.children.find(frame);
   if (it != p.children.end()) return it->second;
   const u32 idx = static_cast<u32>(t.nodes.size());
-  t.nodes[parent].children.emplace(frame, idx);
+  p.children.emplace(frame, idx);
   Node n;
   n.frame = frame;
   n.parent = static_cast<i32>(parent);
+  n.sub = sub.value_or(p.sub);
   t.nodes.push_back(std::move(n));
   return idx;
 }
@@ -369,7 +440,7 @@ void Profiler::session_begin(std::string_view label, u64 cycles, u8 priv) {
   if (in_session_) session_end(cycles);
   Tree& t = trees_[std::string(label)];
   if (t.nodes.empty()) {
-    for (size_t p = 0; p < kProfPrivCount; ++p) {
+    for (size_t p = 0; p < kPrivilegeCount; ++p) {
       Node root;
       root.frame = intern(root_frame_name(p));
       t.roots[p] = static_cast<u32>(t.nodes.size());
@@ -377,7 +448,7 @@ void Profiler::session_begin(std::string_view label, u64 cycles, u8 priv) {
     }
   }
   cur_ = &t;
-  for (size_t p = 0; p < kProfPrivCount; ++p) {
+  for (size_t p = 0; p < kPrivilegeCount; ++p) {
     stack_[p].clear();
     stack_[p].push_back(t.roots[p]);
     skipped_[p] = 0;
@@ -400,8 +471,8 @@ void Profiler::session_end(u64 cycles) {
   for (auto& s : stack_) s.clear();
 }
 
-void Profiler::push(const char* name, u64 cycles, u8 priv) {
-  if (!in_session_) return;
+void Profiler::push_frame(u32 frame, std::optional<Subsystem> sub, u64 cycles,
+                          u8 priv) {
   attribute(cycles, priv);
   const u8 p = static_cast<u8>(priv & 3);
   if (stack_[p].size() >= kMaxDepth) {
@@ -409,9 +480,17 @@ void Profiler::push(const char* name, u64 cycles, u8 priv) {
     truncated_ += 1;
     return;
   }
-  const u32 node = child_node(*cur_, stack_[p].back(), intern(name));
+  const u32 node = child_node(*cur_, stack_[p].back(), frame, sub);
   stack_[p].push_back(node);
   cur_->nodes[node].count += 1;
+}
+
+void Profiler::push(const char* name, Subsystem sub, u64 cycles, u8 priv) {
+  if (in_session_) push_frame(intern(name), sub, cycles, priv);
+}
+
+void Profiler::push(const char* name, u64 cycles, u8 priv) {
+  if (in_session_) push_frame(intern(name), std::nullopt, cycles, priv);
 }
 
 void Profiler::pop(u64 cycles, u8 priv) {
@@ -426,17 +505,7 @@ void Profiler::pop(u64 cycles, u8 priv) {
 }
 
 void Profiler::on_call(u64 target_pc, u64 cycles, u8 priv) {
-  if (!in_session_) return;
-  attribute(cycles, priv);
-  const u8 p = static_cast<u8>(priv & 3);
-  if (stack_[p].size() >= kMaxDepth) {
-    skipped_[p] += 1;
-    truncated_ += 1;
-    return;
-  }
-  const u32 node = child_node(*cur_, stack_[p].back(), intern_guest(target_pc));
-  stack_[p].push_back(node);
-  cur_->nodes[node].count += 1;
+  if (in_session_) push_frame(intern_guest(target_pc), std::nullopt, cycles, priv);
 }
 
 void Profiler::on_ret(u64 cycles, u8 priv) { pop(cycles, priv); }
@@ -482,7 +551,7 @@ FoldedProfile Profiler::snapshot() const {
       u32 node;
       std::string path;
     };
-    for (size_t p = 0; p < kProfPrivCount; ++p) {
+    for (size_t p = 0; p < kPrivilegeCount; ++p) {
       std::vector<Visit> work;
       work.push_back(
           Visit{tree.roots[p],
@@ -500,6 +569,24 @@ FoldedProfile Profiler::snapshot() const {
         for (const auto& [frame, child] : n.children) {
           work.push_back(Visit{child, v.path + ";" + frame_name(frame)});
         }
+      }
+    }
+  }
+  return out;
+}
+
+CycleProfile Profiler::cycle_profile() const {
+  CycleProfile out;
+  for (const auto& [label, tree] : trees_) {
+    out.total_cycles += tree.total;
+    for (size_t p = 0; p < kPrivilegeCount; ++p) {
+      std::vector<u32> work{tree.roots[p]};
+      while (!work.empty()) {
+        const Node& n = tree.nodes[work.back()];
+        work.pop_back();
+        out.self_cycles[static_cast<size_t>(n.sub)] += n.self;
+        out.priv_cycles[p] += n.self;
+        for (const auto& [frame, child] : n.children) work.push_back(child);
       }
     }
   }

@@ -4,6 +4,8 @@
 // (parent, frame) nodes. Like the EventRing, no call site ever charges
 // cycles for it — simulated timing with profiling enabled is bit-identical
 // to profiling disabled (asserted by tests/integration/telemetry_test.cpp).
+// It is the repo's one cycle-attribution engine: the flat per-subsystem and
+// per-privilege table (CycleProfile) is a rollup of its trees.
 //
 // Event sources:
 //   - guest call/ret observed at retire in the core (jal/jalr with the RISC-V
@@ -16,12 +18,15 @@
 //   - the MMU walker ("ptw", with a "ptw_verify" child sized by the
 //     walk-time verifier's charged cycles).
 //
-// Attribution mirrors EventRing::attribute: each event charges the interval
-// [mark, now) to the innermost open frame of the privilege level that was
-// current when the interval started, so per-frame self cycles sum exactly
-// to the session total. Per-privilege pseudo-roots ("[U]", "[S]", "[M]")
-// absorb time with no frame open — their share is the "unknown" bucket the
-// differential attribution gate bounds.
+// Each event charges the interval [mark, now) to the innermost open frame
+// of the privilege level that was current when the interval started, so
+// per-frame self cycles sum exactly to the session total. Per-privilege
+// pseudo-roots ("[U]", "[S]", "[M]") absorb time with no frame open — their
+// share is the "unknown" bucket the differential attribution gate bounds.
+//
+// Every trie node carries a Subsystem: ScopedSpan frames and the walker's
+// "ptw" name theirs, pseudo-roots are kOther, and every other frame
+// (ProfScope markers, "ptw_verify", guest calls) inherits its parent's.
 //
 // The canonical exchange format is the folded-stack map (flamegraph.pl
 // compatible): "label;[P];caller;callee" -> {cycles, count}, an ordered map
@@ -44,7 +49,42 @@
 
 namespace ptstore::telemetry {
 
-inline constexpr size_t kProfPrivCount = 4;  ///< Privilege encodings 0..3.
+inline constexpr size_t kPrivilegeCount = 4;  ///< Privilege encodings 0..3.
+
+enum class Subsystem : u8 {
+  kTrap = 0,      ///< Trap/interrupt entry-exit and page-fault handling.
+  kSyscall,       ///< Kernel syscall layer (by Sys).
+  kSwitchMm,      ///< Context switch: switch_mm + satp write.
+  kToken,         ///< PTStore token validation.
+  kPtw,           ///< Hardware page-table walks.
+  kPtInsn,        ///< ld.pt/sd.pt secure-region accesses.
+  kSecureRegion,  ///< Secure-region growth (adjustment).
+  kBBCache,       ///< Decoded-block cache fills/evictions (host-side).
+  kOther,         ///< Everything outside an instrumented span.
+};
+inline constexpr size_t kSubsystemCount = 9;
+
+const char* to_string(Subsystem s);
+
+/// Flat cycle-attribution profile, rolled up from the Profiler's trees.
+/// self_cycles[s] is the self time of every node tagged `s`; priv_cycles[p]
+/// that of every node under privilege root p. Both sum to total_cycles.
+struct CycleProfile {
+  std::array<u64, kSubsystemCount> self_cycles{};
+  std::array<u64, kPrivilegeCount> priv_cycles{};
+  u64 total_cycles = 0;
+
+  u64 attributed() const {
+    u64 sum = 0;
+    for (const u64 c : self_cycles) sum += c;
+    return sum;
+  }
+};
+
+/// Render the "where do the cycles go" table: self-cycles per subsystem
+/// (descending, with percentages) and per privilege, each summing exactly to
+/// the total session cycles.
+std::string render_profile(const CycleProfile& prof);
 
 // ---- Folded profile: the canonical serialized form ----
 
@@ -152,7 +192,9 @@ class Profiler {
   void session_end(u64 cycles);
   bool in_session() const { return in_session_; }
 
-  /// Kernel-model frames. `name` must be a static string.
+  /// Kernel-model frames. `name` must be a static string. A frame pushed
+  /// without a subsystem inherits its parent's.
+  void push(const char* name, Subsystem sub, u64 cycles, u8 priv);
   void push(const char* name, u64 cycles, u8 priv);
   void pop(u64 cycles, u8 priv);
 
@@ -175,6 +217,9 @@ class Profiler {
   /// resolve to their symbol, or "guest_0x..." when unregistered.
   FoldedProfile snapshot() const;
 
+  /// Roll every label tree up by subsystem and by privilege root.
+  CycleProfile cycle_profile() const;
+
   void clear();
 
   static constexpr size_t kMaxDepth = 128;
@@ -190,17 +235,21 @@ class Profiler {
     i32 parent = -1;
     u64 self = 0;
     u64 count = 0;
+    Subsystem sub = Subsystem::kOther;
     std::map<u32, u32> children;  ///< frame id -> node index.
   };
   struct Tree {
     std::vector<Node> nodes;
-    std::array<u32, kProfPrivCount> roots{};
+    std::array<u32, kPrivilegeCount> roots{};
     u64 total = 0;
   };
 
   u32 intern(const char* name);
   u32 intern_guest(u64 addr);
-  u32 child_node(Tree& t, u32 parent, u32 frame);
+  /// The child of `parent` for `frame`; a new node is tagged `sub`, or its
+  /// parent's subsystem when `sub` is empty.
+  u32 child_node(Tree& t, u32 parent, u32 frame, std::optional<Subsystem> sub);
+  void push_frame(u32 frame, std::optional<Subsystem> sub, u64 cycles, u8 priv);
   /// Charge [mark_, now) to the innermost frame of cur_priv_, then make
   /// `priv` current.
   void attribute(u64 now, u8 priv);
@@ -218,10 +267,10 @@ class Profiler {
   u64 session_start_ = 0;
   u64 mark_ = 0;
   u8 cur_priv_ = 3;
-  std::array<std::vector<u32>, kProfPrivCount> stack_;
+  std::array<std::vector<u32>, kPrivilegeCount> stack_;
   /// Frames refused at the depth cap per privilege; the matching pop/ret is
   /// swallowed so the stack stays aligned.
-  std::array<u64, kProfPrivCount> skipped_{};
+  std::array<u64, kPrivilegeCount> skipped_{};
   /// Banked U-mode stacks of switched-out address spaces (per session).
   std::map<u64, std::vector<u32>> user_stacks_;
   u64 cur_mm_ = 0;

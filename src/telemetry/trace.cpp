@@ -4,49 +4,6 @@
 
 namespace ptstore::telemetry {
 
-const char* to_string(Subsystem s) {
-  switch (s) {
-    case Subsystem::kTrap: return "trap";
-    case Subsystem::kSyscall: return "syscall";
-    case Subsystem::kSwitchMm: return "switch_mm";
-    case Subsystem::kToken: return "token";
-    case Subsystem::kPtw: return "ptw";
-    case Subsystem::kPtInsn: return "pt_insn";
-    case Subsystem::kSecureRegion: return "secure_region";
-    case Subsystem::kBBCache: return "bbcache";
-    case Subsystem::kOther: return "other";
-  }
-  return "?";
-}
-
-void EventRing::session_begin(u64 cycles) {
-  ++session_;
-  in_session_ = true;
-  session_start_ = cycles;
-  mark_ = cycles;
-  cur_priv_ = 3;
-  stack_.clear();
-}
-
-void EventRing::session_end(u64 cycles) {
-  if (!in_session_) return;
-  attribute(cycles);
-  profile_.total_cycles += cycles - session_start_;
-  in_session_ = false;
-  stack_.clear();
-}
-
-void EventRing::attribute(u64 now) {
-  if (!in_session_) return;
-  // Timestamps within a session come from one core and are monotone; guard
-  // anyway so a misbehaving emitter cannot underflow the profile.
-  const u64 delta = now >= mark_ ? now - mark_ : 0;
-  const Subsystem sub = stack_.empty() ? Subsystem::kOther : stack_.back();
-  profile_.self_cycles[static_cast<size_t>(sub)] += delta;
-  profile_.priv_cycles[cur_priv_ & 3] += delta;
-  mark_ = now;
-}
-
 void EventRing::push(const TraceEvent& ev) {
   ++total_;
   if (capacity_ == 0) {
@@ -62,37 +19,20 @@ void EventRing::push(const TraceEvent& ev) {
 
 void EventRing::begin(Subsystem sub, const char* name, u64 cycles, u64 instret,
                       u8 priv, u64 arg) {
-  attribute(cycles);
-  cur_priv_ = priv;
-  if (in_session_) stack_.push_back(sub);
   push(TraceEvent{cycles, instret, name, arg, session_, sub, EventPhase::kBegin,
                   priv});
 }
 
 void EventRing::end(Subsystem sub, const char* name, u64 cycles, u64 instret,
                     u8 priv, u64 arg) {
-  attribute(cycles);
-  cur_priv_ = priv;
-  if (in_session_ && !stack_.empty()) stack_.pop_back();
   push(TraceEvent{cycles, instret, name, arg, session_, sub, EventPhase::kEnd,
                   priv});
 }
 
 void EventRing::instant(Subsystem sub, const char* name, u64 cycles, u64 instret,
                         u8 priv, u64 arg) {
-  attribute(cycles);
-  cur_priv_ = priv;
   push(TraceEvent{cycles, instret, name, arg, session_, sub, EventPhase::kInstant,
                   priv});
-}
-
-void EventRing::clear() {
-  events_.clear();
-  total_ = dropped_ = 0;
-  session_ = 0;
-  in_session_ = false;
-  stack_.clear();
-  profile_ = CycleProfile{};
 }
 
 namespace {

@@ -4,41 +4,19 @@
 // with tracing enabled is bit-identical to tracing disabled (asserted by
 // tests/integration/telemetry_test.cpp).
 //
-// The ring also keeps an online cycle-attribution profile: self-cycles by
-// subsystem (span duration minus nested-span durations) and by privilege,
-// which by construction sum exactly to the total session cycles — the
-// "where do the cycles go" table ptperf renders.
-//
-// Each System's core starts counting cycles at 0, and one bench run builds
-// several systems (the four paper configurations), so the workload driver
-// brackets every run_on() in a session: session boundaries reset the
-// timestamp origin and scope attribution to one machine.
+// The ring is only the event log; cycle attribution is the Profiler's
+// (profile.h). Each System's core starts counting cycles at 0, and one
+// bench run builds several systems (the four paper configurations), so the
+// workload driver starts a session per run_on(): events carry the session
+// index, which the Chrome export uses as the process id.
 #pragma once
 
-#include <array>
 #include <deque>
-#include <vector>
 
 #include "common/types.h"
 #include "telemetry/profile.h"
 
 namespace ptstore::telemetry {
-
-enum class Subsystem : u8 {
-  kTrap = 0,      ///< Trap/interrupt entry-exit and page-fault handling.
-  kSyscall,       ///< Kernel syscall layer (by Sys).
-  kSwitchMm,      ///< Context switch: switch_mm + satp write.
-  kToken,         ///< PTStore token validation.
-  kPtw,           ///< Hardware page-table walks.
-  kPtInsn,        ///< ld.pt/sd.pt secure-region accesses.
-  kSecureRegion,  ///< Secure-region growth (adjustment).
-  kBBCache,       ///< Decoded-block cache fills/evictions (host-side).
-  kOther,         ///< Everything outside an instrumented span.
-};
-inline constexpr size_t kSubsystemCount = 9;
-inline constexpr size_t kPrivilegeCount = 4;  ///< Privilege encodings 0..3.
-
-const char* to_string(Subsystem s);
 
 enum class EventPhase : u8 {
   kBegin,    ///< Span opens.
@@ -57,29 +35,12 @@ struct TraceEvent {
   u8 priv = 3;  ///< Privilege at emission (Privilege encoding; 3 = M).
 };
 
-/// Flat cycle-attribution profile. self_cycles[s] is the time spent with
-/// subsystem `s` as the innermost open span; both breakdowns sum to
-/// total_cycles by construction.
-struct CycleProfile {
-  std::array<u64, kSubsystemCount> self_cycles{};
-  std::array<u64, kPrivilegeCount> priv_cycles{};
-  u64 total_cycles = 0;
-
-  u64 attributed() const {
-    u64 sum = 0;
-    for (const u64 c : self_cycles) sum += c;
-    return sum;
-  }
-};
-
 class EventRing {
  public:
   explicit EventRing(size_t capacity = size_t{1} << 16) : capacity_(capacity) {}
 
-  /// Bracket one simulated machine's run. Events emitted outside a session
-  /// are recorded but not attributed (their cycle origin is unknown).
-  void session_begin(u64 cycles);
-  void session_end(u64 cycles);
+  /// Start the next simulated machine's run: later events carry its index.
+  void session_begin() { ++session_; }
 
   void begin(Subsystem sub, const char* name, u64 cycles, u64 instret, u8 priv,
              u64 arg = 0);
@@ -95,30 +56,14 @@ class EventRing {
   u32 sessions() const { return session_; }
   size_t capacity() const { return capacity_; }
 
-  /// Attribution over every *closed* session so far. Exact regardless of
-  /// ring drops: the profile is accumulated online, not replayed.
-  const CycleProfile& profile() const { return profile_; }
-
-  void clear();
-
  private:
   void push(const TraceEvent& ev);
-  /// Charge [mark_, now) to the innermost open span (or kOther) and to the
-  /// current privilege, then advance the mark.
-  void attribute(u64 now);
 
   size_t capacity_;
   std::deque<TraceEvent> events_;
   u64 total_ = 0;
   u64 dropped_ = 0;
-
   u32 session_ = 0;
-  bool in_session_ = false;
-  u64 session_start_ = 0;
-  u64 mark_ = 0;
-  u8 cur_priv_ = 3;
-  std::vector<Subsystem> stack_;
-  CycleProfile profile_;
 };
 
 // ---- Global trace session ----
@@ -141,8 +86,9 @@ void disable_tracing();
 /// RAII span over any clock-bearing object with cycles()/instret()/priv()
 /// (Core and Kernel-adjacent components). No-op while tracing is disabled.
 /// When a call-stack profiler is active on this thread (profile.h), the
-/// span doubles as a profile frame, so every instrumented kernel path shows
-/// up in flamegraphs without separate markers.
+/// span doubles as a profile frame tagged with its subsystem, so every
+/// instrumented kernel path shows up in flamegraphs and in the cycle
+/// attribution table without separate markers.
 template <typename ClockT>
 class ScopedSpan {
  public:
@@ -154,7 +100,7 @@ class ScopedSpan {
                    static_cast<u8>(clock_.priv()), arg);
     }
     if (prof_ != nullptr) {
-      prof_->push(name_, clock_.cycles(), static_cast<u8>(clock_.priv()));
+      prof_->push(name_, sub_, clock_.cycles(), static_cast<u8>(clock_.priv()));
     }
   }
   ~ScopedSpan() {

@@ -1,6 +1,5 @@
 #include "telemetry/trace_export.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <sstream>
 
@@ -58,60 +57,6 @@ void write_chrome_trace(std::ostream& os, const EventRing& ring) {
 std::string chrome_trace_json(const EventRing& ring) {
   std::ostringstream os;
   write_chrome_trace(os, ring);
-  return os.str();
-}
-
-std::string render_profile(const CycleProfile& prof) {
-  std::ostringstream os;
-  char line[128];
-
-  struct Row {
-    Subsystem sub;
-    u64 cycles;
-  };
-  std::vector<Row> rows;
-  for (size_t i = 0; i < kSubsystemCount; ++i) {
-    rows.push_back(Row{static_cast<Subsystem>(i), prof.self_cycles[i]});
-  }
-  // Tie-break on the subsystem id: std::sort is unstable, so equal-cycle
-  // subsystems would otherwise swap between runs of an identical simulation.
-  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-    if (a.cycles != b.cycles) return a.cycles > b.cycles;
-    return a.sub < b.sub;
-  });
-
-  const double total =
-      prof.total_cycles == 0 ? 1.0 : static_cast<double>(prof.total_cycles);
-  os << "cycle attribution (self-cycles by subsystem)\n";
-  std::snprintf(line, sizeof line, "  %-14s %16s %8s\n", "subsystem", "cycles", "%");
-  os << line;
-  u64 sum = 0;
-  for (const Row& r : rows) {
-    if (r.cycles == 0) continue;
-    sum += r.cycles;
-    std::snprintf(line, sizeof line, "  %-14s %16llu %7.2f%%\n", to_string(r.sub),
-                  static_cast<unsigned long long>(r.cycles),
-                  100.0 * static_cast<double>(r.cycles) / total);
-    os << line;
-  }
-  std::snprintf(line, sizeof line, "  %-14s %16llu %7.2f%%\n", "TOTAL",
-                static_cast<unsigned long long>(sum),
-                100.0 * static_cast<double>(sum) / total);
-  os << line;
-
-  os << "\ncycles by privilege\n";
-  static constexpr const char* kPrivNames[kPrivilegeCount] = {"U-mode", "S-mode",
-                                                              "(res)", "M-mode"};
-  for (size_t p = 0; p < kPrivilegeCount; ++p) {
-    if (prof.priv_cycles[p] == 0) continue;
-    std::snprintf(line, sizeof line, "  %-14s %16llu %7.2f%%\n", kPrivNames[p],
-                  static_cast<unsigned long long>(prof.priv_cycles[p]),
-                  100.0 * static_cast<double>(prof.priv_cycles[p]) / total);
-    os << line;
-  }
-  std::snprintf(line, sizeof line, "  %-14s %16llu\n", "total cycles",
-                static_cast<unsigned long long>(prof.total_cycles));
-  os << line;
   return os.str();
 }
 

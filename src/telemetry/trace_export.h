@@ -1,6 +1,5 @@
-// Exporters over the EventRing: Chrome trace_event JSON (open the file in
-// chrome://tracing or https://ui.perfetto.dev) and the flat cycle-attribution
-// table ptperf prints.
+// Exporter over the EventRing: Chrome trace_event JSON (open the file in
+// chrome://tracing or https://ui.perfetto.dev).
 //
 // Chrome-trace mapping: ts/dur are microseconds in the viewer; we emit one
 // simulated cycle per microsecond (so "1 ms" on screen = 1000 cycles).
@@ -17,10 +16,5 @@ namespace ptstore::telemetry {
 
 void write_chrome_trace(std::ostream& os, const EventRing& ring);
 std::string chrome_trace_json(const EventRing& ring);
-
-/// Render the "where do the cycles go" table: self-cycles per subsystem
-/// (descending, with percentages) and per privilege, each summing exactly to
-/// the total session cycles.
-std::string render_profile(const CycleProfile& prof);
 
 }  // namespace ptstore::telemetry

@@ -1,5 +1,5 @@
 // Campaign workloads: the randomized fleet campaigns of src/harness exposed
-// through the workload registry, so any bench driver (and ptperf) can run
+// through the workload registry, so any bench driver (and ptprof) can run
 // them with the shared --jobs / --shards / --campaign-seed flags. One
 // registered workload per campaign kind:
 //

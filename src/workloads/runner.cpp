@@ -109,14 +109,13 @@ Cycles run_on(SystemConfig cfg, const WorkloadFn& fn, const char* config_label) 
   // the measured interval, so the profile total matches the cycle delta.
   telemetry::EventRing* tr = telemetry::tracing();
   telemetry::Profiler* pf = telemetry::profiling();
-  if (tr != nullptr) tr->session_begin(before);
+  if (tr != nullptr) tr->session_begin();
   if (pf != nullptr) {
     pf->session_begin(config_label[0] != '\0' ? config_label : "run", before,
                       static_cast<u8>(s.core().priv()));
   }
   fn(s);
   if (pf != nullptr) pf->session_end(s.cycles());
-  if (tr != nullptr) tr->session_end(s.cycles());
   g_instructions += s.core().instret() - instret_before;
   g_abstract_instructions += s.core().abstract_retired() - abstract_before;
   if (g_collector.enabled) capture_run(config_label, s);

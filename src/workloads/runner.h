@@ -80,8 +80,10 @@ using WorkloadFn = std::function<void(System&)>;
 ///
 /// `config_label` names the paper configuration being run ("base", "cfi",
 /// "cfi_ptstore", ...); the report collector uses it to pick which machine's
-/// counters land in the JSON report. When tracing is enabled the run is
-/// bracketed in an EventRing session so cycle attribution is per-machine.
+/// counters land in the JSON report. When the profiler is enabled the run
+/// is bracketed in a profiler session under that label, so cycle
+/// attribution is per-machine; when tracing is, its events get a new
+/// session index.
 Cycles run_on(SystemConfig cfg, const WorkloadFn& fn,
               const char* config_label = "");
 
@@ -141,7 +143,7 @@ std::optional<BackendKind> backend_override();
 /// --backend=; benches that sweep all backends themselves clear it).
 void set_backend_override(std::optional<BackendKind> k);
 
-// ---- Machine-readable reporting (the --json flag and ptperf) ----
+// ---- Machine-readable reporting (the --json flag and ptprof summary) ----
 
 /// Toggle the process-wide report collector. While on, every run_on():
 /// enables per-syscall latency collection on its system, and snapshots the

@@ -10,7 +10,7 @@
 #include "analysis/flow_corpus.h"
 #include "analysis/ptflow.h"
 #include "analysis/ptlint.h"
-#include "attacks/witness_replay.h"
+#include "harness/witness_replay.h"
 #include "isa/assembler.h"
 
 namespace ptstore::analysis::symexec {

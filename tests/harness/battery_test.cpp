@@ -2,12 +2,12 @@
 // ops and probes as CampaignOps through exec_campaign_op, so each report
 // carries the executed ops as ptcampaign reproducer lines, and outcomes
 // come from the typed OpResult. The per-scenario outcomes themselves are
-// pinned by tests/attacks/scenarios_test.cpp and the battery goldens.
+// pinned by tests/harness/scenarios_test.cpp and the battery goldens.
 #include "harness/battery.h"
 
 #include <gtest/gtest.h>
 
-#include "attacks/support.h"
+#include "harness/support.h"
 
 namespace ptstore::harness {
 namespace {

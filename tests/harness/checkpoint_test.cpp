@@ -7,7 +7,7 @@
 #include <map>
 #include <string>
 
-#include "attacks/support.h"
+#include "harness/support.h"
 #include "kernel/protocol.h"
 #include "kernel/system.h"
 

@@ -2,7 +2,7 @@
 // System to the predicted architectural fact, and tampered traces must
 // fail gracefully (ok == false with a diagnostic) — never crash or
 // false-positively verify.
-#include "attacks/witness_replay.h"
+#include "harness/witness_replay.h"
 
 #include <gtest/gtest.h>
 

@@ -1,10 +1,11 @@
 // Telemetry end-to-end: tracing and call-stack profiling must be pure
 // observers (simulated timing bit-identical on vs off), the cycle
-// attributions must sum exactly to the bracketed session cycles, the Chrome
-// trace must parse with correctly nested spans (trap inside syscall, PTW
-// inside trap), the guest shadow stack must symbolize real user code, the
-// backend diff must attribute >= 90% of ptauth's overhead to named
-// functions, and the --json report path must meet the acceptance bar
+// attribution and its subsystem rollup must sum exactly to the bracketed
+// session cycles, the walker's verifier tail must stay in the ptw bucket,
+// the Chrome trace must parse with correctly nested spans (trap inside
+// syscall, PTW inside trap), the guest shadow stack must symbolize real
+// user code, the backend diff must attribute >= 90% of ptauth's overhead to
+// named functions, and the --json report path must meet the acceptance bar
 // (>= 20 named counters, per-syscall percentiles).
 #include <gtest/gtest.h>
 
@@ -152,11 +153,11 @@ TEST_F(TelemetryTest, BackendDiffAttributionMeetsBar) {
 }
 
 TEST_F(TelemetryTest, ProfileAttributionSumsToSessionCycles) {
-  telemetry::EventRing& ring = telemetry::enable_tracing();
+  telemetry::Profiler& prof = telemetry::enable_profiling();
   SystemConfig cfg = SystemConfig::cfi_ptstore();
   cfg.dram_size = MiB(256);
   const Cycles measured = run_on(cfg, busy_body);
-  const telemetry::CycleProfile& p = ring.profile();
+  const telemetry::CycleProfile p = prof.cycle_profile();
   EXPECT_EQ(p.total_cycles, measured);
   EXPECT_EQ(p.attributed(), p.total_cycles);
   u64 priv_sum = 0;
@@ -165,6 +166,29 @@ TEST_F(TelemetryTest, ProfileAttributionSumsToSessionCycles) {
   // The body is syscall-dominated; the profile must show it.
   EXPECT_GT(
       p.self_cycles[static_cast<size_t>(telemetry::Subsystem::kSyscall)], 0u);
+}
+
+TEST_F(TelemetryTest, WalkVerifierTailRollsUpIntoPtw) {
+  // Under PTAuth every fetched PTE is MAC-checked: the walker carves that
+  // cost into a "ptw_verify" child, which must stay in the kPtw bucket.
+  telemetry::Profiler& prof = telemetry::enable_profiling();
+  SystemConfig cfg = SystemConfig::for_backend(BackendKind::kPtauth);
+  cfg.dram_size = MiB(256);
+  run_on(cfg, busy_body);
+  u64 walk_cycles = 0;
+  u64 verify_cycles = 0;
+  for (const auto& [stack, e] : prof.snapshot().stacks) {
+    if (stack.size() > 4 && stack.compare(stack.size() - 4, 4, ";ptw") == 0) {
+      walk_cycles += e.cycles;
+    }
+    if (stack.find(";ptw;ptw_verify") != std::string::npos) {
+      verify_cycles += e.cycles;
+    }
+  }
+  ASSERT_GT(verify_cycles, 0u) << "no walk-time verification in the body";
+  EXPECT_EQ(prof.cycle_profile()
+                .self_cycles[static_cast<size_t>(telemetry::Subsystem::kPtw)],
+            walk_cycles + verify_cycles);
 }
 
 TEST_F(TelemetryTest, ChromeTraceParsesAndSpansNest) {

@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "attacks/primitive.h"
+#include "harness/primitive.h"
 #include "harness/battery.h"
 #include "kernel/isolation.h"
 #include "kernel/protocol.h"

@@ -6,7 +6,7 @@
 // seeded-race regressions that prove the tests can actually see the bug.
 #include <gtest/gtest.h>
 
-#include "attacks/support.h"
+#include "harness/support.h"
 #include "kernel/protocol.h"
 #include "kernel/system.h"
 #include "mmu/pte.h"

@@ -1,6 +1,7 @@
 // Unit tests for the exact call-stack profiler and its exchange forms:
 // attribution arithmetic (self cycles sum to the session total), guest
-// symbolization, the depth cap, folded-stack merge algebra, label filtering,
+// symbolization, the depth cap, the per-subsystem and per-privilege rollup
+// (CycleProfile), folded-stack merge algebra, label filtering,
 // the derived function/edge tables, differential attribution, the JSON
 // round trip, and the SVG flamegraph's determinism and escaping.
 #include "telemetry/profile.h"
@@ -11,6 +12,7 @@
 #include <string>
 
 #include "telemetry/flamegraph.h"
+#include "telemetry/trace.h"
 
 namespace ptstore::telemetry {
 namespace {
@@ -118,6 +120,137 @@ TEST(Profiler, FrameNamesAreSanitizedForTheFoldedForm) {
   prof.session_end(3);
   const FoldedProfile p = prof.snapshot();
   EXPECT_EQ(p.stacks.count("my_label;[S];weird_name_with_stuff"), 1u);
+}
+
+u64 sub_cycles(const CycleProfile& p, Subsystem s) {
+  return p.self_cycles[static_cast<size_t>(s)];
+}
+
+TEST(CycleProfile, NestedFramesAttributeSelfCycles) {
+  Profiler prof;
+  prof.session_begin("run", 0, 1);
+  prof.push("syscall", Subsystem::kSyscall, 10, 1);
+  prof.push("ptw", Subsystem::kPtw, 20, 1);
+  prof.pop(30, 1);
+  prof.pop(40, 1);
+  prof.session_end(50);
+
+  const CycleProfile p = prof.cycle_profile();
+  EXPECT_EQ(p.total_cycles, 50u);
+  // [0,10) and [40,50) have no open frame; syscall is innermost during
+  // [10,20) and [30,40); ptw during [20,30).
+  EXPECT_EQ(sub_cycles(p, Subsystem::kOther), 20u);
+  EXPECT_EQ(sub_cycles(p, Subsystem::kSyscall), 20u);
+  EXPECT_EQ(sub_cycles(p, Subsystem::kPtw), 10u);
+  EXPECT_EQ(p.attributed(), p.total_cycles);
+}
+
+TEST(CycleProfile, PrivilegeCyclesSumToTotal) {
+  Profiler prof;
+  prof.session_begin("run", 0, 3);
+  prof.push("trap", Subsystem::kTrap, 5, /*priv=*/0);  // M until 5.
+  prof.pop(25, /*priv=*/1);                            // U-priv frame.
+  prof.session_end(40);
+  const CycleProfile p = prof.cycle_profile();
+  u64 sum = 0;
+  for (const u64 c : p.priv_cycles) sum += c;
+  EXPECT_EQ(sum, p.total_cycles);
+  EXPECT_EQ(p.total_cycles, 40u);
+  // Each interval goes to the privilege that was current when it started.
+  EXPECT_EQ(p.priv_cycles[3], 5u);
+  EXPECT_EQ(p.priv_cycles[0], 20u);
+  EXPECT_EQ(p.priv_cycles[1], 15u);
+}
+
+TEST(CycleProfile, AttributionExactDespiteRingDrops) {
+  EventRing& ring = enable_tracing(1);  // Retains a single event.
+  Profiler& prof = enable_profiling();
+  ring.session_begin();
+  prof.session_begin("run", 0, 1);
+  struct Clock {
+    u64 c = 0;
+    u64 cycles() const { return c; }
+    u64 instret() const { return 0; }
+    int priv() const { return 1; }
+  } clock;
+  for (u64 t = 0; t < 100; t += 10) {
+    clock.c = t;
+    ScopedSpan<Clock> span(clock, Subsystem::kToken, "t");
+    clock.c = t + 5;
+  }
+  prof.session_end(100);
+  EXPECT_EQ(ring.events().size(), 1u);
+  EXPECT_GT(ring.dropped(), 0u);
+  const CycleProfile p = prof.cycle_profile();
+  EXPECT_EQ(sub_cycles(p, Subsystem::kToken), 50u);
+  EXPECT_EQ(sub_cycles(p, Subsystem::kOther), 50u);
+  EXPECT_EQ(p.attributed(), 100u);
+  disable_profiling();
+  disable_tracing();
+}
+
+TEST(CycleProfile, FramesOutsideSessionAreNotAttributed) {
+  Profiler prof;
+  prof.push("boot", Subsystem::kSyscall, 100, 3);
+  prof.pop(200, 3);
+  const CycleProfile p = prof.cycle_profile();
+  EXPECT_EQ(p.total_cycles, 0u);
+  EXPECT_EQ(p.attributed(), 0u);
+}
+
+TEST(CycleProfile, SessionsAccumulateAndRebaseTheMark) {
+  Profiler prof;
+  prof.session_begin("run", 0, 3);
+  prof.session_end(30);
+  // A second machine's clock restarts at zero; total must not underflow.
+  prof.session_begin("run", 0, 3);
+  prof.session_end(70);
+  const CycleProfile p = prof.cycle_profile();
+  EXPECT_EQ(p.total_cycles, 100u);
+  EXPECT_EQ(p.attributed(), 100u);
+}
+
+TEST(CycleProfile, UntaggedFramesInheritTheirParentsSubsystem) {
+  struct Clock {
+    u64 c = 0;
+    u8 p = 0;
+    u64 cycles() const { return c; }
+    u64 instret() const { return 0; }
+    u8 priv() const { return p; }
+  } clock;
+  Profiler& prof = enable_profiling();
+  prof.session_begin("run", 0, 0);
+  // A guest call under [U]: kOther, U-mode.
+  prof.on_call(0x1000, 10, 0);
+  prof.on_ret(30, 0);
+  clock.c = 30;
+  clock.p = 1;
+  {
+    ScopedSpan<Clock> span(clock, Subsystem::kSyscall, "syscall");
+    clock.c = 40;
+    {
+      // A mediation marker under the syscall span: kSyscall, S-mode.
+      ProfScope<Clock> marker(clock, "copy_mm");
+      clock.c = 100;
+    }
+    // A walk inside the syscall whose verifier tail inherits kPtw.
+    prof.push("ptw", Subsystem::kPtw, 100, 1);
+    prof.push("ptw_verify", 110, 1);
+    prof.pop(150, 1);
+    prof.pop(150, 1);
+    clock.c = 160;
+  }
+  prof.session_end(160);
+
+  const CycleProfile p = prof.cycle_profile();
+  EXPECT_EQ(p.total_cycles, 160u);
+  EXPECT_EQ(sub_cycles(p, Subsystem::kOther), 30u);    // [U] root + guest call.
+  EXPECT_EQ(sub_cycles(p, Subsystem::kSyscall), 80u);  // 10 own + 60 copy_mm + 10.
+  EXPECT_EQ(sub_cycles(p, Subsystem::kPtw), 50u);      // 10 ptw + 40 ptw_verify.
+  EXPECT_EQ(p.priv_cycles[0], 30u);
+  EXPECT_EQ(p.priv_cycles[1], 130u);
+  EXPECT_EQ(p.attributed(), p.total_cycles);
+  disable_profiling();
 }
 
 TEST(FoldedProfile, MergeIsCommutativeAndSumsByKey) {

@@ -35,7 +35,7 @@ TEST(ChromeTrace, HostileSpanNamesRoundTripThroughTheExporter) {
   };
 
   EventRing ring;
-  ring.session_begin(0);
+  ring.session_begin();
   u64 t = 1;
   for (const char* name : kNames) {
     ring.begin(Subsystem::kSyscall, name, t, t, 1);
@@ -43,7 +43,6 @@ TEST(ChromeTrace, HostileSpanNamesRoundTripThroughTheExporter) {
     ring.end(Subsystem::kSyscall, name, t + 2, t + 2, 1);
     t += 3;
   }
-  ring.session_end(t);
 
   const std::string json = chrome_trace_json(ring);
   const std::optional<JsonValue> doc = json_parse(json);

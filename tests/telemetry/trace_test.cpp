@@ -1,6 +1,5 @@
-// EventRing: ring bounds, session bracketing, and the online cycle
-// attribution whose subsystem/privilege breakdowns must sum exactly to the
-// session total regardless of ring drops.
+// EventRing: ring bounds, session numbering, and ScopedSpan's two
+// observers (the ring's balanced begin/end, the profiler's tagged frame).
 #include "telemetry/trace.h"
 
 #include <gtest/gtest.h>
@@ -20,85 +19,18 @@ TEST(EventRing, DropsOldestWhenFull) {
   EXPECT_EQ(ring.events().back().arg, 9u);
 }
 
-TEST(EventRing, NestedSpansAttributeSelfCycles) {
+TEST(EventRing, SessionsNumberTheEvents) {
   EventRing ring;
-  ring.session_begin(0);
-  ring.begin(Subsystem::kSyscall, "syscall", 10, 0, 1);
-  ring.begin(Subsystem::kPtw, "ptw", 20, 0, 1);
-  ring.end(Subsystem::kPtw, "ptw", 30, 0, 1);
-  ring.end(Subsystem::kSyscall, "syscall", 40, 0, 1);
-  ring.session_end(50);
-
-  const CycleProfile& p = ring.profile();
-  EXPECT_EQ(p.total_cycles, 50u);
-  // [0,10) and [40,50) have no open span; syscall is innermost during
-  // [10,20) and [30,40); ptw during [20,30).
-  EXPECT_EQ(p.self_cycles[static_cast<size_t>(Subsystem::kOther)], 20u);
-  EXPECT_EQ(p.self_cycles[static_cast<size_t>(Subsystem::kSyscall)], 20u);
-  EXPECT_EQ(p.self_cycles[static_cast<size_t>(Subsystem::kPtw)], 10u);
-  EXPECT_EQ(p.attributed(), p.total_cycles);
-}
-
-TEST(EventRing, PrivilegeCyclesSumToTotal) {
-  EventRing ring;
-  ring.session_begin(0);
-  ring.begin(Subsystem::kTrap, "trap", 5, 0, /*priv=*/0);   // U until 5.
-  ring.end(Subsystem::kTrap, "trap", 25, 0, /*priv=*/1);    // U-priv span.
-  ring.session_end(40);
-  const CycleProfile& p = ring.profile();
-  u64 sum = 0;
-  for (const u64 c : p.priv_cycles) sum += c;
-  EXPECT_EQ(sum, p.total_cycles);
-  EXPECT_EQ(p.total_cycles, 40u);
-}
-
-TEST(EventRing, AttributionExactDespiteRingDrops) {
-  EventRing ring(1);  // Retains a single event; attribution is online.
-  ring.session_begin(0);
-  for (u64 t = 0; t < 100; t += 10) {
-    ring.begin(Subsystem::kToken, "t", t, 0, 1);
-    ring.end(Subsystem::kToken, "t", t + 5, 0, 1);
-  }
-  ring.session_end(100);
-  EXPECT_EQ(ring.events().size(), 1u);
-  EXPECT_GT(ring.dropped(), 0u);
-  const CycleProfile& p = ring.profile();
-  EXPECT_EQ(p.self_cycles[static_cast<size_t>(Subsystem::kToken)], 50u);
-  EXPECT_EQ(p.self_cycles[static_cast<size_t>(Subsystem::kOther)], 50u);
-  EXPECT_EQ(p.attributed(), 100u);
-}
-
-TEST(EventRing, EventsOutsideSessionRecordedButNotAttributed) {
-  EventRing ring;
-  ring.begin(Subsystem::kSyscall, "boot", 100, 0, 3);
-  ring.end(Subsystem::kSyscall, "boot", 200, 0, 3);
-  EXPECT_EQ(ring.events().size(), 2u);
-  EXPECT_EQ(ring.profile().total_cycles, 0u);
-  EXPECT_EQ(ring.profile().attributed(), 0u);
-}
-
-TEST(EventRing, SessionsAccumulateAndRebaseTheMark) {
-  EventRing ring;
-  ring.session_begin(0);
-  ring.session_end(30);
-  // A second machine's clock restarts at zero; total must not underflow.
-  ring.session_begin(0);
-  ring.session_end(70);
+  ring.instant(Subsystem::kOther, "boot", 0, 0, 3);
+  ring.session_begin();
+  ring.instant(Subsystem::kOther, "a", 0, 0, 3);
+  ring.session_begin();
+  ring.instant(Subsystem::kOther, "b", 0, 0, 3);
   EXPECT_EQ(ring.sessions(), 2u);
-  EXPECT_EQ(ring.profile().total_cycles, 100u);
-  EXPECT_EQ(ring.profile().attributed(), 100u);
-}
-
-TEST(EventRing, InstantsDoNotUnbalanceTheSpanStack) {
-  EventRing ring;
-  ring.session_begin(0);
-  ring.begin(Subsystem::kSyscall, "s", 0, 0, 1);
-  ring.instant(Subsystem::kPtInsn, "sd.pt", 10, 0, 1);
-  ring.end(Subsystem::kSyscall, "s", 20, 0, 1);
-  ring.session_end(20);
-  const CycleProfile& p = ring.profile();
-  EXPECT_EQ(p.self_cycles[static_cast<size_t>(Subsystem::kSyscall)], 20u);
-  EXPECT_EQ(p.attributed(), 20u);
+  ASSERT_EQ(ring.events().size(), 3u);
+  EXPECT_EQ(ring.events()[0].session, 0u);
+  EXPECT_EQ(ring.events()[1].session, 1u);
+  EXPECT_EQ(ring.events()[2].session, 2u);
 }
 
 TEST(GlobalTracing, EnableDisableRoundTrip) {
@@ -120,21 +52,24 @@ struct FakeClock {
 
 TEST(ScopedSpan, EmitsBalancedBeginEnd) {
   EventRing& ring = enable_tracing();
-  ring.session_begin(0);
+  Profiler& prof = enable_profiling();
+  ring.session_begin();
+  prof.session_begin("run", 0, 1);
   FakeClock clock;
   {
     ScopedSpan<FakeClock> span(clock, Subsystem::kSwitchMm, "switch_mm", 42);
     clock.c = 25;
   }
-  ring.session_end(25);
+  prof.session_end(25);
   ASSERT_EQ(ring.events().size(), 2u);
   EXPECT_EQ(ring.events()[0].phase, EventPhase::kBegin);
   EXPECT_EQ(ring.events()[0].arg, 42u);
   EXPECT_EQ(ring.events()[1].phase, EventPhase::kEnd);
   EXPECT_EQ(ring.events()[1].cycles, 25u);
-  EXPECT_EQ(
-      ring.profile().self_cycles[static_cast<size_t>(Subsystem::kSwitchMm)],
-      25u);
+  EXPECT_EQ(prof.cycle_profile()
+                .self_cycles[static_cast<size_t>(Subsystem::kSwitchMm)],
+            25u);
+  disable_profiling();
   disable_tracing();
 }
 

@@ -55,7 +55,7 @@
 #include "analysis/ptlint.h"
 #include "analysis/sarif.h"
 #include "analysis/symexec/ptsym.h"
-#include "attacks/witness_replay.h"
+#include "harness/witness_replay.h"
 #include "common/args.h"
 #include "kernel/pagetable.h"
 

@@ -1,6 +1,9 @@
-// ptprof: exact call-stack profiles of simulated runs, and differential
-// overhead attribution between isolation backends.
+// ptprof: exact call-stack profiles of simulated runs, where their cycles
+// go, and differential overhead attribution between isolation backends.
 //
+//   ptprof summary [--smoke] [--top N] [--json <path>] [--trace <path>]
+//                  [workload]
+//   ptprof summary --list
 //   ptprof profile [--smoke] [--backend NAME] [--label L] [--top N]
 //                  [--json <path>] [--folded <path>] [--flame <path>]
 //                  [workload]
@@ -11,6 +14,15 @@
 //   ptprof flame   <profile.json> [--out <path>] [--label L] [--title T]
 //                  [--width N]
 //
+// `summary` runs a registered workload (default lmbench) with the profiler,
+// the event ring and the report collector on, and prints the workload's own
+// table, the top-N machine counters of the focus configuration
+// (cfi_ptstore) and the cycle-attribution table: the profile rolled up to
+// self-cycles per subsystem and per privilege, each summing exactly to the
+// cycles of the bracketed sessions. Its --json writes the BenchReport the
+// bench drivers emit under --json; --trace writes a Chrome trace_event dump
+// viewable in chrome://tracing or ui.perfetto.dev. `--list` names the
+// registered workloads.
 // `profile` runs a registered workload with the call-stack profiler enabled
 // (a pure observer: simulated timing is bit-identical to an unprofiled run)
 // and prints the per-function self/inclusive table. `diff` runs the same
@@ -35,6 +47,9 @@
 #include "kernel/kconfig.h"
 #include "telemetry/flamegraph.h"
 #include "telemetry/profile.h"
+#include "telemetry/report.h"
+#include "telemetry/trace.h"
+#include "telemetry/trace_export.h"
 #include "workloads/runner.h"
 
 namespace {
@@ -45,7 +60,10 @@ using namespace ptstore::workloads;
 int usage(const char* argv0, int rc) {
   std::fprintf(
       stderr,
-      "usage: %s profile [--smoke] [--backend NAME] [--label L] [--top N]\n"
+      "usage: %s summary [--smoke] [--top N] [--json <path>] [--trace <path>] "
+      "[workload]\n"
+      "       %s summary --list\n"
+      "       %s profile [--smoke] [--backend NAME] [--label L] [--top N]\n"
       "       %*s         [--json <path>] [--folded <path>] [--flame <path>] "
       "[workload]\n"
       "       %s diff [--smoke] [--backend NAME] [--label L] [--top N]\n"
@@ -54,7 +72,7 @@ int usage(const char* argv0, int rc) {
       "[--check PCT]\n"
       "       %s flame <profile.json> [--out <path>] [--label L] [--title T] "
       "[--width N]\n",
-      argv0, static_cast<int>(std::strlen(argv0)), "", argv0,
+      argv0, argv0, argv0, static_cast<int>(std::strlen(argv0)), "", argv0,
       static_cast<int>(std::strlen(argv0)), "", argv0, argv0);
   return rc;
 }
@@ -92,15 +110,21 @@ bool write_text(const std::string& path, const std::string& what,
   return true;
 }
 
+std::unique_ptr<Workload> make_workload(const std::string& workload) {
+  std::unique_ptr<Workload> w = WorkloadRegistry::instance().make(workload);
+  if (w == nullptr) {
+    std::fprintf(stderr, "unknown workload '%s'; try --list\n",
+                 workload.c_str());
+  }
+  return w;
+}
+
 /// Run `workload` once with the profiler on and return its folded snapshot.
 /// The backend override (if any) is already set by the caller; the run's
 /// stdout (the bench's own tables) is left visible on purpose.
 std::optional<telemetry::FoldedProfile> profile_run(const std::string& workload) {
-  std::unique_ptr<Workload> w = WorkloadRegistry::instance().make(workload);
-  if (w == nullptr) {
-    std::fprintf(stderr, "unknown workload '%s'\n", workload.c_str());
-    return std::nullopt;
-  }
+  std::unique_ptr<Workload> w = make_workload(workload);
+  if (w == nullptr) return std::nullopt;
   telemetry::enable_profiling();
   header(w->title());
   const int rc = w->run();
@@ -118,6 +142,7 @@ struct CommonArgs {
   std::string json_path;
   std::string folded_path;
   std::string flame_path;
+  std::string trace_path;  ///< summary: Chrome trace of the event ring.
   std::string file_a;  ///< diff: saved profile instead of a live run.
   std::string file_b;
   std::string out_path;
@@ -128,6 +153,55 @@ struct CommonArgs {
   std::string backend = "ptauth";
   bool backend_set = false;
 };
+
+int run_summary(const CommonArgs& a) {
+  std::unique_ptr<Workload> w = make_workload(a.workload);
+  if (w == nullptr) return 2;
+
+  // The profiler feeds the attribution table, the ring the Chrome trace,
+  // the collector the counter table and the JSON report. None of them
+  // perturbs simulated timing.
+  telemetry::enable_profiling();
+  telemetry::EventRing& ring = telemetry::enable_tracing();
+  collect_report(true);
+
+  header(w->title());
+  const int rc = w->run();
+
+  // Roll the profile up and switch the profiler off before building the
+  // report, so the report and its counter table are the ones a traced bench
+  // run gives; the profiler's depth-cap counter would otherwise join them.
+  const telemetry::CycleProfile attribution =
+      telemetry::profiling()->cycle_profile();
+  telemetry::disable_profiling();
+  const telemetry::BenchReport rep = build_report(w->name());
+  const std::vector<std::pair<std::string, u64>> rows =
+      telemetry::top_counters(rep, a.top_n);
+  std::printf("\ntop %zu counters (cfi_ptstore configuration):\n", rows.size());
+  for (const auto& [name, value] : rows) {
+    std::printf("  %-32s %14llu\n", name.c_str(),
+                static_cast<unsigned long long>(value));
+  }
+  std::printf("\n%s", telemetry::render_profile(attribution).c_str());
+  std::printf("\ntrace: %llu events emitted, %llu beyond ring capacity, "
+              "%u sessions\n",
+              static_cast<unsigned long long>(ring.total_emitted()),
+              static_cast<unsigned long long>(ring.dropped()), ring.sessions());
+
+  if (!a.json_path.empty() &&
+      !write_text(a.json_path, "JSON report", [&](std::ostream& os) {
+        telemetry::write_bench_report(os, rep);
+      })) {
+    return 2;
+  }
+  if (!a.trace_path.empty() &&
+      !write_text(a.trace_path, "Chrome trace", [&](std::ostream& os) {
+        telemetry::write_chrome_trace(os, ring);
+      })) {
+    return 2;
+  }
+  return smoke_mode() ? 0 : rc;
+}
 
 int run_profile(const CommonArgs& a) {
   if (a.backend_set) {
@@ -265,15 +339,24 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage(argv[0], 2);
   const std::string cmd = argv[1];
   if (cmd == "--help" || cmd == "-h") return usage(argv[0], 0);
-  if (cmd != "profile" && cmd != "diff" && cmd != "flame") {
+  if (cmd != "summary" && cmd != "profile" && cmd != "diff" && cmd != "flame") {
     return usage(argv[0], 2);
   }
 
   CommonArgs a;
+  if (cmd == "summary") {
+    a.workload = "lmbench";
+    a.top_n = 15;
+  }
   bool workload_set = false;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--smoke") {
+    if (arg == "--list") {
+      for (const std::string& n : WorkloadRegistry::instance().names()) {
+        std::printf("%s\n", n.c_str());
+      }
+      return 0;
+    } else if (arg == "--smoke") {
       setenv("PTSTORE_SMOKE", "1", 1);
     } else if (arg == "--backend" && i + 1 < argc) {
       a.backend = argv[++i];
@@ -293,6 +376,8 @@ int main(int argc, char** argv) {
       a.folded_path = argv[++i];
     } else if (arg == "--flame" && i + 1 < argc) {
       a.flame_path = argv[++i];
+    } else if (arg == "--trace" && i + 1 < argc) {
+      a.trace_path = argv[++i];
     } else if (arg == "--a" && i + 1 < argc) {
       a.file_a = argv[++i];
     } else if (arg == "--b" && i + 1 < argc) {
@@ -321,6 +406,7 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (cmd == "summary") return run_summary(a);
   if (cmd == "profile") return run_profile(a);
   if (cmd == "diff") return run_diff(a);
   return run_flame(a);

@@ -1,9 +1,85 @@
 #include "mem/phys_mem.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cassert>
+#include <mutex>
+#include <new>
+
+#if __has_include(<sanitizer/asan_interface.h>)
+#include <sanitizer/asan_interface.h>  // No-ops unless built with ASan.
+#else
+#define ASAN_POISON_MEMORY_REGION(p, len) ((void)(p), (void)(len))
+#define ASAN_UNPOISON_MEMORY_REGION(p, len) ((void)(p), (void)(len))
+#endif
 
 namespace ptstore {
+
+namespace {
+
+// The process-wide pool of frame pages. Every page in it is all zero.
+// Pages are carved from anonymous mappings of kChunkPages pages, which the
+// system hands out zeroed and backs only once touched, and are never
+// unmapped: a page given back serves the next take. One pool serves every
+// thread, because fleet workers build and destroy machines on different
+// threads; a mutex guards it (a take or a give is rare next to the
+// accesses to the page).
+class FramePool {
+ public:
+  u8* take() {
+    u8* page;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!free_.empty()) {
+        page = free_.back();
+        free_.pop_back();
+      } else {
+        if (next_ == end_) grow();
+        page = next_;
+        next_ += kPageSize;
+      }
+    }
+    ASAN_UNPOISON_MEMORY_REGION(page, kPageSize);
+    return page;
+  }
+
+  void give(u8* const* pages, size_t n) {
+    for (size_t i = 0; i < n; ++i) ASAN_POISON_MEMORY_REGION(pages[i], kPageSize);
+    std::lock_guard<std::mutex> lock(mu_);
+    free_.insert(free_.end(), pages, pages + n);
+  }
+
+ private:
+  static constexpr u64 kChunkPages = 256;
+
+  void grow() {
+    const u64 bytes = kChunkPages * kPageSize;
+    void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    // Neighbouring chunks can merge into one mapping; without this, a host
+    // with transparent huge pages always on would back 2 MiB at a first
+    // touch, and resident memory would depend on the host's setting.
+    madvise(p, bytes, MADV_NOHUGEPAGE);
+    next_ = static_cast<u8*>(p);
+    end_ = next_ + bytes;
+    ASAN_POISON_MEMORY_REGION(next_, bytes);
+  }
+
+  std::mutex mu_;
+  std::vector<u8*> free_;
+  u8* next_ = nullptr;  // Unused part of the newest chunk.
+  u8* end_ = nullptr;
+};
+
+// Never destroyed, so a PhysMem destroyed during static destruction can
+// still give its pages back.
+FramePool& frame_pool() {
+  static FramePool* const pool = new FramePool;
+  return *pool;
+}
+
+}  // namespace
 
 bool PhysMem::map_device(PhysAddr base, u64 size, MmioDevice* dev) {
   if (size == 0 || dev == nullptr) return false;
@@ -22,13 +98,35 @@ const PhysMem::Window* PhysMem::find_device(PhysAddr pa, u64 size) const {
   return nullptr;
 }
 
-PhysMem::Frame* PhysMem::materialize(u64 frame) {
+PhysMem::Frame* PhysMem::materialize(u64 frame, const u8* src) {
   std::unique_ptr<Leaf>& leaf = dir_[frame >> kLeafShift];
   if (!leaf) leaf = std::make_unique<Leaf>();
-  std::unique_ptr<Frame>& slot = (*leaf)[frame & (kLeafFrames - 1)];
-  slot = std::make_unique<Frame>();
+  Frame& f = (*leaf)[frame & (kLeafFrames - 1)];
+  f.data = frame_pool().take();
+  if (src != nullptr) {
+    std::memcpy(f.data, src, kPageSize);
+    f.hi = kPageSize;
+  }
   ++resident_;
-  return slot.get();
+  return &f;
+}
+
+void PhysMem::release_frames() {
+  if (resident_ == 0) return;
+  for (auto& leaf : dir_) {
+    if (!leaf) continue;
+    u8* pages[kLeafFrames];
+    size_t n = 0;
+    for (Frame& f : *leaf) {
+      if (f.data == nullptr) continue;
+      // Only the extent can hold nonzero bytes; the pool keeps pages zero.
+      std::memset(f.data + f.lo, 0, f.hi - f.lo);
+      pages[n++] = f.data;
+      f = Frame{};
+    }
+    frame_pool().give(pages, n);
+  }
+  resident_ = 0;
 }
 
 u64 PhysMem::read_slow(PhysAddr pa, unsigned size) {
@@ -143,14 +241,11 @@ std::vector<std::pair<u64, std::vector<u8>>> PhysMem::snapshot_frames() const {
 
 void PhysMem::restore_frames(
     const std::vector<std::pair<u64, std::vector<u8>>>& frames) {
-  for (auto& leaf : dir_) leaf.reset();
-  resident_ = 0;
-  ++table_gen_;  // Old frame_write_gen() pointers are now dangling.
+  release_frames();
+  ++table_gen_;  // Old frame_write_gen() pointers now name other frames.
   for (const auto& [frame, bytes] : frames) {
     assert(bytes.size() == kPageSize && frame < (dram_size_ >> kPageShift));
-    Frame* f = materialize(frame);
-    std::memcpy(f->data, bytes.data(), kPageSize);
-    f->hi = kPageSize;
+    materialize(frame, bytes.data());
   }
 }
 

@@ -1,15 +1,24 @@
 // Sparse physical memory model. DRAM frames are allocated lazily so a
 // multi-GiB simulated machine costs only what it touches: a two-level frame
 // table maps a frame number to its frame, and a leaf of that table exists
-// only once a frame inside its 2 MiB span has been written with data.
+// only once a frame inside its span has been written with data.
 // Storing zeros never materializes a frame: an all-zero write, block write
 // or fill into an untouched frame is a no-op (untouched memory reads as
 // zero), so scrubbing memory that was never written costs no allocation.
-// Every frame carries a write generation (the decode cache's content guard)
-// and a dirty byte extent [lo, hi) outside which it is known to be zero, so
-// a whole-frame zero fill clears only the extent and is_zero() scans only
-// what the extent covers. MMIO devices can be attached to address windows
-// outside DRAM (used by the generality demo in examples/bare_metal_guard).
+//
+// Frame layout (a coremap): each leaf slot holds one frame's header, its
+// write generation (the decode cache's content guard) and its dirty byte
+// extent [lo, hi) outside which it is known to be zero, next to a pointer
+// to the frame's data. The data is a page-aligned 4 KiB page carved from a
+// large anonymous mapping and shared through a process-wide, mutex-guarded
+// pool of zeroed pages: a destroyed PhysMem or a restore_frames() zeroes
+// the extent of each page it drops and hands the page back, and the next
+// machine or checkpoint fork reuses it without a malloc or a first-touch
+// page fault. A whole-frame zero fill clears only the extent and is_zero()
+// scans only what the extent covers. Under AddressSanitizer a page is
+// poisoned while it sits in the pool. MMIO devices can be attached to
+// address windows outside DRAM (used by the generality demo in
+// examples/bare_metal_guard).
 #pragma once
 
 #include <algorithm>
@@ -43,6 +52,8 @@ class PhysMem {
       : dram_base_(dram_base),
         dram_size_(dram_size),
         dir_(((dram_size >> kPageShift) + kLeafFrames - 1) >> kLeafShift) {}
+  /// Hands every frame's page back to the pool.
+  ~PhysMem() { release_frames(); }
   // Cores and MMUs keep references to it and to its frames' write_gen.
   PhysMem(const PhysMem&) = delete;
   PhysMem& operator=(const PhysMem&) = delete;
@@ -160,7 +171,8 @@ class PhysMem {
 
   /// Snapshot/restore of DRAM contents (machine checkpoints). Only
   /// materialized frames are copied, in ascending frame order; restore
-  /// drops all current frames.
+  /// hands all current frames' pages back to the pool and writes each
+  /// restored page once, with the whole page as its extent.
   std::vector<std::pair<u64, std::vector<u8>>> snapshot_frames() const;
   void restore_frames(const std::vector<std::pair<u64, std::vector<u8>>>& frames);
 
@@ -173,20 +185,25 @@ class PhysMem {
   u64 content_digest() const;
 
  private:
+  // Test access to frame data pages, extents and materialize().
+  friend struct PhysMemProbe;
+
   struct Window {
     PhysAddr base;
     u64 size;
     MmioDevice* dev;
   };
 
+  /// One frame-table slot: a frame's header beside its data page (null
+  /// while the frame is unmaterialized).
   struct Frame {
+    u8* data = nullptr;
     u64 write_gen = 0;
     /// Dirty extent: every byte outside [lo, hi) is zero (lo == hi: the
     /// whole frame is). Writes widen it; zero fills and is_zero() scans
     /// that find zeros at its ends shrink it.
     u32 lo = 0;
     u32 hi = 0;
-    u8 data[kPageSize] = {};
 
     /// Bytes [off, end) are about to be written: one write_gen bump, and
     /// the extent grows to cover them.
@@ -203,12 +220,12 @@ class PhysMem {
   };
 
   // Frame table: dir_[frame >> kLeafShift] points at a leaf of kLeafFrames
-  // frame slots (one 2 MiB span of DRAM), allocated with its first frame.
+  // frame slots (one 512 KiB span of DRAM), allocated with its first frame.
   // (A flat table answers one load sooner, but a calloc'd one costs page
   // faults or a clear on every machine built, and machines are built often.)
-  static constexpr unsigned kLeafShift = 9;
+  static constexpr unsigned kLeafShift = 7;
   static constexpr u64 kLeafFrames = u64{1} << kLeafShift;
-  using Leaf = std::array<std::unique_ptr<Frame>, kLeafFrames>;
+  using Leaf = std::array<Frame, kLeafFrames>;
 
   // Fixed-size copies, one per access size, so the compiler emits plain
   // loads and stores instead of a memcpy call with a run-time length.
@@ -231,8 +248,10 @@ class PhysMem {
   /// The materialized frame holding DRAM address `pa`, or nullptr.
   Frame* find_frame(PhysAddr pa) const {
     const u64 frame = (pa - dram_base_) >> kPageShift;
-    const Leaf* leaf = dir_[frame >> kLeafShift].get();
-    return leaf == nullptr ? nullptr : (*leaf)[frame & (kLeafFrames - 1)].get();
+    Leaf* leaf = dir_[frame >> kLeafShift].get();
+    if (leaf == nullptr) return nullptr;
+    Frame& f = (*leaf)[frame & (kLeafFrames - 1)];
+    return f.data == nullptr ? nullptr : &f;
   }
   /// Data of the frame holding DRAM address `pa` about to receive bytes
   /// [off, off+len) of the frame: touches the frame, materializing it
@@ -247,14 +266,20 @@ class PhysMem {
     f->touch(off, off + len);
     return f->data;
   }
-  Frame* materialize(u64 frame);
+  /// Gives `frame` a page from the pool: a copy of the kPageSize bytes at
+  /// `src` (extent: the whole page), or all zero (empty extent) if null.
+  Frame* materialize(u64 frame, const u8* src = nullptr);
+  /// Zeroes each materialized frame's extent and hands its page back to
+  /// the pool; every slot becomes unmaterialized (leaves are kept).
+  void release_frames();
   /// Calls fn(frame number, frame) for every materialized frame, ascending.
   template <typename Fn>
   void for_each_frame(Fn&& fn) const {
     for (u64 d = 0; d < dir_.size(); ++d) {
       if (!dir_[d]) continue;
       for (u64 i = 0; i < kLeafFrames; ++i) {
-        if (const Frame* f = (*dir_[d])[i].get()) fn((d << kLeafShift) | i, *f);
+        const Frame& f = (*dir_[d])[i];
+        if (f.data != nullptr) fn((d << kLeafShift) | i, f);
       }
     }
   }

@@ -4,10 +4,31 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <mutex>
+#include <set>
+#include <thread>
 
 #include "common/rng.h"
 
 namespace ptstore {
+
+// Reaches into the frame table: the data page, the dirty extent and
+// materialize() of one frame.
+struct PhysMemProbe {
+  static const u8* data(const PhysMem& m, PhysAddr pa) {
+    const PhysMem::Frame* f = m.find_frame(pa);
+    return f == nullptr ? nullptr : f->data;
+  }
+  static std::pair<u32, u32> extent(const PhysMem& m, PhysAddr pa) {
+    const PhysMem::Frame* f = m.find_frame(pa);
+    return f == nullptr ? std::make_pair(0u, 0u) : std::make_pair(f->lo, f->hi);
+  }
+  static const u8* materialize(PhysMem& m, PhysAddr pa) {
+    return m.materialize((pa - m.dram_base()) >> kPageShift)->data;
+  }
+};
+
 namespace {
 
 class PhysMemTest : public ::testing::Test {
@@ -472,6 +493,212 @@ TEST_F(PhysMemTest, RandomizedReadbackProperty) {
     }
   }
   EXPECT_EQ(mem.content_digest(), shadow_digest(shadow));
+}
+
+// Writes a different nonzero pattern over each of `n` frames from `base`:
+// whole-frame fills, scattered words and a partial fill, so the frames'
+// extents differ.
+void dirty_frames(PhysMem& m, PhysAddr base, u64 n, u8 seed) {
+  for (u64 i = 0; i < n; ++i) {
+    const PhysAddr f = base + i * kPageSize;
+    switch (i % 3) {
+      case 0: m.fill(f, static_cast<u8>(seed + i), kPageSize); break;
+      case 1: m.write_u64(f + 8 * (i % 500), 0x0101'0101'0101'0101ULL * (seed | 1)); break;
+      default: m.fill(f + 100, static_cast<u8>(seed ^ 0x5A), 1000); break;
+    }
+  }
+}
+
+// A page that a destroyed PhysMem gave back to the pool and a new one took
+// again reads zero everywhere, has an empty extent and passes is_zero.
+TEST(PhysMemPool, PageReleasedByDestroyedMemoryComesBackZero) {
+  constexpr u64 kFrames = 24;
+  const PhysAddr base = kDramBase + 64 * kPageSize;
+  std::set<const u8*> released;
+  {
+    PhysMem old(kDramBase, MiB(4));
+    dirty_frames(old, base, kFrames, 0x31);
+    for (u64 i = 0; i < kFrames; ++i) {
+      released.insert(PhysMemProbe::data(old, base + i * kPageSize));
+    }
+  }
+  // The pool hands out the pages given back last first.
+  PhysMem fresh(kDramBase, MiB(4));
+  const std::vector<u8> zeros(kPageSize, 0);
+  for (u64 i = 0; i < kFrames; ++i) {
+    const PhysAddr f = base + (kFrames - 1 - i) * kPageSize;
+    const u8* page = PhysMemProbe::materialize(fresh, f);
+    EXPECT_EQ(released.count(page), 1u) << i;
+    EXPECT_EQ(std::memcmp(page, zeros.data(), kPageSize), 0) << i;
+    std::vector<u8> out(kPageSize, 0xFF);
+    fresh.read_block(f, out.data(), kPageSize);
+    EXPECT_EQ(out, zeros) << i;
+    const auto [lo, hi] = PhysMemProbe::extent(fresh, f);
+    EXPECT_EQ(lo, hi) << i;
+    EXPECT_TRUE(fresh.is_zero(f, kPageSize)) << i;
+  }
+  EXPECT_EQ(fresh.resident_frames(), kFrames);
+  EXPECT_EQ(fresh.content_digest(), PhysMem(kDramBase, MiB(4)).content_digest());
+}
+
+// restore_frames() gives the machine's pages back and takes them again for
+// the image: each reused page holds exactly the restored bytes, frames
+// outside the image read zero, and the digest is that of a machine built
+// fresh from the same image.
+TEST(PhysMemPool, RestoredPagesHoldExactlyTheImage) {
+  const PhysAddr base = kDramBase + 8 * kPageSize;
+  PhysMem src(kDramBase, MiB(4));
+  dirty_frames(src, base, 9, 0x77);
+  src.write_u64(kDramBase + MiB(3), 0xFEED);  // A frame in another leaf.
+  const auto image = src.snapshot_frames();
+  ASSERT_EQ(image.size(), 10u);
+
+  PhysMem m(kDramBase, MiB(4));
+  dirty_frames(m, base, 30, 0xC3);  // More frames than the image, other bytes.
+  std::set<const u8*> old_pages;
+  for (u64 i = 0; i < 30; ++i) old_pages.insert(PhysMemProbe::data(m, base + i * kPageSize));
+  m.restore_frames(image);
+  EXPECT_EQ(m.resident_frames(), image.size());
+  u64 reused = 0;
+  for (const auto& [frame, bytes] : image) {
+    const PhysAddr pa = kDramBase + frame * kPageSize;
+    reused += old_pages.count(PhysMemProbe::data(m, pa));
+    std::vector<u8> out(kPageSize);
+    m.read_block(pa, out.data(), kPageSize);
+    EXPECT_EQ(out, bytes) << frame;
+  }
+  EXPECT_GT(reused, 0u);
+  EXPECT_TRUE(m.is_zero(base + 9 * kPageSize, 21 * kPageSize));
+
+  PhysMem built(kDramBase, MiB(4));
+  built.restore_frames(image);
+  EXPECT_EQ(m.content_digest(), built.content_digest());
+  EXPECT_EQ(m.content_digest(), src.content_digest());
+  EXPECT_EQ(m.snapshot_frames(), image);
+  // Frames materialized after the restore start from zeroed pages too.
+  m.write_u8(base + 20 * kPageSize + 7, 1);
+  std::vector<u8> out(kPageSize);
+  m.read_block(base + 20 * kPageSize, out.data(), kPageSize);
+  EXPECT_EQ(std::count(out.begin(), out.end(), 0), static_cast<long>(kPageSize - 1));
+}
+
+TEST(PhysMemPool, FrameDataIsPageAligned) {
+  PhysMem m(kDramBase, MiB(8));
+  Rng rng(5);
+  for (int i = 0; i < 200; ++i) {
+    const PhysAddr pa = kDramBase + align_down(rng.next_below(MiB(8) - 8), 8);
+    m.write_u64(pa, rng.next_u64() | 1);
+    const u8* page = PhysMemProbe::data(m, pa);
+    ASSERT_NE(page, nullptr);
+    ASSERT_EQ(reinterpret_cast<uintptr_t>(page) % kPageSize, 0u) << i;
+  }
+  const auto image = m.snapshot_frames();
+  m.restore_frames(image);
+  for (const auto& entry : image) {
+    const u8* page = PhysMemProbe::data(m, kDramBase + entry.first * kPageSize);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(page) % kPageSize, 0u) << entry.first;
+  }
+}
+
+// Under AddressSanitizer a page sitting free in the pool is poisoned, so a
+// stale data pointer that outlived its machine faults instead of silently
+// reading a page the pool may hand to another machine.
+TEST(PhysMemPool, FreePagesArePoisonedUnderAsan) {
+#if defined(__SANITIZE_ADDRESS__)
+  const u8* stale;
+  {
+    PhysMem m(kDramBase, MiB(4));
+    m.write_u8(kDramBase + 5, 1);
+    stale = PhysMemProbe::data(m, kDramBase);
+  }
+  EXPECT_DEATH((void)*static_cast<const volatile u8*>(stale), "use-after-poison");
+#else
+  GTEST_SKIP() << "needs AddressSanitizer";
+#endif
+}
+
+// A frame_write_gen() pointer names its frame's counter until
+// frame_table_gen() moves: materializing frames in the same and in new
+// leaves, fills, zero fills and is_zero leave it in place and counting.
+TEST(PhysMemPool, WriteGenPointersStayUntilTableGenMoves) {
+  PhysMem m(kDramBase, MiB(8));
+  const PhysAddr a = kDramBase + 3 * kPageSize;
+  const PhysAddr b = kDramBase + MiB(5) + 40;
+  m.write_u32(a, 1);
+  m.write_u32(b, 2);
+  const u64* ga = m.frame_write_gen(a);
+  const u64* gb = m.frame_write_gen(b);
+  ASSERT_NE(ga, nullptr);
+  ASSERT_NE(gb, nullptr);
+  const u64 table = m.frame_table_gen();
+  const u64 a0 = *ga;
+  Rng rng(17);
+  for (int i = 0; i < 400; ++i) {
+    const PhysAddr pa = kDramBase + align_down(rng.next_below(MiB(8) - kPageSize), 8);
+    switch (i % 4) {
+      case 0: m.write_u64(pa, rng.next_u64() | 1); break;
+      case 1: m.fill(pa, 0x3C, 64); break;
+      case 2: m.fill(pa, 0, kPageSize); break;
+      default: (void)m.is_zero(pa, kPageSize); break;
+    }
+    ASSERT_EQ(m.frame_table_gen(), table);
+    ASSERT_EQ(m.frame_write_gen(a), ga) << i;
+    ASSERT_EQ(m.frame_write_gen(b), gb) << i;
+  }
+  const u64 a1 = *ga;
+  m.write_u8(a + 9, 7);
+  EXPECT_EQ(*ga, a1 + 1);
+  EXPECT_GE(a1, a0);
+  m.restore_frames(m.snapshot_frames());
+  EXPECT_NE(m.frame_table_gen(), table);
+}
+
+// Fleet workers build and destroy machines on different threads, so one
+// pool serves them all. Four threads each build, fill, check and destroy a
+// few machines; half of each thread's machines are destroyed by the next
+// thread. Run under ThreadSanitizer in CI.
+TEST(PhysMemPool, ThreadsBuildAndDestroyMachinesOnEachOthersPages) {
+  constexpr unsigned kThreads = 4;
+  constexpr unsigned kMachines = 6;
+  constexpr u64 kFrames = 40;
+  std::mutex mu;
+  std::vector<std::vector<std::unique_ptr<PhysMem>>> handoff(kThreads);
+  std::vector<int> failures(kThreads, 0);
+  auto worker = [&](unsigned t) {
+    for (unsigned i = 0; i < kMachines; ++i) {
+      auto m = std::make_unique<PhysMem>(kDramBase, MiB(4));
+      const u8 byte = static_cast<u8>(1 + t * kMachines + i);
+      for (u64 f = 0; f < kFrames; ++f) {
+        const PhysAddr pa = kDramBase + f * 3 * kPageSize;
+        if (!m->is_zero(pa, kPageSize)) ++failures[t];
+        if (f % 2 == 0) {
+          m->fill(pa + 16, byte, kPageSize - 32);
+        } else {
+          m->write_u64(pa + 8 * f, 0x0101'0101'0101'0101ULL * byte);
+        }
+      }
+      const u64 word = 0x0101'0101'0101'0101ULL * byte;
+      for (u64 f = 0; f < kFrames; ++f) {
+        const PhysAddr pa = kDramBase + f * 3 * kPageSize;
+        if (m->read_u64(pa + (f % 2 == 0 ? 16 : 8 * f)) != word) ++failures[t];
+        if (m->read_u64(pa + kPageSize - 8) != 0 || m->read_u8(pa + 1) != 0) ++failures[t];
+      }
+      if (i % 2 == 0) {
+        std::lock_guard<std::mutex> lock(mu);
+        handoff[(t + 1) % kThreads].push_back(std::move(m));
+      }
+      std::vector<std::unique_ptr<PhysMem>> mine;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        mine.swap(handoff[t]);
+      }
+      mine.clear();  // Machines another thread built die here.
+    }
+  };
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < kThreads; ++t) threads.emplace_back(worker, t);
+  for (std::thread& th : threads) th.join();
+  for (unsigned t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0) << t;
 }
 
 }  // namespace

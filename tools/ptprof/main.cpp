@@ -19,10 +19,11 @@
 // table, the top-N machine counters of the focus configuration
 // (cfi_ptstore) and the cycle-attribution table: the profile rolled up to
 // self-cycles per subsystem and per privilege, each summing exactly to the
-// cycles of the bracketed sessions. Its --json writes the BenchReport the
-// bench drivers emit under --json; --trace writes a Chrome trace_event dump
-// viewable in chrome://tracing or ui.perfetto.dev. `--list` names the
-// registered workloads.
+// cycles of the bracketed sessions (a campaign workload brackets none, so it
+// prints a pointer to `ptcampaign --profile` instead). Its --json writes the
+// BenchReport the bench drivers emit under --json; --trace writes a Chrome
+// trace_event dump viewable in chrome://tracing or ui.perfetto.dev.
+// `--list` names the registered workloads.
 // `profile` runs a registered workload with the call-stack profiler enabled
 // (a pure observer: simulated timing is bit-identical to an unprofiled run)
 // and prints the per-function self/inclusive table. `diff` runs the same
@@ -182,7 +183,14 @@ int run_summary(const CommonArgs& a) {
     std::printf("  %-32s %14llu\n", name.c_str(),
                 static_cast<unsigned long long>(value));
   }
-  std::printf("\n%s", telemetry::render_profile(attribution).c_str());
+  if (ring.sessions() > 0) {
+    std::printf("\n%s", telemetry::render_profile(attribution).c_str());
+  } else {
+    // Campaign shards run on fleet workers, outside any session of this
+    // thread, so the rollup would be an empty table.
+    std::printf("\ncycle attribution: no session ran here; campaign cycles "
+                "are attributed per shard by `ptcampaign --profile`\n");
+  }
   std::printf("\ntrace: %llu events emitted, %llu beyond ring capacity, "
               "%u sessions\n",
               static_cast<unsigned long long>(ring.total_emitted()),
